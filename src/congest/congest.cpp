@@ -116,10 +116,11 @@ SnnCongestResult simulate_snn_in_congest(
   };
   std::vector<SynRef> syn_of_edge;
   for (NeuronId u = 0; u < net.num_neurons(); ++u) {
-    for (std::size_t k = net.out_begin(u); k < net.out_end(u); ++k) {
-      g.add_edge(u, net.syn_target(k), 1);
-      syn_of_edge.push_back({net.syn_weight(k), net.syn_delay(k)});
-    }
+    net.for_each_out_synapse(
+        u, [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+          g.add_edge(u, tgt, 1);
+          syn_of_edge.push_back({w, d});
+        });
   }
 
   // Local state per node: membrane potential, last fire flag, and a

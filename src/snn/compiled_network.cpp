@@ -314,43 +314,18 @@ void CompiledNetwork::verify_invariants() const {
                                                            << " synapses");
   }
 
-  Delay max_delay = 0;
-  std::vector<SynWeight> pos_in(n, 0);
   for (NeuronId i = 0; i < n; ++i) {
     SGA_REQUIRE(offsets_[i] <= offsets_[i + 1],
                 "verify: CSR row pointers not monotone at neuron "
                     << i << " (" << offsets_[i] << " > " << offsets_[i + 1]
                     << ")");
-    for (std::size_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
-      SGA_REQUIRE(syn_target(k) < n, "verify: synapse "
-                                         << k
-                                         << " targets out-of-"
-                                            "range neuron "
-                                         << syn_target(k));
-      SGA_REQUIRE(syn_delay(k) >= kMinDelay,
-                  "verify: synapse " << k << " has delay " << syn_delay(k)
-                                     << " below minimum δ = " << kMinDelay);
-      SGA_REQUIRE(std::isfinite(syn_weight(k)),
-                  "verify: synapse " << k << " has non-finite weight "
-                                     << syn_weight(k));
-      if (syn_weight(k) > 0) pos_in[syn_target(k)] += syn_weight(k);
-      max_delay = std::max(max_delay, syn_delay(k));
-    }
-  }
-  SGA_REQUIRE(max_delay_ == max_delay,
-              "verify: stored max delay " << max_delay_
-                                          << " != payload max delay "
-                                          << max_delay);
-  for (NeuronId i = 0; i < n; ++i) {
-    SGA_REQUIRE(pos_in_weight_[i] == pos_in[i],
-                "verify: positive in-weight table stale at neuron "
-                    << i << " (stored " << pos_in_weight_[i]
-                    << ", payload sums to " << pos_in[i] << ")");
   }
 
   // Segment CSR (ARCHITECTURE.md §1.6): the fan-out kernel indexes these
   // arrays unchecked, so every bound and the delay-run monotonicity the
-  // horizon break relies on must hold.
+  // horizon break relies on must hold. Checked BEFORE the synapse walk
+  // below, which takes its delays from the segments and needs them to tile
+  // each row.
   const auto [sd_n, sb_n, se_n] = std::visit(
       [](const auto& st) {
         using Store = std::decay_t<decltype(st)>;
@@ -395,11 +370,16 @@ void CompiledNetwork::verify_invariants() const {
                   "verify: delay runs not strictly increasing at segment "
                       << s << " of neuron " << i << " (" << seg_delay(s)
                       << " after " << prev << ")");
-      for (std::size_t k = seg_syn_begin(s); k < seg_syn_end(s); ++k) {
-        SGA_REQUIRE(syn_delay(k) == seg_delay(s),
-                    "verify: synapse " << k << " (delay " << syn_delay(k)
-                                       << ") disagrees with its segment " << s
-                                       << " on delay " << seg_delay(s));
+      // The flat layouts also keep a per-synapse delay column (the width
+      // tag was matched to the store above); the packed one stores delays
+      // only as these runs.
+      if (!widths_.packed) {
+        for (std::size_t k = seg_syn_begin(s); k < seg_syn_end(s); ++k) {
+          SGA_REQUIRE(syn_delay(k) == seg_delay(s),
+                      "verify: synapse " << k << " (delay " << syn_delay(k)
+                                         << ") disagrees with its segment "
+                                         << s << " on delay " << seg_delay(s));
+        }
       }
       prev = seg_delay(s);
       expect = seg_syn_end(s);
@@ -408,6 +388,36 @@ void CompiledNetwork::verify_invariants() const {
                 "verify: segments leave a tail of neuron "
                     << i << "'s row uncovered (tiled to " << expect
                     << " of " << offsets_[i + 1] << ")");
+  }
+
+  Delay max_delay = 0;
+  std::vector<SynWeight> pos_in(n, 0);
+  for (NeuronId i = 0; i < n; ++i) {
+    for_each_out_synapse(i, [&](std::size_t k, NeuronId tgt, SynWeight w,
+                                Delay d) {
+      SGA_REQUIRE(tgt < n, "verify: synapse " << k
+                                              << " targets out-of-range "
+                                                 "neuron "
+                                              << tgt);
+      SGA_REQUIRE(d >= kMinDelay, "verify: synapse "
+                                      << k << " has delay " << d
+                                      << " below minimum δ = " << kMinDelay);
+      SGA_REQUIRE(std::isfinite(w), "verify: synapse "
+                                        << k << " has non-finite weight "
+                                        << w);
+      if (w > 0) pos_in[tgt] += w;
+      max_delay = std::max(max_delay, d);
+    });
+  }
+  SGA_REQUIRE(max_delay_ == max_delay,
+              "verify: stored max delay " << max_delay_
+                                          << " != payload max delay "
+                                          << max_delay);
+  for (NeuronId i = 0; i < n; ++i) {
+    SGA_REQUIRE(pos_in_weight_[i] == pos_in[i],
+                "verify: positive in-weight table stale at neuron "
+                    << i << " (stored " << pos_in_weight_[i]
+                    << ", payload sums to " << pos_in[i] << ")");
   }
 
   for (const auto& [name, ids] : groups_) {
@@ -421,22 +431,48 @@ void CompiledNetwork::verify_invariants() const {
   }
 }
 
+std::size_t CompiledNetwork::out_chunk(std::size_t k, std::size_t row_end,
+                                       std::size_t& seg, NeuronId* tgt,
+                                       SynWeight* wgt, Delay* dly) const {
+  const std::size_t ce =
+      std::min(row_end, (k / kPackedBlockSize + 1) * kPackedBlockSize);
+  std::visit(
+      [&](const auto& st) {
+        using Store = std::decay_t<decltype(st)>;
+        if constexpr (Store::kPackedLayout) {
+          st.decode_range(k, ce, tgt);
+        } else {
+          for (std::size_t j = k; j < ce; ++j) {
+            tgt[j - k] = static_cast<NeuronId>(st.targets[j]);
+          }
+        }
+        for (std::size_t j = k; j < ce; ++j) {
+          while (st.seg_syn_end_at(seg) <= j) ++seg;
+          wgt[j - k] = static_cast<SynWeight>(st.weights[j]);
+          dly[j - k] = st.seg_delay_at(seg);
+        }
+      },
+      store_);
+  return ce;
+}
+
 void CompiledNetwork::recompute_pos_in_weight() {
   pos_in_weight_.assign(num_neurons(), 0);
   std::visit(
       [this](const auto& st) {
         using Store = std::decay_t<decltype(st)>;
         if constexpr (Store::kPackedLayout) {
-          // One sequential decode sweep — same flat-index accumulation
-          // order as the non-packed branch, so the table stays bit-exact
-          // across encodings.
+          // One sequential decode sweep, a block per decode_range call —
+          // same flat-index accumulation order as the non-packed branch,
+          // so the table stays bit-exact across encodings.
           std::uint32_t tmp[kPackedBlockSize];
-          std::size_t k = 0;
-          for (std::size_t j = 0; j < st.num_blocks(); ++j) {
-            const std::size_t count = st.decode_block(j, tmp);
-            for (std::size_t i = 0; i < count; ++i, ++k) {
+          for (std::size_t b = 0; b < st.num_targets; b += kPackedBlockSize) {
+            const std::size_t e =
+                std::min(st.num_targets, b + kPackedBlockSize);
+            st.decode_range(b, e, tmp);
+            for (std::size_t k = b; k < e; ++k) {
               const auto w = static_cast<SynWeight>(st.weights[k]);
-              if (w > 0) pos_in_weight_[tmp[i]] += w;
+              if (w > 0) pos_in_weight_[tmp[k - b]] += w;
             }
           }
         } else {
@@ -660,7 +696,7 @@ CompiledNetwork CompiledNetwork::from_packed_parts(
                 "at run " << s);
   }
 
-  // Block-table structure: exactly the checks that make decode_block()
+  // Block-table structure: exactly the checks that make decode_range()
   // memory-safe. A truncated delta array, a bit-width edited to 0, or any
   // extra/missing word breaks the exact word sum.
   const std::size_t nb = (m + kPackedBlockSize - 1) / kPackedBlockSize;
@@ -741,15 +777,15 @@ CompiledNetwork CompiledNetwork::from_packed_parts(
           // them. Structure is already proven, so the decode cannot read
           // out of bounds — only produce out-of-range ids.
           std::uint32_t tmp[kPackedBlockSize];
-          std::size_t k = 0;
-          for (std::size_t j = 0; j < st.num_blocks(); ++j) {
-            const std::size_t count = st.decode_block(j, tmp);
-            for (std::size_t i = 0; i < count; ++i, ++k) {
-              SGA_REQUIRE(tmp[i] < n,
+          for (std::size_t b = 0; b < m; b += kPackedBlockSize) {
+            const std::size_t e = std::min(m, b + kPackedBlockSize);
+            st.decode_range(b, e, tmp);
+            for (std::size_t k = b; k < e; ++k) {
+              SGA_REQUIRE(tmp[k - b] < n,
                           "packed parts: synapse " << k
                                                    << " decodes to out-of-"
                                                       "range neuron "
-                                                   << tmp[i]);
+                                                   << tmp[k - b]);
             }
           }
         }

@@ -161,9 +161,9 @@ class CompiledNetwork {
   // [out_begin(id), out_end(id)) into the flat arrays, sorted by delay
   // (stably: insertion order within each delay run). The syn_* accessors
   // widen through the storage variant (one visit per call) — fine for
-  // construction-side consumers (io, congest, shard_split, tests); the
-  // simulator instead binds a kernel to the concrete store type once, via
-  // synapse_store().
+  // single lookups (io, tests); whole-row loops use for_each_out_synapse()
+  // below, and the simulator binds a kernel to the concrete store type
+  // once, via synapse_store().
   std::size_t out_begin(NeuronId id) const { return offsets_[id]; }
   std::size_t out_end(NeuronId id) const { return offsets_[id + 1]; }
   std::size_t out_degree(NeuronId id) const {
@@ -227,49 +227,33 @@ class CompiledNetwork {
   }
   std::size_t num_delay_segments() const { return seg_offsets_.back(); }
 
-  /// Range view over a neuron's out-synapses yielding Synapse values, for
-  /// construction-side consumers (io, unroll, congest) that want the old
-  /// nested-vector iteration idiom without the nested vectors.
-  class OutSynapseIter {
-   public:
-    OutSynapseIter(const CompiledNetwork* net, std::size_t k)
-        : net_(net), k_(k) {}
-    Synapse operator*() const {
-      return Synapse{net_->syn_target(k_), net_->syn_weight(k_),
-                     net_->syn_delay(k_)};
+  /// Row walk: call f(k, target, weight, delay) for every out-synapse k of
+  /// `id`, in flat order. The row is read in block-aligned chunks of at
+  /// most kPackedBlockSize synapses with one variant visit each
+  /// (out_chunk), so a packed row is decoded by
+  /// PackedSynStore::decode_range exactly once and nothing is allocated.
+  /// Delays come from the segment CSR (their run-length form). Every
+  /// whole-row loop off the simulator's hot path (partitioner,
+  /// shard_split, verify_invariants, congest, io, unroll) uses this instead
+  /// of the syn_* accessors, which pay a visit per synapse and, on a packed
+  /// store, a block decode and a segment search. Requires segments that
+  /// tile the row: every freeze guarantees it, and verify_invariants
+  /// checks it before its own walk.
+  template <typename F>
+  void for_each_out_synapse(NeuronId id, F&& f) const {
+    NeuronId tgt[kPackedBlockSize];
+    SynWeight wgt[kPackedBlockSize];
+    Delay dly[kPackedBlockSize];
+    std::size_t seg = seg_offsets_[id];
+    const std::size_t e = offsets_[id + 1];
+    for (std::size_t k = offsets_[id]; k < e;) {
+      const std::size_t ce = out_chunk(k, e, seg, tgt, wgt, dly);
+      for (std::size_t j = k; j < ce; ++j) {
+        f(j, tgt[j - k], wgt[j - k], dly[j - k]);
+      }
+      k = ce;
     }
-    OutSynapseIter& operator++() {
-      ++k_;
-      return *this;
-    }
-    bool operator!=(const OutSynapseIter& o) const { return k_ != o.k_; }
-    bool operator==(const OutSynapseIter& o) const { return k_ == o.k_; }
-
-   private:
-    const CompiledNetwork* net_;
-    std::size_t k_;
-  };
-  class OutSynapseRange {
-   public:
-    OutSynapseRange(const CompiledNetwork* net, std::size_t b, std::size_t e)
-        : net_(net), begin_(b), end_(e) {}
-    OutSynapseIter begin() const { return {net_, begin_}; }
-    OutSynapseIter end() const { return {net_, end_}; }
-    std::size_t size() const { return end_ - begin_; }
-    Synapse operator[](std::size_t i) const {
-      return *OutSynapseIter{net_, begin_ + i};
-    }
-
-   private:
-    const CompiledNetwork* net_;
-    std::size_t begin_;
-    std::size_t end_;
-  };
-  OutSynapseRange out_synapses(NeuronId id) const {
-    SGA_REQUIRE(id < num_neurons(), "neuron id out of range: " << id);
-    return {this, offsets_[id], offsets_[id + 1]};
   }
-
   // ---- Freeze-time aggregates ------------------------------------------
   /// Total positive in-weight of `id` (Section 3's fire-once sizing bound).
   /// O(1): tabulated once at freeze time.
@@ -340,6 +324,12 @@ class CompiledNetwork {
   /// Choose widths for the already-validated wide payload and move it into
   /// the variant (narrowing element-wise when a narrow layout was chosen).
   void adopt_payload(StoragePolicy policy, WideSynStore&& wide);
+  /// One chunk of for_each_out_synapse: synapses [k, ce) of a row ending
+  /// at `row_end`, where ce is the next block boundary or the row end.
+  /// Fills tgt/wgt/dly[0 .. ce − k), advances the segment cursor `seg` to
+  /// the run holding ce − 1, and returns ce.
+  std::size_t out_chunk(std::size_t k, std::size_t row_end, std::size_t& seg,
+                        NeuronId* tgt, SynWeight* wgt, Delay* dly) const;
   /// Retabulate pos_in_weight_ from the payload in flat synapse order (the
   /// same accumulation order compile() and verify_invariants() use).
   void recompute_pos_in_weight();

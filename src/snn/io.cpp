@@ -127,10 +127,10 @@ void write_network(std::ostream& os, const CompiledNetwork& net) {
   write_neurons(os, net);
   os << "synapses " << net.num_synapses() << '\n';
   for (NeuronId i = 0; i < net.num_neurons(); ++i) {
-    for (const Synapse& s : net.out_synapses(i)) {
-      os << "s " << i << ' ' << s.target << ' ' << s.weight << ' ' << s.delay
-         << '\n';
-    }
+    net.for_each_out_synapse(
+        i, [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+          os << "s " << i << ' ' << tgt << ' ' << w << ' ' << d << '\n';
+        });
   }
   write_groups(os, net);
 }
@@ -472,16 +472,17 @@ Network read_network(std::istream& is) {
   // A packed file has no per-synapse lines to rebuild a builder from, so
   // validate + reassemble the compiled form first (the same path as
   // read_compiled_network) and only then expand it back into a mutable
-  // builder through the block-decoding accessors.
+  // builder through the row walk.
   CompiledNetwork cn =
       CompiledNetwork::from_packed_parts(std::move(packed.parts));
   cn.verify_invariants();
   Network out;
   for (NeuronId i = 0; i < cn.num_neurons(); ++i) out.add_neuron(cn.params(i));
   for (NeuronId i = 0; i < cn.num_neurons(); ++i) {
-    for (const Synapse& s : cn.out_synapses(i)) {
-      out.add_synapse(i, s.target, s.weight, s.delay);
-    }
+    cn.for_each_out_synapse(
+        i, [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+          out.add_synapse(i, tgt, w, d);
+        });
   }
   for (const auto& name : cn.group_names()) {
     out.define_group(name, std::vector<NeuronId>(cn.group(name)));

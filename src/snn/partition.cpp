@@ -40,14 +40,13 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
   std::vector<std::int64_t> hist(static_cast<std::size_t>(max_delay) + 1, 0);
   double cut = 0.0;
   for (NeuronId id = 0; id < n; ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      const NeuronId tgt = net.syn_target(j);
-      if (p.shard_of[tgt] != p.shard_of[id]) {
-        const Delay d = net.syn_delay(j);
-        ++hist[static_cast<std::size_t>(d)];
-        cut += 1.0 / static_cast<double>(d);
-      }
-    }
+    net.for_each_out_synapse(
+        id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+          if (p.shard_of[tgt] != p.shard_of[id]) {
+            ++hist[static_cast<std::size_t>(d)];
+            cut += 1.0 / static_cast<double>(d);
+          }
+        });
   }
   Delay cur_min = 0;
   for (std::size_t d = 1; d < hist.size(); ++d) {
@@ -65,9 +64,10 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
   // directions, and the CompiledNetwork CSR only stores out-rows.
   std::vector<std::size_t> in_off(n + 1, 0);
   for (NeuronId id = 0; id < n; ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      ++in_off[net.syn_target(j) + 1];
-    }
+    net.for_each_out_synapse(
+        id, [&](std::size_t, NeuronId tgt, SynWeight, Delay) {
+          ++in_off[tgt + 1];
+        });
   }
   for (std::size_t i = 1; i <= n; ++i) in_off[i] += in_off[i - 1];
   std::vector<NeuronId> in_src(net.num_synapses());
@@ -75,11 +75,12 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
   {
     std::vector<std::size_t> cursor(in_off.begin(), in_off.end() - 1);
     for (NeuronId id = 0; id < n; ++id) {
-      for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-        const std::size_t w = cursor[net.syn_target(j)]++;
-        in_src[w] = id;
-        in_delay[w] = net.syn_delay(j);
-      }
+      net.for_each_out_synapse(
+          id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+            const std::size_t w = cursor[tgt]++;
+            in_src[w] = id;
+            in_delay[w] = d;
+          });
     }
   }
 
@@ -108,13 +109,13 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
       // edge directions. Self-loops move with the neuron and never change
       // cut status, so they are excluded.
       touched.clear();
-      for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-        const NeuronId tgt = net.syn_target(j);
-        if (tgt == id) continue;
-        const std::uint32_t ts = p.shard_of[tgt];
-        if (affinity[ts] == 0.0) touched.push_back(ts);
-        affinity[ts] += 1.0 / static_cast<double>(net.syn_delay(j));
-      }
+      net.for_each_out_synapse(
+          id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+            if (tgt == id) return;
+            const std::uint32_t ts = p.shard_of[tgt];
+            if (affinity[ts] == 0.0) touched.push_back(ts);
+            affinity[ts] += 1.0 / static_cast<double>(d);
+          });
       for (std::size_t j = in_off[id]; j < in_off[id + 1]; ++j) {
         const NeuronId src = in_src[j];
         if (src == id) continue;
@@ -150,10 +151,10 @@ void refine_partition(const CompiledNetwork& net, Partition& p) {
             deltas.emplace_back(static_cast<std::size_t>(d), -1);
           }
         };
-        for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-          const NeuronId tgt = net.syn_target(j);
-          if (tgt != id) add_delta(p.shard_of[tgt], net.syn_delay(j));
-        }
+        net.for_each_out_synapse(
+            id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+              if (tgt != id) add_delta(p.shard_of[tgt], d);
+            });
         for (std::size_t j = in_off[id]; j < in_off[id + 1]; ++j) {
           if (in_src[j] != id) add_delta(p.shard_of[in_src[j]], in_delay[j]);
         }
@@ -235,11 +236,12 @@ Partition make_partition(const CompiledNetwork& net, std::size_t num_shards,
 double partition_cut_weight(const CompiledNetwork& net, const Partition& p) {
   double cut = 0.0;
   for (NeuronId id = 0; id < net.num_neurons(); ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      if (p.shard_of[net.syn_target(j)] != p.shard_of[id]) {
-        cut += 1.0 / static_cast<double>(net.syn_delay(j));
-      }
-    }
+    net.for_each_out_synapse(
+        id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+          if (p.shard_of[tgt] != p.shard_of[id]) {
+            cut += 1.0 / static_cast<double>(d);
+          }
+        });
   }
   return cut;
 }
@@ -248,12 +250,12 @@ Delay partition_min_cross_delay(const CompiledNetwork& net,
                                 const Partition& p) {
   Delay min_cross = 0;
   for (NeuronId id = 0; id < net.num_neurons(); ++id) {
-    for (std::size_t j = net.out_begin(id); j < net.out_end(id); ++j) {
-      if (p.shard_of[net.syn_target(j)] != p.shard_of[id]) {
-        const Delay d = net.syn_delay(j);
-        min_cross = min_cross == 0 ? d : std::min(min_cross, d);
-      }
-    }
+    net.for_each_out_synapse(
+        id, [&](std::size_t, NeuronId tgt, SynWeight, Delay d) {
+          if (p.shard_of[tgt] != p.shard_of[id]) {
+            min_cross = min_cross == 0 ? d : std::min(min_cross, d);
+          }
+        });
   }
   return min_cross;
 }
@@ -284,9 +286,10 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
     for (std::size_t k = 0; k < members.size(); ++k) {
       const NeuronId id = members[k];
       std::size_t intra = 0;
-      for (std::size_t j = out_begin(id); j < out_end(id); ++j) {
-        if (partition.shard_of[syn_target(j)] == s) ++intra;
-      }
+      for_each_out_synapse(id, [&](std::size_t, NeuronId tgt, SynWeight,
+                                   Delay) {
+        if (partition.shard_of[tgt] == s) ++intra;
+      });
       shard.intra_offsets[k + 1] = shard.intra_offsets[k] + intra;
       shard.cross_offsets[k + 1] =
           shard.cross_offsets[k] + (out_degree(id) - intra);
@@ -303,25 +306,24 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
       const NeuronId id = members[k];
       std::size_t wi = shard.intra_offsets[k];
       std::size_t wc = shard.cross_offsets[k];
-      for (std::size_t j = out_begin(id); j < out_end(id); ++j) {
-        const NeuronId tgt = syn_target(j);
+      for_each_out_synapse(id, [&](std::size_t, NeuronId tgt, SynWeight w,
+                                   Delay d) {
         const std::uint32_t ts = partition.shard_of[tgt];
         if (ts == s) {
           shard.intra_target[wi] = partition.local_index[tgt];
-          shard.intra_weight[wi] = syn_weight(j);
-          shard.intra_delay[wi] = syn_delay(j);
+          shard.intra_weight[wi] = w;
+          shard.intra_delay[wi] = d;
           ++wi;
         } else {
           shard.cross_shard[wc] = ts;
           shard.cross_local[wc] = partition.local_index[tgt];
-          shard.cross_weight[wc] = syn_weight(j);
-          shard.cross_delay[wc] = syn_delay(j);
-          const Delay d = syn_delay(j);
+          shard.cross_weight[wc] = w;
+          shard.cross_delay[wc] = d;
           min_cross = min_cross == 0 ? d : std::min(min_cross, d);
           ++wc;
           ++split.num_cross_synapses;
         }
-      }
+      });
     }
 
     // Cross family: stably re-sort each neuron's slice by destination

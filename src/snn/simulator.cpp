@@ -90,20 +90,9 @@ void Simulator::init_state() {
 
 template <typename Store>
 void Simulator::decode_row(const Store& st, std::size_t b, std::size_t e) {
-  const std::size_t len = e - b;
-  if (decode_scratch_.size() < len) decode_scratch_.resize(len);
-  std::uint32_t tmp[kPackedBlockSize];
-  std::size_t out = 0;
-  for (std::size_t j = b / kPackedBlockSize; j * kPackedBlockSize < e; ++j) {
-    const std::size_t blk_begin = j * kPackedBlockSize;
-    const std::size_t count = st.decode_block(j, tmp);
-    ++stats_.decode_blocks;
-    const std::size_t lo = b > blk_begin ? b - blk_begin : 0;
-    const std::size_t hi = std::min(e - blk_begin, count);
-    for (std::size_t i = lo; i < hi; ++i) {
-      decode_scratch_[out++] = static_cast<NeuronId>(tmp[i]);
-    }
-  }
+  if (decode_scratch_.size() < e - b) decode_scratch_.resize(e - b);
+  st.decode_range(b, e, decode_scratch_.data());
+  stats_.decode_blocks += (e - 1) / kPackedBlockSize - b / kPackedBlockSize + 1;
 }
 
 template <typename Store>

@@ -142,9 +142,9 @@ struct SimStats {
   /// pool_misses == 0.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Packed-target blocks decoded by the fan-out kernels (0 for the flat
-  /// encodings) — the packed ablation's work counter (ARCHITECTURE.md
-  /// §1.11).
+  /// Packed-target blocks touched by the fan-out kernels' row decodes, +1
+  /// per block a decoded row spans (0 for the flat encodings) — the packed
+  /// ablation's work counter (ARCHITECTURE.md §1.11).
   std::uint64_t decode_blocks = 0;
 
   // ---- Memory footprint (ARCHITECTURE.md §1.8, §1.11) ------------------
@@ -312,11 +312,12 @@ class Simulator {
   void fanout_per_synapse(NeuronId id, Time t);
   using FanoutFn = void (Simulator::*)(NeuronId, Time);
 
-  /// Packed-layout helper: decode the target ids of flat range [b, e) (one
-  /// neuron's row) into decode_scratch_, block by block. The scratch is a
-  /// persistent per-simulator buffer grown once to the largest row — the
-  /// steady state decodes allocation-free, matching the bucket pool's
-  /// contract.
+  /// Packed-layout helper: decode the target ids of the non-empty flat
+  /// range [b, e) (one neuron's row) straight into decode_scratch_ with
+  /// PackedSynStore::decode_range, counting one decode block per block the
+  /// row touches. The scratch is a persistent per-simulator buffer grown
+  /// once to the largest row — the steady state decodes allocation-free,
+  /// matching the bucket pool's contract.
   template <typename Store>
   void decode_row(const Store& st, std::size_t b, std::size_t e);
 

@@ -36,10 +36,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -153,8 +155,8 @@ using WideSynStore = SynStore<NeuronId, Delay, SynWeight, std::size_t>;
 
 // ---- Packed encoding primitives (ARCHITECTURE.md §1.11) ------------------
 
-/// Targets per packed block. Fixed so k → block is a shift, and small
-/// enough that a block decodes into a stack buffer.
+/// Targets per packed block. Fixed so k → block is a shift; a block's 63
+/// deltas are at most two 32-delta groups of the span decoder.
 inline constexpr std::size_t kPackedBlockSize = 64;
 
 /// Auto-selection floor: kAuto freezes with fewer synapses stay flat
@@ -178,6 +180,82 @@ inline std::uint32_t packed_zigzag_delta(std::uint32_t prev,
 inline std::size_t packed_block_words(std::size_t count, unsigned bits) {
   return count <= 1 ? 0 : ((count - 1) * bits + 31) / 32;
 }
+
+/// Inverse of packed_zigzag_delta's zigzag step; the caller's wrapping add
+/// then inverts the wrapping difference mod 2^32.
+inline std::uint32_t packed_unzigzag(std::uint32_t z) {
+  return (z >> 1) ^ (0u - (z & 1u));
+}
+
+namespace packed_detail {
+
+/// Zigzag field R of a 32-delta group packed at B bits. A group of 32
+/// deltas occupies exactly B words, so with B and R compile-time constants
+/// the word index, the shift and the straddle test are constants too. A
+/// field reads its second word only when its own bits reach into it.
+template <unsigned B, std::size_t R>
+inline std::uint32_t group_field(const std::uint32_t* w) {
+  constexpr std::size_t kBit = R * B;
+  constexpr unsigned kOff = kBit % 32;
+  constexpr std::uint32_t kMask = B == 32 ? ~0u : (1u << B) - 1;
+  std::uint32_t z = w[kBit / 32] >> kOff;
+  if constexpr (kOff + B > 32) z |= w[kBit / 32 + 1] << (32 - kOff);
+  return z & kMask;
+}
+
+/// Apply the first `n` (≤ 32) deltas of one group to `prev`, storing the
+/// entry that field R completes at out[max(first + R, 0)]. Entries before
+/// the requested span (negative index) all land on out[0], which the
+/// span's first entry overwrites last: a branch-free prefix skip.
+template <unsigned B, std::size_t... R>
+inline std::uint32_t decode_group(const std::uint32_t* w, std::uint32_t prev,
+                                  std::size_t n, std::ptrdiff_t first,
+                                  std::uint32_t* out,
+                                  std::index_sequence<R...>) {
+  (void)((R < n &&
+          (prev += packed_unzigzag(group_field<B, R>(w)),
+           out[std::max<std::ptrdiff_t>(
+               first + static_cast<std::ptrdiff_t>(R), 0)] = prev,
+           true)) &&
+         ...);
+  return prev;
+}
+
+/// Entries [lo, hi) of one B-bit block (0 ≤ lo < hi ≤ its count) into
+/// out[0 .. hi − lo). Entry 0 is the base; entry t adds the delta in slot
+/// t − 1. Only slots below hi − 1 are read, so the block's tail is never
+/// touched.
+template <unsigned B>
+void decode_span(const std::uint32_t* w, std::uint32_t base, std::size_t lo,
+                 std::size_t hi, std::uint32_t* out) {
+  if constexpr (B == 0) {
+    std::fill(out, out + (hi - lo), base);
+  } else {
+    out[0] = base;
+    std::uint32_t prev = base;
+    for (std::size_t s = 0; s + 1 < hi; s += 32, w += B) {
+      prev = decode_group<B>(
+          w, prev, std::min<std::size_t>(32, hi - 1 - s),
+          static_cast<std::ptrdiff_t>(s + 1) - static_cast<std::ptrdiff_t>(lo),
+          out, std::make_index_sequence<32>{});
+    }
+  }
+}
+
+using SpanDecoder = void (*)(const std::uint32_t*, std::uint32_t, std::size_t,
+                             std::size_t, std::uint32_t*);
+
+template <std::size_t... B>
+constexpr std::array<SpanDecoder, sizeof...(B)> make_span_decoders(
+    std::index_sequence<B...>) {
+  return {&decode_span<static_cast<unsigned>(B)>...};
+}
+
+/// One span decoder per bit width 0..32, indexed by a block's width.
+inline constexpr std::array<SpanDecoder, 33> kSpanDecoders =
+    make_span_decoders(std::make_index_sequence<33>{});
+
+}  // namespace packed_detail
 
 /// The delta-packed target column + RLE delay layout (§1.11). Weights stay
 /// a flat narrow column; per-synapse delays exist only as the delay-run
@@ -213,35 +291,14 @@ struct PackedSynStore {
   std::size_t num_blocks() const { return block_base.size(); }
   std::size_t num_segments() const { return seg_delays.size(); }
 
-  /// Decode block `j` into out[0..count); returns count (≤ kPackedBlockSize;
-  /// short only for the final block). Callers guarantee j < num_blocks()
-  /// and a structurally valid table (verify_invariants' packed pre-checks).
-  std::size_t decode_block(std::size_t j, std::uint32_t* out) const {
-    const std::size_t begin = j * kPackedBlockSize;
-    const std::size_t count = std::min(kPackedBlockSize, num_targets - begin);
-    std::uint32_t prev = block_base[j];
-    out[0] = prev;
-    const unsigned bits = block_bits[j];
-    if (bits == 0) {
-      for (std::size_t i = 1; i < count; ++i) out[i] = prev;
-      return count;
-    }
-    const std::uint32_t* words = pack_words.data() + block_word[j];
-    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    std::size_t bitpos = 0;
-    for (std::size_t i = 1; i < count; ++i) {
-      const std::size_t w = bitpos >> 5;
-      const unsigned off = bitpos & 31;
-      std::uint64_t chunk = words[w];
-      if (off + bits > 32) chunk |= std::uint64_t{words[w + 1]} << 32;
-      const auto z = static_cast<std::uint32_t>((chunk >> off) & mask);
-      // Un-zigzag, then wrapping add (inverts packed_zigzag_delta mod 2^32).
-      prev += (z >> 1) ^ (0u - (z & 1u));
-      out[i] = prev;
-      bitpos += bits;
-    }
-    return count;
-  }
+  /// Decode flat targets [b, e) into out[0 .. e − b). Each block the range
+  /// touches is decoded from its base only up to min(e, block end) — never
+  /// its tail — by the width-specialized span decoder its bit width selects
+  /// (packed_detail::decode_span), writing straight into `out`. Callers
+  /// guarantee b ≤ e ≤ num_targets and a structurally valid table
+  /// (verify_invariants' packed pre-checks); the decoder then never reads
+  /// past pack_words.size(), which the sanitizer lane checks under ASan.
+  void decode_range(std::size_t b, std::size_t e, std::uint32_t* out) const;
 
   /// Build the block tables from a flat (already delay-sorted) target
   /// column. The only encoder — compile(), compile_streamed(), and the io
@@ -293,11 +350,12 @@ struct PackedSynStore {
 
   // Uniform accessors (see SynStore). target_at/delay_at are O(block) /
   // O(log segments) — oracle and construction-side pricing; the simulator's
-  // packed kernels decode whole rows instead.
+  // packed kernels and CompiledNetwork::for_each_out_synapse decode whole
+  // rows instead.
   NeuronId target_at(std::size_t k) const {
-    std::uint32_t tmp[kPackedBlockSize];
-    decode_block(k / kPackedBlockSize, tmp);
-    return static_cast<NeuronId>(tmp[k % kPackedBlockSize]);
+    std::uint32_t t;
+    decode_range(k, k + 1, &t);
+    return static_cast<NeuronId>(t);
   }
   SynWeight weight_at(std::size_t k) const {
     return static_cast<SynWeight>(weights[k]);
@@ -336,6 +394,21 @@ struct PackedSynStore {
                          sizeof(WgtT), sizeof(std::uint32_t)};
   }
 };
+
+template <typename DlyT, typename WgtT>
+void PackedSynStore<DlyT, WgtT>::decode_range(std::size_t b, std::size_t e,
+                                              std::uint32_t* out) const {
+  while (b < e) {
+    const std::size_t j = b / kPackedBlockSize;
+    const std::size_t start = j * kPackedBlockSize;
+    const std::size_t lo = b - start;
+    const std::size_t hi = std::min(e - start, kPackedBlockSize);
+    packed_detail::kSpanDecoders[block_bits[j]](
+        pack_words.data() + block_word[j], block_base[j], lo, hi, out);
+    out += hi - lo;
+    b = start + hi;
+  }
+}
 
 /// Every layout a freeze can choose. Wide first: a default-constructed
 /// variant is the wide empty store, so the empty CompiledNetwork stays a

@@ -42,13 +42,13 @@ UnrolledCircuit unroll_to_threshold_circuit(const CompiledNetwork& net,
 
   // Wiring: spike of i at time s drives j's decision at s + d.
   for (NeuronId i = 0; i < n; ++i) {
-    for (const Synapse& s : net.out_synapses(i)) {
-      for (Time src = 0; src + s.delay <= horizon; ++src) {
-        uc.circuit.add_synapse(gate_at(i, src),
-                               gate_at(s.target, src + s.delay), s.weight,
-                               s.delay);
-      }
-    }
+    net.for_each_out_synapse(
+        i, [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+          for (Time src = 0; src + d <= horizon; ++src) {
+            uc.circuit.add_synapse(gate_at(i, src), gate_at(tgt, src + d), w,
+                                   d);
+          }
+        });
   }
   return uc;
 }

@@ -5,7 +5,10 @@
 // every engine variant — both queue kinds, both fan-out kinds, cause
 // recording on and off, and the sharded engine at S ∈ {1, 2, 8} — because
 // packing only changes how target columns are STORED, never what is
-// delivered. On top of that: the kAuto selection threshold, the
+// delivered. On top of that: the range decoder against the column it
+// encoded (every bit width 0..32, mid-block and block-aligned ranges,
+// wrapping deltas, the short final block), the row walk against the
+// per-synapse accessors, the kAuto selection threshold, the
 // steady-state allocation-free contract (pool_misses == 0 with the decode
 // scratch in play), the patch surface (weights yes, delays no), the
 // snapshot fingerprint (a packed image refuses a flat-frozen network, with
@@ -143,6 +146,125 @@ TEST(PackedStorage, AutoSelectsPackedOnlyAtScale) {
 
   // The auto flip exists because it shrinks: packed under narrow here.
   EXPECT_LT(abig.csr_storage_bytes(), nbig.csr_storage_bytes());
+}
+
+// ---- The range decoder against its input column -------------------------
+
+/// A flat column of `len` u32 targets whose every block (of ≥ 2 entries)
+/// packs at exactly `bits` bits: random zigzag deltas below 2^bits, the
+/// block's first delta with its top bit forced. Values wrap mod 2^32.
+std::vector<std::uint32_t> column_at_width(std::uint64_t seed,
+                                           std::size_t len, unsigned bits) {
+  Rng rng(seed);
+  std::vector<std::uint32_t> col(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    if (k % kPackedBlockSize == 0) {
+      col[k] = static_cast<std::uint32_t>(rng());
+      continue;
+    }
+    std::uint32_t z = 0;
+    if (bits > 0) {
+      z = static_cast<std::uint32_t>(rng()) >> (32 - bits);
+      if (k % kPackedBlockSize == 1) z |= 1u << (bits - 1);
+    }
+    col[k] = col[k - 1] + packed_unzigzag(z);
+  }
+  return col;
+}
+
+/// Every range [b, e) over the cut points (block boundaries, one either
+/// side of them, mid-block points, the column ends) decodes to exactly the
+/// column's slice and writes nothing past out[e − b − 1].
+void expect_ranges_decode(const PackedSynStore<std::uint8_t, float>& st,
+                          const std::vector<std::uint32_t>& col,
+                          const std::string& what) {
+  std::vector<std::size_t> cuts;
+  for (const std::size_t c :
+       {0, 1, 2, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 150, 191,
+        192, 193}) {
+    if (c <= col.size()) cuts.push_back(c);
+  }
+  if (col.size() >= 1) cuts.push_back(col.size() - 1);
+  cuts.push_back(col.size());
+  constexpr std::uint32_t kGuard = 0xDEADBEEF;
+  for (const std::size_t b : cuts) {
+    for (const std::size_t e : cuts) {
+      if (e <= b) continue;
+      std::vector<std::uint32_t> out(e - b + 1, kGuard);
+      st.decode_range(b, e, out.data());
+      EXPECT_EQ(out.back(), kGuard) << what << " [" << b << ", " << e << ")";
+      out.pop_back();
+      EXPECT_EQ(out, std::vector<std::uint32_t>(col.begin() + b,
+                                                col.begin() + e))
+          << what << " [" << b << ", " << e << ")";
+    }
+  }
+}
+
+TEST(PackedStorage, DecodeRangeReturnsTheColumnAtEveryBitWidth) {
+  // 209 = three full blocks and a short final block of 17; 128 ends on a
+  // block boundary; 65 leaves a final block of one entry (no deltas).
+  for (const std::size_t len : {std::size_t{209}, std::size_t{128},
+                                std::size_t{65}, std::size_t{2}}) {
+    for (unsigned bits = 0; bits <= 32; ++bits) {
+      const std::vector<std::uint32_t> col =
+          column_at_width(0xD0 + bits * 7 + len, len, bits);
+      PackedSynStore<std::uint8_t, float> st;
+      st.pack_targets(col);
+      const std::string what =
+          "len " + std::to_string(len) + " bits " + std::to_string(bits);
+      for (std::size_t j = 0; j < st.num_blocks(); ++j) {
+        if (len - j * kPackedBlockSize >= 2) {
+          ASSERT_EQ(st.block_bits[j], bits) << what << " block " << j;
+        }
+      }
+      expect_ranges_decode(st, col, what);
+      for (std::size_t k = 0; k < len; ++k) {
+        ASSERT_EQ(st.target_at(k), col[k]) << what << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(PackedStorage, DecodeRangeInvertsWrappingDeltas) {
+  // 0 → 0xFFFFFFFF is the wrapping delta −1 (zigzag 1) and back is +1;
+  // 0 → 0x80000000 is INT32_MIN (zigzag 0xFFFFFFFF, a 32-bit block).
+  std::vector<std::uint32_t> col;
+  for (std::size_t k = 0; k < 150; ++k) {
+    col.push_back(k % 2 == 0 ? 0u : 0xFFFFFFFFu);
+  }
+  for (std::size_t k = 0; k < 70; ++k) {
+    col.push_back(k % 3 == 0 ? 0x80000000u : k % 3 == 1 ? 0u : 0x7FFFFFFFu);
+  }
+  PackedSynStore<std::uint8_t, float> st;
+  st.pack_targets(col);
+  EXPECT_EQ(st.block_bits[0], 2u);
+  EXPECT_EQ(st.block_bits.back(), 32u);
+  expect_ranges_decode(st, col, "wrap");
+}
+
+TEST(PackedStorage, RowWalkMatchesThePerSynapseAccessors) {
+  Workload w = make_workload(0xD7, 120, 3000, 12);
+  for (const StoragePolicy policy :
+       {StoragePolicy::kPacked, StoragePolicy::kNarrow,
+        StoragePolicy::kWide}) {
+    const CompiledNetwork net(w.net, policy);
+    std::size_t walked = 0;
+    for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+      std::size_t expect_k = net.out_begin(id);
+      net.for_each_out_synapse(
+          id, [&](std::size_t k, NeuronId tgt, SynWeight wt, Delay d) {
+            ASSERT_EQ(k, expect_k++);
+            EXPECT_EQ(tgt, net.syn_target(k)) << "syn " << k;
+            EXPECT_EQ(wt, net.syn_weight(k)) << "syn " << k;
+            EXPECT_EQ(d, net.syn_delay(k)) << "syn " << k;
+            ++walked;
+          });
+      EXPECT_EQ(expect_k, net.out_end(id));
+    }
+    EXPECT_EQ(walked, net.num_synapses())
+        << encoding_name(net.storage_widths());
+  }
 }
 
 // ---- The differential fuzz ----------------------------------------------

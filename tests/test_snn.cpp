@@ -107,8 +107,12 @@ TEST(CompiledNetwork, PacksCsrInSourceOrderSortedByDelay) {
   EXPECT_EQ(cn.syn_target(cn.out_begin(a) + 1), b);
   EXPECT_EQ(cn.syn_delay(cn.out_begin(a) + 1), 3);
 
-  // The range view yields the same synapses (b's row was already sorted).
-  const auto row = cn.out_synapses(b);
+  // The row walk yields the same synapses (b's row was already sorted).
+  std::vector<Synapse> row;
+  cn.for_each_out_synapse(
+      b, [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+        row.push_back(Synapse{tgt, w, d});
+      });
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(row[0].target, a);
   EXPECT_EQ(row[1].target, c);
