@@ -43,8 +43,8 @@ Simulator::Simulator(const CompiledNetwork& net, QueueKind queue,
 }
 
 Simulator::Simulator(const Network& net, QueueKind queue, FanoutKind fanout)
-    : owned_(net.compile()),
-      net_(&*owned_),
+    : owned_(std::make_unique<const CompiledNetwork>(net.compile())),
+      net_(owned_.get()),
       queue_kind_(queue),
       fanout_kind_(fanout) {
   init_state();
@@ -52,20 +52,12 @@ Simulator::Simulator(const Network& net, QueueKind queue, FanoutKind fanout)
 
 void Simulator::init_state() {
   const std::size_t n = net_->num_neurons();
-  v_.resize(n);
-  last_update_.assign(n, 0);
-  first_spike_.assign(n, kNever);
-  last_spike_.assign(n, kNever);
-  spike_count_.assign(n, 0);
-  cause_.assign(n, kNoNeuron);
-  state_stamp_.assign(n, 0);
-  accum_.assign(n, 0);
-  accum_cause_.assign(n, kNoNeuron);
-  accum_cause_weight_.assign(n, 0);
-  touched_.assign(n, 0);
+  neurons_.resize(n);
+  for (NeuronId i = 0; i < n; ++i) {
+    neurons_[i] = NeuronRecord::at_rest(net_->params(i));
+  }
   is_terminal_.assign(n, 0);
   is_watched_.assign(n, 0);
-  for (NeuronId i = 0; i < n; ++i) v_[i] = net_->v_reset(i);
   if (queue_kind_ == QueueKind::kCalendar) {
     const std::size_t w = ring_size_for(net_->max_delay());
     ring_.resize(w);
@@ -75,17 +67,13 @@ void Simulator::init_state() {
   }
   stats_.csr_bytes = net_->csr_storage_bytes();
   stats_.storage_encoding = encoding_code(net_->storage_widths());
-  // Resolve the storage layout ONCE: fire() calls through fanout_fn_, so
-  // the inner loop is a fully-typed instantiation with no per-event
-  // branching on either the width or the kernel kind.
-  fanout_fn_ = std::visit(
-      [this](const auto& st) -> FanoutFn {
-        using Store = std::decay_t<decltype(st)>;
-        return fanout_kind_ == FanoutKind::kSegmented
-                   ? &Simulator::fanout_segmented<Store>
-                   : &Simulator::fanout_per_synapse<Store>;
-      },
-      net_->synapse_store());
+}
+
+void Simulator::ensure_causes() {
+  if (cause_.empty()) {
+    cause_.assign(neurons_.size(), kNoNeuron);
+    accum_cause_.resize(neurons_.size());
+  }
 }
 
 template <typename Store>
@@ -96,10 +84,9 @@ void Simulator::decode_row(const Store& st, std::size_t b, std::size_t e) {
 }
 
 template <typename Store>
-void Simulator::fanout_segmented(NeuronId id, Time t) {
+void Simulator::fanout_segmented(const Store& st, NeuronId id, Time t) {
   // One queue lookup per delay run, then a bulk append of the run's
   // (target, weight) pairs; sources only when a cause is being recorded.
-  const Store& st = *std::get_if<Store>(&net_->synapse_store());
   if constexpr (Store::kPackedLayout) {
     // Block-decode path (ARCHITECTURE.md §1.11): the whole row's targets
     // are decoded ONCE into the persistent scratch buffer — lazily, so a
@@ -179,9 +166,8 @@ void Simulator::fanout_segmented(NeuronId id, Time t) {
 }
 
 template <typename Store>
-void Simulator::fanout_per_synapse(NeuronId id, Time t) {
+void Simulator::fanout_per_synapse(const Store& st, NeuronId id, Time t) {
   // Legacy per-synapse kernel (bench ablation + fuzzing oracle).
-  const Store& st = *std::get_if<Store>(&net_->synapse_store());
   if constexpr (Store::kPackedLayout) {
     // Per-synapse oracle over the packed layout: one whole-row decode,
     // then single-element appends in flat order with the delay taken from
@@ -336,21 +322,24 @@ bool Simulator::next_pending_time(Time* t) {
   return true;
 }
 
-Voltage Simulator::decayed_potential(NeuronId id, Time t) const {
-  const Time dt = t - last_update_[id];
+Voltage Simulator::decayed_potential(const NeuronRecord& rec, NeuronId id,
+                                     Time t) const {
+  const Time dt = t - rec.last_update;
   SGA_CHECK(dt >= 0, "time went backwards for neuron " << id);
-  return decay_potential(v_[id], net_->v_reset(id), net_->tau(id), dt);
+  return rec.decayed(dt, [&] { return net_->tau(id); });
 }
 
-void Simulator::fire(NeuronId id, Time t) {
-  const bool first_fire = first_spike_[id] == kNever;
-  touch_state(id);
-  v_[id] = net_->v_reset(id);  // Eq. (3)
-  last_update_[id] = t;
-  ++spike_count_[id];
+template <typename Store>
+void Simulator::fire(const Store& st, NeuronRecord& rec, NeuronId id,
+                     Time t) {
+  const bool first_fire = rec.first_spike == kNever;
+  touch_state(rec, id);
+  rec.v = rec.v_reset;  // Eq. (3)
+  rec.last_update = t;
+  ++rec.spike_count;
   ++stats_.spikes;
-  if (first_fire) first_spike_[id] = t;
-  last_spike_[id] = t;
+  if (first_fire) rec.first_spike = t;
+  rec.last_spike = t;
   if (probe_ != nullptr) probe_->on_spike(t, id);
   if (record_log_ && (watch_all_ || is_watched_[id])) {
     spike_log_.emplace_back(t, id);
@@ -369,9 +358,12 @@ void Simulator::fire(NeuronId id, Time t) {
   // here, so max_time_ - t cannot overflow, while t + delay could (kNever
   // horizon × pseudopolynomial delay). Dropping work past the horizon
   // reports hit_time_limit, consistently with the pop-side check that
-  // catches post-horizon injected spikes. fanout_fn_ was bound once in
-  // init_state() to the kernel instantiated for the frozen storage widths.
-  (this->*fanout_fn_)(id, t);
+  // catches post-horizon injected spikes.
+  if (fanout_kind_ == FanoutKind::kSegmented) {
+    fanout_segmented(st, id, t);
+  } else {
+    fanout_per_synapse(st, id, t);
+  }
 }
 
 SimStats Simulator::run(const SimConfig& config) {
@@ -407,6 +399,7 @@ SimStats Simulator::run(const SimConfig& config) {
     record_log_ = config.record_spike_log;
     max_time_ = config.max_time;
   }
+  if (record_causes_) ensure_causes();
   pause_time_ = config.pause_time;
   paused_ = false;
   stats_.paused = false;
@@ -441,7 +434,30 @@ SimStats Simulator::run(const SimConfig& config) {
     }
   }
 
+  // Resolve the storage layout ONCE per run: the drain below is the fully
+  // typed event loop for the frozen store.
+  std::visit([this](const auto& st) { drain(st); }, net_->synapse_store());
+
+  if (obs::MetricsRegistry* m = obs::thread_metrics()) {
+    m->add("sim.runs");
+    m->add("sim.spikes", stats_.spikes - spikes0);
+    m->add("sim.deliveries", stats_.deliveries - deliveries0);
+    m->add("sim.event_times", stats_.event_times - event_times0);
+    m->add("sim.overflow_spills", stats_.overflow_spills - spills0);
+    m->gauge("sim.csr_bytes", static_cast<double>(stats_.csr_bytes));
+    m->gauge("sim.storage_encoding",
+             static_cast<double>(stats_.storage_encoding));
+  }
+  return stats_;
+}
+
+template <typename Store>
+void Simulator::drain(const Store& st) {
   std::vector<NeuronId>& targets = targets_scratch_;  // deduplicated, per step
+  NeuronRecord* const recs = neurons_.data();
+  // Fixed for the whole run; held in locals so the byte-sized record
+  // stores below (which may alias any member) do not force reloads.
+  const bool causes = record_causes_;
   while (true) {
     Time t = 0;
     if (!next_pending_time(&t)) break;
@@ -490,30 +506,33 @@ SimStats Simulator::run(const SimConfig& config) {
 
     targets.clear();
     const std::size_t nd = bucket->targets.size();
+    const NeuronId* const tgt = bucket->targets.data();
+    const SynWeight* const wgt = bucket->weights.data();
+    const NeuronId* const src = bucket->sources.data();
     stats_.deliveries += nd;
     for (std::size_t i = 0; i < nd; ++i) {
-      const NeuronId target = bucket->targets[i];
-      const SynWeight weight = bucket->weights[i];
-      if (!touched_[target]) {
-        touched_[target] = 1;
+      const NeuronId target = tgt[i];
+      const SynWeight weight = wgt[i];
+      NeuronRecord& rec = recs[target];
+      if (!rec.touched) {
+        rec.touched = 1;
         targets.push_back(target);
-        accum_[target] = 0;
-        accum_cause_[target] = kNoNeuron;
-        accum_cause_weight_[target] = 0;
+        rec.accum = 0;
+        if (causes) accum_cause_[target] = CauseScratch{};
       }
-      accum_[target] += weight;
-      if (record_causes_) {
+      rec.accum += weight;
+      if (causes) {
         // Deterministic selection: largest weight, ties broken by smallest
         // source id. Independent of delivery order, so every engine
         // (serial, map-queue, sharded-parallel) reports the same cause.
         // sources is populated exactly when record_causes_ is set.
-        const NeuronId source = bucket->sources[i];
-        SynWeight& bw = accum_cause_weight_[target];
-        NeuronId& bs = accum_cause_[target];
-        if (weight > bw ||
-            (bs != kNoNeuron && weight == bw && source < bs)) {
-          bs = source;
-          bw = weight;
+        const NeuronId source = src[i];
+        CauseScratch& best = accum_cause_[target];
+        if (weight > best.weight ||
+            (best.source != kNoNeuron && weight == best.weight &&
+             source < best.source)) {
+          best.source = source;
+          best.weight = weight;
         }
       }
     }
@@ -523,38 +542,43 @@ SimStats Simulator::run(const SimConfig& config) {
     // fires at most once per step (Definition 2), so duplicate injections at
     // the same time collapse.
     for (const NeuronId id : bucket->forced) {
-      if (last_spike_[id] == t) continue;
-      fire(id, t);
-      if (touched_[id]) {
+      NeuronRecord& rec = recs[id];
+      if (rec.last_spike == t) continue;
+      fire(st, rec, id, t);
+      if (rec.touched) {
         // Mark as handled so the delivery pass below skips it.
-        accum_[id] = 0;
-        touched_[id] = 2;
+        rec.accum = 0;
+        rec.touched = 2;
       }
     }
 
     for (const NeuronId id : targets) {
-      if (touched_[id] == 2) {  // already force-fired this step
-        touched_[id] = 0;
+      NeuronRecord& rec = recs[id];
+      if (rec.touched == 2) {  // already force-fired this step
+        rec.touched = 0;
         continue;
       }
-      touched_[id] = 0;
-      const Voltage v_hat = decayed_potential(id, t) + accum_[id];  // Eq. (1)
-      if (v_hat >= net_->v_threshold(id)) {                         // Eq. (2)
-        if (record_causes_ && first_spike_[id] == kNever) {
-          cause_[id] = accum_cause_[id];
+      rec.touched = 0;
+      // Integrate (Eq. (1)), then the threshold test (Eq. (2)).
+      const Voltage v_hat = decayed_potential(rec, id, t) + rec.accum;
+      if (v_hat >= rec.v_threshold) {
+        if (causes && rec.first_spike == kNever) {
+          cause_[id] = accum_cause_[id].source;
         }
-        fire(id, t);
+        fire(st, rec, id, t);
       } else {
-        touch_state(id);
-        v_[id] = v_hat;
-        last_update_[id] = t;
+        touch_state(rec, id);
+        rec.v = v_hat;
+        rec.last_update = t;
       }
     }
 
-    // Membrane sampling after the threshold pass: v_[id] now holds the
+    // Membrane sampling after the threshold pass: the record now holds the
     // post-integration potential (or the reset value if the neuron fired).
     if (probe_ != nullptr && probe_->samples_potentials()) {
-      for (const NeuronId id : targets) probe_->on_potential(t, id, v_[id]);
+      for (const NeuronId id : targets) {
+        probe_->on_potential(t, id, recs[id].v);
+      }
     }
 
     // Release the drained bucket: its storage (capacity intact) goes to the
@@ -569,31 +593,21 @@ SimStats Simulator::run(const SimConfig& config) {
 
     if (terminal_fired_) break;
   }
-  if (obs::MetricsRegistry* m = obs::thread_metrics()) {
-    m->add("sim.runs");
-    m->add("sim.spikes", stats_.spikes - spikes0);
-    m->add("sim.deliveries", stats_.deliveries - deliveries0);
-    m->add("sim.event_times", stats_.event_times - event_times0);
-    m->add("sim.overflow_spills", stats_.overflow_spills - spills0);
-    m->gauge("sim.csr_bytes", static_cast<double>(stats_.csr_bytes));
-    m->gauge("sim.storage_encoding",
-             static_cast<double>(stats_.storage_encoding));
-  }
-  return stats_;
 }
 
 void Simulator::reset() {
   // Per-neuron state: restore only the entries the previous cycle dirtied.
-  for (const NeuronId id : dirty_) {
-    v_[id] = net_->v_reset(id);
-    last_update_[id] = 0;
-    first_spike_[id] = kNever;
-    last_spike_[id] = kNever;
-    spike_count_[id] = 0;
-    cause_[id] = kNoNeuron;
+  for (const NeuronId id : dirty_) neurons_[id].rewind();
+  if (!cause_.empty()) {
+    for (const NeuronId id : dirty_) cause_[id] = kNoNeuron;
   }
   dirty_.clear();
-  ++epoch_;
+  if (++epoch_ == 0) {
+    // 16-bit stamp wrap: a stale stamp could now equal a future epoch, so
+    // forget them all (every record is clean here) and restart at 1.
+    for (NeuronRecord& rec : neurons_) rec.stamp = 0;
+    epoch_ = 1;
+  }
   for (const NeuronId t : active_terminals_) is_terminal_[t] = 0;
   active_terminals_.clear();
   for (const NeuronId w : active_watched_) is_watched_[w] = 0;
@@ -691,14 +705,15 @@ void Simulator::build_image(SnapshotImage* img) const {
   std::sort(ids.begin(), ids.end());
   img->neurons.reserve(ids.size());
   for (const NeuronId id : ids) {
+    const NeuronRecord& rec = neurons_[id];
     SnapshotNeuron e;
     e.id = id;
-    e.v = v_[id];
-    e.last_update = last_update_[id];
-    e.first_spike = first_spike_[id];
-    e.last_spike = last_spike_[id];
-    e.spike_count = spike_count_[id];
-    e.cause = cause_[id];
+    e.v = rec.v;
+    e.last_update = rec.last_update;
+    e.first_spike = rec.first_spike;
+    e.last_spike = rec.last_spike;
+    e.spike_count = rec.spike_count;
+    e.cause = cause_.empty() ? kNoNeuron : cause_[id];
     img->neurons.push_back(e);
   }
 
@@ -787,13 +802,17 @@ void Simulator::apply_image(const SnapshotImage& img) {
   }
 
   for (const SnapshotNeuron& e : img.neurons) {
-    touch_state(e.id);
-    v_[e.id] = e.v;
-    last_update_[e.id] = e.last_update;
-    first_spike_[e.id] = e.first_spike;
-    last_spike_[e.id] = e.last_spike;
-    spike_count_[e.id] = e.spike_count;
-    cause_[e.id] = e.cause;
+    NeuronRecord& rec = neurons_[e.id];
+    touch_state(rec, e.id);
+    rec.v = e.v;
+    rec.last_update = e.last_update;
+    rec.first_spike = e.first_spike;
+    rec.last_spike = e.last_spike;
+    rec.spike_count = e.spike_count;
+    if (e.cause != kNoNeuron) {
+      ensure_causes();
+      cause_[e.id] = e.cause;
+    }
   }
 
   spike_log_ = img.log;
@@ -811,22 +830,30 @@ void Simulator::apply_image(const SnapshotImage& img) {
 }
 
 Time Simulator::first_spike(NeuronId id) const {
-  SGA_REQUIRE(id < first_spike_.size(), "first_spike: bad neuron " << id);
-  return first_spike_[id];
+  SGA_REQUIRE(id < neurons_.size(), "first_spike: bad neuron " << id);
+  return neurons_[id].first_spike;
+}
+
+std::vector<Time> Simulator::first_spikes() const {
+  std::vector<Time> out(neurons_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = neurons_[i].first_spike;
+  }
+  return out;
 }
 
 Time Simulator::last_spike(NeuronId id) const {
-  SGA_REQUIRE(id < last_spike_.size(), "last_spike: bad neuron " << id);
-  return last_spike_[id];
+  SGA_REQUIRE(id < neurons_.size(), "last_spike: bad neuron " << id);
+  return neurons_[id].last_spike;
 }
 
 bool Simulator::fired_in(NeuronId id, Time t0, Time t1) const {
-  SGA_REQUIRE(id < first_spike_.size(), "fired_in: bad neuron " << id);
+  SGA_REQUIRE(id < neurons_.size(), "fired_in: bad neuron " << id);
   SGA_REQUIRE(t0 <= t1, "fired_in: empty window [" << t0 << ", " << t1 << "]");
-  const Time f = first_spike_[id];
+  const Time f = neurons_[id].first_spike;
   if (f == kNever || f > t1) return false;
   if (f >= t0) return true;
-  const Time l = last_spike_[id];
+  const Time l = neurons_[id].last_spike;
   if (l < t0) return false;
   if (l <= t1) return true;
   // The neuron fired both before t0 and after t1; only the spike log can
@@ -852,18 +879,18 @@ bool Simulator::fired_in(NeuronId id, Time t0, Time t1) const {
 }
 
 std::uint32_t Simulator::spike_count(NeuronId id) const {
-  SGA_REQUIRE(id < spike_count_.size(), "spike_count: bad neuron " << id);
-  return spike_count_[id];
+  SGA_REQUIRE(id < neurons_.size(), "spike_count: bad neuron " << id);
+  return neurons_[id].spike_count;
 }
 
 NeuronId Simulator::first_spike_cause(NeuronId id) const {
-  SGA_REQUIRE(id < cause_.size(), "first_spike_cause: bad neuron " << id);
-  return cause_[id];
+  SGA_REQUIRE(id < neurons_.size(), "first_spike_cause: bad neuron " << id);
+  return cause_.empty() ? kNoNeuron : cause_[id];
 }
 
 Voltage Simulator::potential(NeuronId id) const {
-  SGA_REQUIRE(id < v_.size(), "potential: bad neuron " << id);
-  return v_[id];
+  SGA_REQUIRE(id < neurons_.size(), "potential: bad neuron " << id);
+  return neurons_[id].v;
 }
 
 }  // namespace sga::snn

@@ -30,22 +30,32 @@
 // frozen snn::CompiledNetwork — flat CSR synapse arrays and SoA neuron
 // parameters, validated once at Network::compile() time. The fan-out of a
 // fired neuron is a contiguous slice of three flat arrays, delay-sorted at
-// freeze time; fire() walks the per-neuron delay segments — one queue lookup
-// per distinct delay, then a bulk append of the run's (target, weight) pairs
-// into SoA bucket arrays (ARCHITECTURE.md §1.6). Drained bucket storage is
-// pooled across ring slots and resets, so the steady state allocates
-// nothing. An immutable CompiledNetwork can back many Simulators
-// concurrently (one per worker in the batch driver).
+// freeze time; the fan-out kernel walks the per-neuron delay segments — one
+// queue lookup per distinct delay, then a bulk append of the run's (target,
+// weight) pairs into SoA bucket arrays (ARCHITECTURE.md §1.6). Drained
+// bucket storage is pooled across ring slots and resets, so the steady
+// state allocates nothing. An immutable CompiledNetwork can back many
+// Simulators concurrently (one per worker in spiking_sssp_batch).
+//
+// Per-spike path (ARCHITECTURE.md §1.12): each neuron's dynamic state, its
+// v_reset / v_threshold / leak class, and the per-step accumulator live in
+// one 64-byte NeuronRecord (snn/neuron_record.h), so a delivery, a
+// threshold test and a fire each touch one cache line. run() resolves the
+// network's SynStoreVariant once and runs a drain loop instantiated for the
+// concrete store, from which fire() and the fan-out kernel are direct,
+// fully typed calls — no per-event width, layout or function-pointer
+// dispatch.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "core/types.h"
 #include "snn/compiled_network.h"
 #include "snn/network.h"
+#include "snn/neuron_record.h"
 
 namespace sga::obs {
 class Probe;
@@ -177,6 +187,15 @@ class Simulator {
                      QueueKind queue = QueueKind::kCalendar,
                      FanoutKind fanout = FanoutKind::kSegmented);
 
+  /// Not copyable. Movable: a moved-to simulator keeps executing the same
+  /// frozen network — the owned copy of the Network constructor lives on
+  /// the heap and travels with the move, so nothing points back into the
+  /// moved-from object.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+  Simulator(Simulator&&) = default;
+  Simulator& operator=(Simulator&&) = delete;
+
   /// The frozen network this simulator executes.
   const CompiledNetwork& network() const { return *net_; }
 
@@ -251,7 +270,8 @@ class Simulator {
   // ---- Post-run observability ----------------------------------------
   /// First spike time of `id`, kNever if it never fired.
   Time first_spike(NeuronId id) const;
-  const std::vector<Time>& first_spikes() const { return first_spike_; }
+  /// Every neuron's first spike time, indexed by id.
+  std::vector<Time> first_spikes() const;
   /// Last spike time, kNever if never fired. fired_at(id, stats.end_time)
   /// implements Definition 3's read-out of output neurons at time T.
   Time last_spike(NeuronId id) const;
@@ -298,19 +318,25 @@ class Simulator {
     }
   };
 
-  void fire(NeuronId id, Time t);
-  Voltage decayed_potential(NeuronId id, Time t) const;
+  /// The event loop, instantiated per storage layout (snn/storage.h): run()
+  /// resolves the network's SynStoreVariant ONCE and calls the drain for
+  /// the concrete store, which calls fire() and the fan-out kernels below
+  /// directly, fully typed — no per-event width, layout or kernel-pointer
+  /// dispatch. Defined in simulator.cpp (the only TU that instantiates
+  /// them).
+  template <typename Store>
+  void drain(const Store& st);
+  template <typename Store>
+  void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
+  template <typename Store>
+  void fanout_segmented(const Store& st, NeuronId id, Time t);
+  template <typename Store>
+  void fanout_per_synapse(const Store& st, NeuronId id, Time t);
 
-  /// Fan-out kernels, one instantiation per storage layout (snn/storage.h):
-  /// init_state() resolves the network's SynStoreVariant ONCE into
-  /// fanout_fn_, so fire()'s inner loop runs fully typed — no per-event
-  /// width or kind branching. Defined in simulator.cpp (the only TU that
-  /// instantiates them).
-  template <typename Store>
-  void fanout_segmented(NeuronId id, Time t);
-  template <typename Store>
-  void fanout_per_synapse(NeuronId id, Time t);
-  using FanoutFn = void (Simulator::*)(NeuronId, Time);
+  /// Leak `rec` (neuron `id`) from its last update to t (Eq. (1) without
+  /// the input term).
+  Voltage decayed_potential(const NeuronRecord& rec, NeuronId id,
+                            Time t) const;
 
   /// Packed-layout helper: decode the target ids of the non-empty flat
   /// range [b, e) (one neuron's row) straight into decode_scratch_ with
@@ -321,10 +347,10 @@ class Simulator {
   template <typename Store>
   void decode_row(const Store& st, std::size_t b, std::size_t e);
 
-  /// Mark `id`'s per-neuron state dirty for the O(events) reset().
-  void touch_state(NeuronId id) {
-    if (state_stamp_[id] != epoch_) {
-      state_stamp_[id] = epoch_;
+  /// Mark `id`'s record dirty for the O(events) reset().
+  void touch_state(NeuronRecord& rec, NeuronId id) {
+    if (rec.stamp != epoch_) {
+      rec.stamp = epoch_;
       dirty_.push_back(id);
     }
   }
@@ -362,17 +388,21 @@ class Simulator {
   }
 
   void init_state();
+  /// Size the cause arrays (no-op once sized).
+  void ensure_causes();
 
   /// Snapshot plumbing (simulator.cpp + snn/snapshot.h): build the engine-
   /// agnostic image of the current state / adopt a validated image.
   void build_image(SnapshotImage* img) const;
   void apply_image(const SnapshotImage& img);
 
-  std::optional<CompiledNetwork> owned_;  ///< set by the Network constructor
+  /// Set by the Network constructor. Heap-held so its address survives a
+  /// move of the simulator (net_ then still points at the moved-to
+  /// simulator's own copy).
+  std::unique_ptr<const CompiledNetwork> owned_;
   const CompiledNetwork* net_;
   const QueueKind queue_kind_;
   const FanoutKind fanout_kind_;
-  FanoutFn fanout_fn_ = nullptr;  ///< typed kernel, bound in init_state()
   obs::Probe* probe_ = nullptr;  ///< cached flag for the disabled fast path
   bool ran_ = false;
 
@@ -396,25 +426,25 @@ class Simulator {
   std::size_t peak_live_buckets_ = 0;
   std::size_t prev_peak_live_ = 0;
 
-  // Per-neuron state.
-  std::vector<Voltage> v_;
-  std::vector<Time> last_update_;
-  std::vector<Time> first_spike_;
-  std::vector<Time> last_spike_;
-  std::vector<std::uint32_t> spike_count_;
+  // Per-neuron state: one cache line per neuron (snn/neuron_record.h).
+  std::vector<NeuronRecord> neurons_;
+  // Cause bookkeeping, sized on the first record_causes run (or restore of
+  // a recorded cause) and empty until then: the first-spike causes, and the
+  // per-step best (weight, source) of each touched target.
+  struct CauseScratch {
+    SynWeight weight = 0;
+    NeuronId source = kNoNeuron;
+  };
   std::vector<NeuronId> cause_;
+  std::vector<CauseScratch> accum_cause_;
 
   // O(events) reset support: neurons whose state diverged from the
-  // just-constructed baseline this epoch.
+  // just-constructed baseline this epoch. Record stamps are 16 bits wide;
+  // reset() clears them all when epoch_ wraps (once per 65,535 resets).
   std::vector<NeuronId> dirty_;
-  std::vector<std::uint64_t> state_stamp_;
-  std::uint64_t epoch_ = 1;
+  std::uint16_t epoch_ = 1;
 
   // Scratch for per-bucket aggregation (sparse-reset pattern).
-  std::vector<SynWeight> accum_;
-  std::vector<NeuronId> accum_cause_;
-  std::vector<SynWeight> accum_cause_weight_;
-  std::vector<char> touched_;
   std::vector<NeuronId> targets_scratch_;
   /// Packed-kernel row-decode buffer (see decode_row); unused (and empty)
   /// for flat encodings.

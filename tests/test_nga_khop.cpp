@@ -1,8 +1,14 @@
 // Tests for the two gate-level k-hop SSSP compilations (Sections 4.1, 4.2):
 // against the Bellman–Ford reference for every (generator, k, max-circuit)
 // combination, per-round agreement with the (min,+) NGA reference, scaling
-// invariants, and the Theorem 4.2/4.3 resource accounting.
+// invariants, the Theorem 4.2/4.3 resource accounting, and a gate-level
+// differential between the serial and sharded engines on a served fabric.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/bitops.h"
 #include "core/random.h"
@@ -11,6 +17,7 @@
 #include "nga/khop_poly.h"
 #include "nga/khop_ttl.h"
 #include "nga/matvec.h"
+#include "snn/parallel_sim.h"
 
 namespace sga::nga {
 namespace {
@@ -348,6 +355,105 @@ TEST(KhopAgreement, TtlAndPolyAgreeOnRandomGraphs) {
     const auto a = khop_sssp_ttl(g, topt);
     const auto b = khop_sssp_poly(g, popt);
     EXPECT_EQ(a.dist, b.dist) << "seed " << seed;
+  }
+}
+
+/// Everything one k-hop request leaves observable on an engine: the
+/// canonical (time, id)-sorted log of the watched max outputs, every
+/// neuron's first spike, spike count and final potential, and the
+/// semantic stats.
+struct KhopEngineRun {
+  std::vector<std::pair<Time, NeuronId>> log;
+  std::vector<Time> first;
+  std::vector<std::uint32_t> counts;
+  std::vector<Voltage> v;
+  snn::SimStats stats;
+};
+
+template <typename Sim>
+KhopEngineRun capture(const Sim& sim, const snn::SimStats& stats) {
+  KhopEngineRun r;
+  r.log = sim.spike_log();
+  std::sort(r.log.begin(), r.log.end());
+  r.first = sim.first_spikes();
+  for (NeuronId id = 0; id < sim.network().num_neurons(); ++id) {
+    r.counts.push_back(sim.spike_count(id));
+    r.v.push_back(sim.potential(id));
+  }
+  r.stats = stats;
+  return r;
+}
+
+/// One request on a fresh sharded engine, launched and configured exactly
+/// as run_khop_ttl launches and configures the serial one.
+KhopEngineRun run_parallel_request(const KHopTtlCompiled& c, VertexId source,
+                                   std::uint32_t k, std::size_t shards) {
+  snn::ParallelConfig pcfg;
+  pcfg.num_shards = shards;
+  pcfg.num_threads = shards == 1 ? 1 : 2;
+  snn::ParallelSimulator psim(c.network, pcfg);
+  const KHopNodePorts& src = c.ports[source];
+  for (std::size_t i = 0; i < src.out_bits.size(); ++i) {
+    if (((k - 1) >> i) & 1u) psim.inject_spike(src.out_bits[i], 0);
+  }
+  psim.inject_spike(src.out_valid, 0);
+  snn::SimConfig cfg;
+  cfg.max_time = c.scale * static_cast<Time>(k) *
+                     std::max<Weight>(1, c.max_edge_length) +
+                 c.node_depth + 1;
+  cfg.record_spike_log = true;
+  for (const KHopNodePorts& p : c.ports) {
+    cfg.watched_neurons.insert(cfg.watched_neurons.end(),
+                               p.max_outputs.begin(), p.max_outputs.end());
+  }
+  const snn::SimStats stats = psim.run(cfg);
+  return capture(psim, stats);
+}
+
+TEST(KhopTtlEngines, ReusedSerialMatchesFreshParallelPerRequest) {
+  // The k-hop fabric is gate-level: most of its cost is spikes, not
+  // deliveries, so it exercises the per-spike path (fire, threshold pass,
+  // reset of the touched neurons) far harder than the SSSP networks. One
+  // serial simulator serves a sequence of (source, k) requests through
+  // run_khop_ttl with reset() in between — the service's slot reuse — and
+  // must match a fresh sharded engine on every request, neuron for neuron.
+  Rng rng(0x4E61);
+  const Graph g = make_random_graph(10, 30, {1, 4}, rng);
+  const KHopTtlCompiled c =
+      compile_khop_ttl(g, 8, circuits::MaxKind::kWiredOr);
+  const std::pair<VertexId, std::uint32_t> requests[] = {
+      {0, 8}, {3, 5}, {7, 6}, {0, 8}, {5, 7}};
+  for (const snn::QueueKind kind :
+       {snn::QueueKind::kCalendar, snn::QueueKind::kMap}) {
+    snn::Simulator sim(c.network, kind);
+    for (std::size_t q = 0; q < std::size(requests); ++q) {
+      const auto [source, k] = requests[q];
+      ASSERT_TRUE(c.serves(k));
+      if (q > 0) sim.reset();
+      const KHopTtlResult r = run_khop_ttl(c, sim, {source, k, std::nullopt});
+      EXPECT_EQ(r.dist, bellman_ford_khop(g, source, k).dist);
+      const KhopEngineRun serial = capture(sim, r.sim);
+      ASSERT_GT(serial.stats.spikes, 0u);
+      ASSERT_FALSE(serial.log.empty());
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "queue " << static_cast<int>(kind) << " request " << q
+                     << " (source " << source << ", k " << k << ") S "
+                     << shards);
+        const KhopEngineRun par = run_parallel_request(c, source, k, shards);
+        EXPECT_EQ(par.log, serial.log);
+        EXPECT_EQ(par.first, serial.first);
+        EXPECT_EQ(par.counts, serial.counts);
+        EXPECT_EQ(par.v, serial.v);
+        EXPECT_EQ(par.stats.spikes, serial.stats.spikes);
+        EXPECT_EQ(par.stats.deliveries, serial.stats.deliveries);
+        EXPECT_EQ(par.stats.event_times, serial.stats.event_times);
+        EXPECT_EQ(par.stats.end_time, serial.stats.end_time);
+        EXPECT_EQ(par.stats.execution_time, serial.stats.execution_time);
+        EXPECT_EQ(par.stats.hit_terminal, serial.stats.hit_terminal);
+        EXPECT_EQ(par.stats.hit_time_limit, serial.stats.hit_time_limit);
+      }
+    }
   }
 }
 

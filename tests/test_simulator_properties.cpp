@@ -38,14 +38,22 @@ Network random_network(std::uint64_t seed, std::size_t n, std::size_t syn) {
   return net;
 }
 
+/// Everything a run leaves observable: the spike log and stats plus every
+/// neuron's first/last spike, spike count, final potential and (when
+/// recorded) first-spike cause — all the per-neuron fields reset() must
+/// rewind.
 struct RunOutput {
   SimStats stats;
   std::vector<std::pair<Time, NeuronId>> log;
   std::vector<Time> firsts;
+  std::vector<Time> lasts;
+  std::vector<std::uint32_t> counts;
+  std::vector<Voltage> potentials;
+  std::vector<NeuronId> causes;
 };
 
 RunOutput run_with(Simulator& sim, const Network& net, std::uint64_t seed,
-                   Time horizon) {
+                   Time horizon, bool record_causes = false) {
   Rng rng(seed ^ 0x5EED);
   for (int i = 0; i < 5; ++i) {
     sim.inject_spike(
@@ -56,22 +64,36 @@ RunOutput run_with(Simulator& sim, const Network& net, std::uint64_t seed,
   SimConfig cfg;
   cfg.max_time = horizon;
   cfg.record_spike_log = true;
+  cfg.record_causes = record_causes;
   RunOutput out;
   out.stats = sim.run(cfg);
   out.log = sim.spike_log();
   out.firsts = sim.first_spikes();
+  for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+    out.lasts.push_back(sim.last_spike(id));
+    out.counts.push_back(sim.spike_count(id));
+    out.potentials.push_back(sim.potential(id));
+    out.causes.push_back(sim.first_spike_cause(id));
+  }
   return out;
 }
 
-RunOutput run_once(const Network& net, std::uint64_t seed, Time horizon) {
+RunOutput run_once(const Network& net, std::uint64_t seed, Time horizon,
+                   bool record_causes = false) {
   Simulator sim(net);
-  return run_with(sim, net, seed, horizon);
+  return run_with(sim, net, seed, horizon, record_causes);
 }
 
 void expect_same_run(const RunOutput& a, const RunOutput& b,
                      const char* what) {
   EXPECT_EQ(a.log, b.log) << what;
   EXPECT_EQ(a.firsts, b.firsts) << what;
+  EXPECT_EQ(a.lasts, b.lasts) << what;
+  EXPECT_EQ(a.counts, b.counts) << what;
+  // Bit-exact: a reused simulator replays the same arithmetic in the same
+  // order as a fresh one, whatever the leak class.
+  EXPECT_EQ(a.potentials, b.potentials) << what;
+  EXPECT_EQ(a.causes, b.causes) << what;
   EXPECT_EQ(a.stats.spikes, b.stats.spikes) << what;
   EXPECT_EQ(a.stats.deliveries, b.stats.deliveries) << what;
   EXPECT_EQ(a.stats.event_times, b.stats.event_times) << what;
@@ -162,6 +184,49 @@ TEST_P(SimProperties, ResetReusedSimulatorMatchesFresh) {
   expect_same_run(fresh_a, reused_a2, "third cycle after reset()");
 }
 
+TEST_P(SimProperties, ResetCyclesRewindEveryLeakClassAndCauses) {
+  // Reuse across reset() cycles that alternate recording causes: every
+  // per-neuron field — potential, spike count, last spike, cause — of τ = 0,
+  // τ = 1 and τ = 0.5 neurons must come back exactly as a fresh simulator
+  // leaves it, and a cause-recording cycle must leave no causes behind.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const Network net = random_network(seed, 30, 120);
+  bool has_tau[3] = {false, false, false};
+  for (NeuronId id = 0; id < net.num_neurons(); ++id) {
+    const double tau = net.params(id).tau;
+    has_tau[tau == 0.0 ? 0 : (tau == 1.0 ? 1 : 2)] = true;
+  }
+  ASSERT_TRUE(has_tau[0] && has_tau[1] && has_tau[2]);
+
+  struct Cycle {
+    std::uint64_t seed;
+    Time horizon;
+    bool causes;
+  };
+  const Cycle cycles[] = {{seed, 200, false},
+                          {seed + 31, 170, true},
+                          {seed + 57, 90, false},
+                          {seed, 200, false},
+                          {seed + 31, 170, true}};
+  for (const QueueKind kind : {QueueKind::kCalendar, QueueKind::kMap}) {
+    Simulator sim(net, kind);
+    for (std::size_t c = 0; c < std::size(cycles); ++c) {
+      if (c > 0) sim.reset();
+      const Cycle& cy = cycles[c];
+      const auto fresh = run_once(net, cy.seed, cy.horizon, cy.causes);
+      const auto reused = run_with(sim, net, cy.seed, cy.horizon, cy.causes);
+      SCOPED_TRACE(::testing::Message()
+                   << "cycle " << c << " queue " << static_cast<int>(kind));
+      expect_same_run(fresh, reused, "reset cycle");
+      if (!cy.causes) {
+        EXPECT_EQ(std::count(reused.causes.begin(), reused.causes.end(),
+                             kNoNeuron),
+                  static_cast<std::ptrdiff_t>(net.num_neurons()));
+      }
+    }
+  }
+}
+
 TEST_P(SimProperties, MapQueueSimulatorSupportsResetToo) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const Network net = random_network(seed, 25, 100);
@@ -174,6 +239,57 @@ TEST_P(SimProperties, MapQueueSimulatorSupportsResetToo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimProperties, ::testing::Range(0, 10));
+
+TEST(SimInvariants, ResetStampWrapKeepsReuseExact) {
+  // Per-neuron dirty stamps are 16 bits wide, narrower than the reset
+  // counter. Stamp K subthreshold integrators in K consecutive cycles,
+  // leave them untouched across the stamp wrap, then touch them all again:
+  // a stale stamp that collided with the current epoch would hide its
+  // neuron from reset(), and its charge would leak into the next cycle.
+  // The gap puts the first touch after the wrap K+2 cycles past the
+  // counter's period — within the stamped range whether the period is
+  // 2^16 or 2^16 − 1.
+  constexpr int kStamped = 8;
+  Network net;
+  std::vector<NeuronId> inputs, accs;
+  for (int j = 0; j < kStamped; ++j) {
+    inputs.push_back(net.add_threshold_neuron(1));
+    accs.push_back(net.add_neuron(NeuronParams{0, 2, 0.0}));  // integrator
+    net.add_synapse(inputs.back(), accs.back(), 1, 1);
+  }
+  const NeuronId other = net.add_threshold_neuron(1);
+  const NeuronId sink = net.add_threshold_neuron(1);
+  net.add_synapse(other, sink, 1, 1);
+
+  Simulator sim(net);
+  for (int j = 0; j < kStamped; ++j) {
+    if (j > 0) sim.reset();
+    sim.inject_spike(inputs[j], 0);
+    sim.run();
+  }
+  constexpr int kGap = (1 << 16) - kStamped + 2;
+  for (int c = 0; c < kGap; ++c) {
+    sim.reset();
+    sim.inject_spike(other, 0);  // touches `other` and `sink` only
+    sim.run();
+  }
+  for (Time rep = 0; rep < 3; ++rep) {
+    sim.reset();
+    // A different launch time each cycle, so a stale last_spike cannot
+    // pass for this cycle's spike.
+    for (const NeuronId d : inputs) sim.inject_spike(d, rep);
+    const SimStats st = sim.run();
+    EXPECT_EQ(st.spikes, static_cast<std::uint64_t>(kStamped))
+        << "rep " << rep;
+    for (int j = 0; j < kStamped; ++j) {
+      EXPECT_EQ(sim.last_spike(inputs[j]), rep) << "rep " << rep;
+      EXPECT_EQ(sim.spike_count(inputs[j]), 1u) << "rep " << rep;
+      EXPECT_EQ(sim.potential(accs[j]), 1) << "rep " << rep << " j " << j;
+      EXPECT_EQ(sim.spike_count(accs[j]), 0u) << "rep " << rep << " j " << j;
+    }
+    EXPECT_EQ(sim.first_spike(sink), kNever) << "rep " << rep;
+  }
+}
 
 TEST(SimInvariants, QueueCountersAreReported) {
   Network net;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "snn/network.h"
@@ -430,6 +432,40 @@ TEST(Simulator, ForcedAndSynapticSpikeSameStepFiresOnce) {
   sim.inject_spike(b, 1);  // collides with a's delivery at t = 1
   sim.run();
   EXPECT_EQ(sim.spike_count(b), 1u);
+}
+
+static_assert(!std::is_copy_constructible_v<Simulator>);
+static_assert(!std::is_copy_assignable_v<Simulator>);
+static_assert(std::is_move_constructible_v<Simulator>);
+
+TEST(Simulator, MovedOwningSimulatorOutlivesItsSource) {
+  // A Simulator built from a Network owns its frozen copy. Moving it must
+  // carry that copy along: after the source is destroyed, the moved-to
+  // simulator still runs the original network (under ASan, a dangling
+  // network pointer here is a use-after-scope report).
+  auto source = std::make_unique<Simulator>([] {
+    Network net;
+    const NeuronId a = net.add_threshold_neuron(1);
+    const NeuronId b = net.add_threshold_neuron(1);
+    const NeuronId c = net.add_threshold_neuron(2);
+    net.add_synapse(a, b, 1, 3);
+    net.add_synapse(b, c, 2, 4);
+    return net;
+  }());
+  Simulator moved(std::move(*source));
+  source.reset();
+  ASSERT_EQ(moved.network().num_neurons(), 3u);
+  EXPECT_EQ(moved.network().num_synapses(), 2u);
+  moved.inject_spike(0, 0);
+  const SimStats st = moved.run();
+  EXPECT_EQ(st.spikes, 3u);
+  EXPECT_EQ(moved.first_spike(1), 3);
+  EXPECT_EQ(moved.first_spike(2), 7);
+  moved.reset();
+  moved.inject_spike(1, 2);
+  moved.run();
+  EXPECT_EQ(moved.first_spike(0), kNever);
+  EXPECT_EQ(moved.first_spike(2), 6);
 }
 
 TEST(Probe, InjectAndDecodeBinary) {
