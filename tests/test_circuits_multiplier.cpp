@@ -27,8 +27,11 @@ std::uint64_t eval_multiplier(const snn::Network& net, const ConstMultiplier& m,
   return snn::decode_binary_at(sim, m.product, m.depth);
 }
 
+// No padding: gtest prints the parameter's raw bytes into the test name,
+// and padding after a 4-byte field would be uninitialized, so the name
+// would change from run to run.
 struct MulParam {
-  int in_bits;
+  std::int64_t in_bits;
   std::uint64_t constant;
 };
 
@@ -36,14 +39,15 @@ class ConstMultiplierSweep : public ::testing::TestWithParam<MulParam> {};
 
 TEST_P(ConstMultiplierSweep, MultipliesRandomInputs) {
   const auto& p = GetParam();
+  const int in_bits = static_cast<int>(p.in_bits);
   Rng rng(0x301 + p.constant * 31 + static_cast<std::uint64_t>(p.in_bits));
   for (int trial = 0; trial < 8; ++trial) {
     snn::Network net;
     CircuitBuilder cb(net);
     const ConstMultiplier m =
-        build_const_multiplier(cb, p.in_bits, p.constant);
+        build_const_multiplier(cb, in_bits, p.constant);
     const auto x = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(mask_bits(p.in_bits))));
+        rng.uniform_int(0, static_cast<std::int64_t>(mask_bits(in_bits))));
     EXPECT_EQ(eval_multiplier(net, m, x), p.constant * x)
         << p.constant << " * " << x;
   }
