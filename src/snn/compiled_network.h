@@ -306,11 +306,11 @@ class CompiledNetwork {
   void patch_delays(const std::vector<std::pair<std::size_t, Delay>>& edits);
 
   // ---- Sharding (snn/partition.h; ARCHITECTURE.md §1.5) ----------------
-  /// Re-pack the CSR under `partition` into per-shard intra/cross synapse
-  /// families for the conservative-parallel simulator. Pure derivation:
-  /// the CompiledNetwork itself stays untouched (and shareable), the split
-  /// owns its reordered copy of the synapse payload (at full width: shard
-  /// CSRs are per-run transients, see DESIGN.md).
+  /// Split the CSR under `partition` into per-shard intra/cross synapse
+  /// families for the conservative-parallel simulator: each shard's intra
+  /// family is frozen through compile_streamed() under kAuto at the
+  /// shard's own size, its cross family is a full-width (shard, delay)
+  /// CSR. Pure derivation: this network stays untouched (and shareable).
   ShardSplit shard_split(Partition partition) const;
 
   // ---- Named groups (ports), carried over from the builder -------------

@@ -1,0 +1,665 @@
+#include "snn/event_core.h"
+
+#include <algorithm>
+#include <bit>
+#include <variant>
+
+#include "core/error.h"
+#include "obs/probe.h"
+#include "snn/snapshot.h"
+
+namespace sga::snn {
+
+namespace {
+
+/// Calendar ring size: a power of two covering the largest synapse delay,
+/// clamped to [64, 2^16] slots. Below the clamp every fired event lands in
+/// the ring; above it, oversized delays spill (counted in SimStats).
+std::size_t ring_size_for(Delay max_delay) {
+  const auto want = static_cast<std::uint64_t>(max_delay) + 1;
+  return static_cast<std::size_t>(
+      std::bit_ceil(std::clamp<std::uint64_t>(want, 64, 1u << 16)));
+}
+
+/// Append [b, e) to `dst`, widening element-wise when the storage type is
+/// narrower than the bucket's. Matching types keep the memcpy-grade range
+/// insert of the wide layout.
+template <typename T, typename U>
+void append_widened(std::vector<T>& dst, const U* b, const U* e) {
+  if constexpr (std::is_same_v<T, U>) {
+    dst.insert(dst.end(), b, e);
+  } else {
+    dst.reserve(dst.size() + static_cast<std::size_t>(e - b));
+    for (const U* p = b; p != e; ++p) dst.push_back(static_cast<T>(*p));
+  }
+}
+
+}  // namespace
+
+EventCore::EventCore(const CompiledNetwork& net, QueueKind queue,
+                     FanoutKind fanout)
+    : net_(&net), queue_kind_(queue), fanout_kind_(fanout) {
+  init(net.max_delay());
+}
+
+EventCore::EventCore(const CompiledNetwork& local, const NeuronId* global_ids,
+                     Delay max_delay, Remote* remote)
+    : net_(&local),
+      global_ids_(global_ids),
+      remote_(remote),
+      queue_kind_(QueueKind::kCalendar),
+      fanout_kind_(FanoutKind::kSegmented) {
+  record_steps_ = true;
+  init(max_delay);
+}
+
+void EventCore::init(Delay ring_delay) {
+  const std::size_t n = net_->num_neurons();
+  neurons_.resize(n);
+  for (NeuronId i = 0; i < n; ++i) {
+    neurons_[i] = NeuronRecord::at_rest(net_->params(i));
+  }
+  is_terminal_.assign(n, 0);
+  is_watched_.assign(n, 0);
+  if (queue_kind_ == QueueKind::kCalendar) {
+    const std::size_t w = ring_size_for(ring_delay);
+    ring_.resize(w);
+    ring_occupied_.assign(w / 64, 0);
+    ring_mask_ = static_cast<Time>(w - 1);
+  }
+  describe_engine();
+}
+
+void EventCore::describe_engine() {
+  stats_.ring_buckets = static_cast<std::uint32_t>(ring_.size());
+  stats_.csr_bytes = net_->csr_storage_bytes();
+  stats_.storage_encoding = encoding_code(net_->storage_widths());
+}
+
+void EventCore::adopt_stats(const SimStats& s) {
+  stats_ = s;
+  describe_engine();
+}
+
+bool EventCore::mark_terminal(NeuronId id) {
+  if (is_terminal_[id]) return false;
+  is_terminal_[id] = 1;
+  active_terminals_.push_back(id);
+  return true;
+}
+
+void EventCore::mark_watched(NeuronId id) {
+  if (is_watched_[id]) return;
+  is_watched_[id] = 1;
+  active_watched_.push_back(id);
+}
+
+void EventCore::ensure_causes() {
+  if (cause_.empty()) {
+    cause_.assign(neurons_.size(), kNoNeuron);
+    accum_cause_.resize(neurons_.size());
+  }
+}
+
+template <typename Store>
+void EventCore::decode_row(const Store& st, std::size_t b, std::size_t e) {
+  if (decode_scratch_.size() < e - b) decode_scratch_.resize(e - b);
+  st.decode_range(b, e, decode_scratch_.data());
+  stats_.decode_blocks += (e - 1) / kPackedBlockSize - b / kPackedBlockSize + 1;
+}
+
+template <typename Store>
+void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
+  // One queue lookup per delay run, then a bulk append of the run's
+  // (target, weight) pairs; sources only when a cause is being recorded.
+  const bool causes = run_.record_causes;
+  const NeuronId src = global_id(id);
+  if constexpr (Store::kPackedLayout) {
+    // Block-decode path (ARCHITECTURE.md §1.11): the whole row's targets
+    // are decoded ONCE into the persistent scratch buffer — lazily, so a
+    // row entirely past the horizon decodes nothing — then each delay run
+    // bulk-appends its slice exactly like the flat branch below. Weights
+    // stay a flat column; delays come from the segment CSR, which is their
+    // run-length encoding.
+    const std::size_t rb = net_->out_begin(id);
+    const auto* wgt = st.weights.data();
+    const std::size_t se = net_->seg_end(id);
+    bool decoded = false;
+    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
+      ++stats_.fanout_segments;
+      const auto d = static_cast<Delay>(st.seg_delays[s]);
+      if (d > run_.max_time - t) {
+        // Segment delays increase along the row, so every remaining run
+        // is past the horizon too.
+        stats_.hit_time_limit = true;
+        break;
+      }
+      if (!decoded) {
+        decode_row(st, rb, net_->out_end(id));
+        decoded = true;
+      }
+      const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
+      const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
+      Bucket& bucket = bucket_for(t + d, e - b);
+      if (e - b == 1) {
+        bucket.targets.push_back(decode_scratch_[b - rb]);
+        bucket.weights.push_back(static_cast<SynWeight>(wgt[b]));
+        if (causes) bucket.sources.push_back(src);
+      } else {
+        bucket.targets.insert(bucket.targets.end(),
+                              decode_scratch_.data() + (b - rb),
+                              decode_scratch_.data() + (e - rb));
+        append_widened(bucket.weights, wgt + b, wgt + e);
+        if (causes) bucket.sources.insert(bucket.sources.end(), e - b, src);
+      }
+      ++stats_.bulk_appends;
+    }
+    return;
+  } else {
+    const auto* tgt = st.targets.data();
+    const auto* wgt = st.weights.data();
+    const std::size_t se = net_->seg_end(id);
+    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
+      ++stats_.fanout_segments;
+      const auto d = static_cast<Delay>(st.seg_delays[s]);
+      if (d > run_.max_time - t) {
+        // Segment delays increase along the row, so every remaining run is
+        // past the horizon too.
+        stats_.hit_time_limit = true;
+        break;
+      }
+      const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
+      const auto e = static_cast<std::size_t>(st.seg_syn_end[s]);
+      Bucket& bucket = bucket_for(t + d, e - b);
+      if (e - b == 1) {
+        // Singleton run (every delay in the row distinct): push_back beats
+        // the range-insert machinery, and rows like this are common in
+        // SSSP instances with wide length ranges.
+        bucket.targets.push_back(static_cast<NeuronId>(tgt[b]));
+        bucket.weights.push_back(static_cast<SynWeight>(wgt[b]));
+        if (causes) bucket.sources.push_back(src);
+      } else {
+        append_widened(bucket.targets, tgt + b, tgt + e);
+        append_widened(bucket.weights, wgt + b, wgt + e);
+        if (causes) bucket.sources.insert(bucket.sources.end(), e - b, src);
+      }
+      ++stats_.bulk_appends;
+    }
+  }
+}
+
+template <typename Store>
+void EventCore::fanout_per_synapse(const Store& st, NeuronId id, Time t) {
+  // Legacy per-synapse kernel (bench ablation + fuzzing oracle; serial
+  // cores only, so sources are local ids = global ids).
+  if constexpr (Store::kPackedLayout) {
+    // Per-synapse oracle over the packed layout: one whole-row decode,
+    // then single-element appends in flat order with the delay taken from
+    // the enclosing run — event-for-event identical to the flat oracle,
+    // including its per-synapse horizon `continue`.
+    const std::size_t rb = net_->out_begin(id);
+    if (net_->out_end(id) == rb) return;
+    decode_row(st, rb, net_->out_end(id));
+    const auto* wgt = st.weights.data();
+    const std::size_t se = net_->seg_end(id);
+    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
+      const auto d = static_cast<Delay>(st.seg_delays[s]);
+      const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
+      if (d > run_.max_time - t) {
+        stats_.hit_time_limit = true;
+        continue;
+      }
+      for (auto k = static_cast<std::size_t>(st.seg_syn_begin[s]); k < e;
+           ++k) {
+        Bucket& bucket = bucket_for(t + d, 1);
+        bucket.targets.push_back(decode_scratch_[k - rb]);
+        bucket.weights.push_back(static_cast<SynWeight>(wgt[k]));
+        if (run_.record_causes) bucket.sources.push_back(id);
+      }
+    }
+    return;
+  } else {
+    const std::size_t ke = net_->out_end(id);
+    for (std::size_t k = net_->out_begin(id); k < ke; ++k) {
+      const auto d = static_cast<Delay>(st.delays[k]);
+      if (d > run_.max_time - t) {
+        stats_.hit_time_limit = true;
+        continue;
+      }
+      Bucket& bucket = bucket_for(t + d, 1);
+      bucket.targets.push_back(static_cast<NeuronId>(st.targets[k]));
+      bucket.weights.push_back(static_cast<SynWeight>(st.weights[k]));
+      if (run_.record_causes) bucket.sources.push_back(id);
+    }
+  }
+}
+
+EventCore::Bucket& EventCore::bucket_for(Time t, std::uint64_t count) {
+  pending_events_ += count;
+  if (pending_events_ > stats_.peak_queue_events) {
+    stats_.peak_queue_events = pending_events_;
+  }
+  if (queue_kind_ == QueueKind::kCalendar) {
+    // Strict upper bound: a slot equal to the one currently being drained
+    // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
+    // draining a bucket in place is safe.
+    if (t - cursor_ < static_cast<Time>(ring_.size())) {
+      const auto slot = static_cast<std::size_t>(t & ring_mask_);
+      std::uint64_t& word = ring_occupied_[slot >> 6];
+      const std::uint64_t bit = 1ULL << (slot & 63);
+      if ((word & bit) == 0) {
+        // First event in this slot since it was last drained: hand it
+        // pooled storage (drained buckets donate theirs, so only a
+        // cold-start activation allocates).
+        word |= bit;
+        activate(ring_[slot]);
+      }
+      ring_events_ += count;
+      return ring_[slot];
+    }
+    stats_.overflow_spills += count;
+  }
+  const auto [it, inserted] = spill_.try_emplace(t);
+  if (inserted) activate(it->second);
+  return it->second;
+}
+
+void EventCore::migrate_spill() {
+  const auto w = static_cast<Time>(ring_.size());
+  while (!spill_.empty()) {
+    const auto it = spill_.begin();
+    if (it->first - cursor_ >= w) break;
+    const auto slot = static_cast<std::size_t>(it->first & ring_mask_);
+    Bucket& dst = ring_[slot];
+    ring_occupied_[slot >> 6] |= 1ULL << (slot & 63);
+    ring_events_ += it->second.size();
+    if (dst.empty()) {
+      // An unoccupied slot holds no storage (drains donate it to the pool),
+      // so adopting the spill node's vectors wholesale loses nothing.
+      dst = std::move(it->second);
+    } else {
+      // Same residue inside one window ⇒ same time: merge, then return the
+      // spill node's storage to the pool instead of freeing it.
+      Bucket& src = it->second;
+      dst.targets.insert(dst.targets.end(), src.targets.begin(),
+                         src.targets.end());
+      dst.weights.insert(dst.weights.end(), src.weights.begin(),
+                         src.weights.end());
+      dst.sources.insert(dst.sources.end(), src.sources.begin(),
+                         src.sources.end());
+      dst.forced.insert(dst.forced.end(), src.forced.begin(),
+                        src.forced.end());
+      recycle(src);
+    }
+    spill_.erase(it);
+  }
+}
+
+bool EventCore::next_pending_time(Time* t, Time bound) {
+  if (queue_kind_ == QueueKind::kMap) {
+    if (spill_.empty()) return false;
+    *t = spill_.begin()->first;
+    return true;
+  }
+  migrate_spill();
+  if (ring_events_ == 0) {
+    if (spill_.empty()) return false;
+    const Time head = spill_.begin()->first;
+    if (head >= bound) {
+      // A shard's queue receives mail at every barrier, always at times
+      // >= its window end: a cursor moved past `bound` would strand that
+      // mail behind it, in a stale slot the scan never reaches. Report the
+      // head without jumping; the next window re-asks with a larger bound.
+      *t = head;
+      return true;
+    }
+    cursor_ = head - 1;  // slide the window to the next event
+    migrate_spill();
+  }
+  // Circular occupancy-bitmap scan from cursor_ + 1; slot order equals time
+  // order inside the window, so the first set bit is the earliest event.
+  const auto start = static_cast<std::size_t>((cursor_ + 1) & ring_mask_);
+  const std::size_t word_mask = ring_occupied_.size() - 1;  // W/64 is pow2
+  std::size_t w = start >> 6;
+  std::uint64_t word = ring_occupied_[w] & (~0ULL << (start & 63));
+  while (word == 0) {
+    w = (w + 1) & word_mask;
+    word = ring_occupied_[w];
+  }
+  const std::size_t slot =
+      (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  const std::size_t offset =
+      (slot - start) & static_cast<std::size_t>(ring_mask_);
+  stats_.empty_bucket_scans += offset;
+  *t = cursor_ + 1 + static_cast<Time>(offset);
+  return true;
+}
+
+Voltage EventCore::decayed_potential(const NeuronRecord& rec, NeuronId id,
+                                     Time t) const {
+  const Time dt = t - rec.last_update;
+  SGA_CHECK(dt >= 0, "time went backwards for neuron " << global_id(id));
+  return rec.decayed(dt, [&] { return net_->tau(id); });
+}
+
+template <typename Store>
+void EventCore::fire(const Store& st, NeuronRecord& rec, NeuronId id,
+                     Time t) {
+  const bool first_fire = rec.first_spike == kNever;
+  touch_state(rec, id);
+  rec.v = rec.v_reset;  // Eq. (3)
+  rec.last_update = t;
+  ++rec.spike_count;
+  ++stats_.spikes;
+  if (first_fire) rec.first_spike = t;
+  rec.last_spike = t;
+  if (probe_ != nullptr) probe_->on_spike(t, global_id(id));
+  if (logged(id)) spike_log_.emplace_back(t, global_id(id));
+  if (first_fire && is_terminal_[id]) ++terminal_fires_;
+  // CSR fan-out: the fired neuron's synapses are one contiguous, delay-
+  // sorted slice of the flat delay/target/weight arrays. The horizon check
+  // inside the kernels is in subtraction form: t ≤ max_time always holds
+  // here, so max_time - t cannot overflow, while t + delay could (kNever
+  // horizon × pseudopolynomial delay). Dropping work past the horizon
+  // reports hit_time_limit, consistently with the pop-side check that
+  // catches post-horizon injected spikes.
+  if (fanout_kind_ == FanoutKind::kSegmented) {
+    fanout_segmented(st, id, t);
+  } else {
+    fanout_per_synapse(st, id, t);
+  }
+  if (remote_ != nullptr) remote_->fan_out(id, t, stats_);
+}
+
+void EventCore::run_until(Time bound) {
+  if (run_.record_causes) ensure_causes();
+  // Resolve the storage layout ONCE per call: the drain below is the fully
+  // typed event loop for the frozen store.
+  std::visit([&](const auto& st) { drain(st, bound); }, net_->synapse_store());
+}
+
+template <typename Store>
+void EventCore::drain(const Store& st, Time bound) {
+  std::vector<NeuronId>& targets = targets_scratch_;  // deduplicated, per step
+  NeuronRecord* const recs = neurons_.data();
+  // Fixed for the whole run; held in locals so the byte-sized record
+  // stores below (which may alias any member) do not force reloads.
+  const bool causes = run_.record_causes;
+  while (true) {
+    Time t = 0;
+    if (!next_pending_time(&t, bound) || t >= bound) break;
+    if (t > run_.max_time) {
+      stats_.hit_time_limit = true;
+      break;
+    }
+    if (t > run_.pause_time) {
+      // Cooperative pause BETWEEN steps: unlike the horizon break above,
+      // the bucket at t (and everything after it) stays queued — nothing
+      // is dropped, so a later run or a restore-elsewhere continues
+      // event-for-event exactly.
+      run_.paused = true;
+      stats_.paused = true;
+      run_.pause_floor = t;
+      break;
+    }
+    // Drain the bucket in place: with delay ≥ 1 and the ring's strict
+    // window bound, nothing scheduled during fire() can land back in the
+    // bucket being iterated (map nodes are reference-stable anyway).
+    Bucket* bucket = nullptr;
+    auto map_it = spill_.end();
+    if (queue_kind_ == QueueKind::kCalendar) {
+      cursor_ = t;
+      bucket = &ring_[static_cast<std::size_t>(t & ring_mask_)];
+      ring_events_ -= bucket->size();
+    } else {
+      map_it = spill_.begin();
+      bucket = &map_it->second;
+    }
+    pending_events_ -= bucket->size();
+    if (bucket->size() > stats_.max_bucket_occupancy) {
+      stats_.max_bucket_occupancy = bucket->size();
+    }
+    ++stats_.event_times;
+    stats_.end_time = t;
+    if (record_steps_) steps_.push_back(t);
+
+    // Probe hook, OUTSIDE the accumulation loop below: the per-delivery
+    // iteration is duplicated only when a probe is counting, so the
+    // uninstrumented hot loop stays untouched (overhead contract).
+    if (probe_ != nullptr && probe_->counts_deliveries()) {
+      for (const NeuronId target : bucket->targets) {
+        probe_->on_delivery(global_id(target));
+      }
+    }
+
+    targets.clear();
+    const std::size_t nd = bucket->targets.size();
+    const NeuronId* const tgt = bucket->targets.data();
+    const SynWeight* const wgt = bucket->weights.data();
+    const NeuronId* const src = bucket->sources.data();
+    stats_.deliveries += nd;
+    for (std::size_t i = 0; i < nd; ++i) {
+      const NeuronId target = tgt[i];
+      const SynWeight weight = wgt[i];
+      NeuronRecord& rec = recs[target];
+      if (!rec.touched) {
+        rec.touched = 1;
+        targets.push_back(target);
+        rec.accum = 0;
+        if (causes) accum_cause_[target] = CauseScratch{};
+      }
+      rec.accum += weight;
+      if (causes) {
+        // Deterministic selection: largest weight, ties broken by smallest
+        // source id. Sources are global ids, so the rule is independent of
+        // delivery order and of sharding: every engine (serial, map-queue,
+        // sharded-parallel) reports the same cause. sources is populated
+        // exactly when record_causes is set.
+        const NeuronId source = src[i];
+        CauseScratch& best = accum_cause_[target];
+        if (weight > best.weight ||
+            (best.source != kNoNeuron && weight == best.weight &&
+             source < best.source)) {
+          best.source = source;
+          best.weight = weight;
+        }
+      }
+    }
+
+    // Forced (injected) spikes fire unconditionally; synaptic input arriving
+    // at the same step is consumed by the fire (the neuron resets). A neuron
+    // fires at most once per step (Definition 2), so duplicate injections at
+    // the same time collapse.
+    for (const NeuronId id : bucket->forced) {
+      NeuronRecord& rec = recs[id];
+      if (rec.last_spike == t) continue;
+      fire(st, rec, id, t);
+      if (rec.touched) {
+        // Mark as handled so the delivery pass below skips it.
+        rec.accum = 0;
+        rec.touched = 2;
+      }
+    }
+
+    for (const NeuronId id : targets) {
+      NeuronRecord& rec = recs[id];
+      if (rec.touched == 2) {  // already force-fired this step
+        rec.touched = 0;
+        continue;
+      }
+      rec.touched = 0;
+      // Integrate (Eq. (1)), then the threshold test (Eq. (2)).
+      const Voltage v_hat = decayed_potential(rec, id, t) + rec.accum;
+      if (v_hat >= rec.v_threshold) {
+        if (causes && rec.first_spike == kNever) {
+          cause_[id] = accum_cause_[id].source;
+        }
+        fire(st, rec, id, t);
+      } else {
+        touch_state(rec, id);
+        rec.v = v_hat;
+        rec.last_update = t;
+      }
+    }
+
+    // Membrane sampling after the threshold pass: the record now holds the
+    // post-integration potential (or the reset value if the neuron fired).
+    if (probe_ != nullptr && probe_->samples_potentials()) {
+      for (const NeuronId id : targets) {
+        probe_->on_potential(t, global_id(id), recs[id].v);
+      }
+    }
+
+    // Release the drained bucket: its storage (capacity intact) goes to the
+    // pool for the next activation, keeping the steady state allocation-free.
+    recycle(*bucket);
+    if (queue_kind_ == QueueKind::kCalendar) {
+      const auto slot = static_cast<std::size_t>(t & ring_mask_);
+      ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
+    } else {
+      spill_.erase(map_it);
+    }
+
+    // Terminal resolution at the end of the terminal's own step — only
+    // when this core owns the terminal count.
+    if (terminal_fires_ != 0 && run_.terminals_remaining != 0) {
+      if (terminal_fires_ >= run_.terminals_remaining) {
+        run_.terminals_remaining = 0;
+        run_.terminal_fired = true;
+        stats_.hit_terminal = true;
+        stats_.execution_time = t;
+        break;
+      }
+      run_.terminals_remaining -= std::exchange(terminal_fires_, 0);
+    }
+  }
+}
+
+void EventCore::reset() {
+  // Per-neuron state: restore only the entries the previous cycle dirtied.
+  for (const NeuronId id : dirty_) neurons_[id].rewind();
+  if (!cause_.empty()) {
+    for (const NeuronId id : dirty_) cause_[id] = kNoNeuron;
+  }
+  dirty_.clear();
+  if (++epoch_ == 0) {
+    // 16-bit stamp wrap: a stale stamp could now equal a future epoch, so
+    // forget them all (every record is clean here) and restart at 1.
+    for (NeuronRecord& rec : neurons_) rec.stamp = 0;
+    epoch_ = 1;
+  }
+  for (const NeuronId t : active_terminals_) is_terminal_[t] = 0;
+  active_terminals_.clear();
+  for (const NeuronId w : active_watched_) is_watched_[w] = 0;
+  active_watched_.clear();
+  // Queue: drained buckets already donated their storage; sweep the
+  // occupancy bitmap only when a terminal/horizon stop left events behind,
+  // recycling the leftovers so the pool survives reset() intact.
+  if (ring_events_ > 0) {
+    for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
+      std::uint64_t word = ring_occupied_[w];
+      while (word != 0) {
+        const auto slot =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+        word &= word - 1;
+        recycle(ring_[slot]);
+      }
+      ring_occupied_[w] = 0;
+    }
+    ring_events_ = 0;
+  }
+  for (auto& [t, bucket] : spill_) recycle(bucket);
+  spill_.clear();
+  pending_events_ = 0;
+  cursor_ = -1;
+  // Pool high-watermark trim (reuse-lifecycle fix; docs/SERVICE.md): with
+  // every bucket recycled, the pool holds the ALL-TIME peak concurrent
+  // bucket demand — a pooled worker that once served a large request would
+  // otherwise pin that footprint forever. Keep the larger of the last two
+  // runs' peaks: enough for a same-shaped rerun to stay allocation-free
+  // (pool_misses == 0) and for an alternating big/small workload not to
+  // thrash, while bounding resident storage by recent rather than all-time
+  // demand. Drop from the front — the LIFO back is the warmest storage.
+  SGA_CHECK(live_buckets_ == 0,
+            "reset: " << live_buckets_ << " buckets still hold storage");
+  const std::size_t keep = std::max(peak_live_buckets_, prev_peak_live_);
+  if (pool_.size() > keep) {
+    pool_.erase(pool_.begin(),
+                pool_.begin() +
+                    static_cast<std::ptrdiff_t>(pool_.size() - keep));
+  }
+  prev_peak_live_ = peak_live_buckets_;
+  peak_live_buckets_ = 0;
+  spike_log_.clear();
+  steps_.clear();
+  terminal_fires_ = 0;
+  stats_ = SimStats{};
+  describe_engine();
+  run_ = RunState{};
+}
+
+void EventCore::export_neurons(std::vector<SnapshotNeuron>* out) const {
+  // Sparse: exactly the entries reset() would rewind.
+  for (const NeuronId id : dirty_) {
+    const NeuronRecord& rec = neurons_[id];
+    SnapshotNeuron e;
+    e.id = global_id(id);
+    e.v = rec.v;
+    e.last_update = rec.last_update;
+    e.first_spike = rec.first_spike;
+    e.last_spike = rec.last_spike;
+    e.spike_count = rec.spike_count;
+    e.cause = cause(id);
+    out->push_back(e);
+  }
+}
+
+void EventCore::export_pending(std::map<Time, SnapshotBucket>* out) const {
+  // VERBATIM in-bucket order: delivery order is observable through FP
+  // summation and serial log order, so a same-engine restore must
+  // reproduce it exactly.
+  const auto add = [&](Time t, const Bucket& bucket) {
+    SnapshotBucket& b = (*out)[t];
+    b.time = t;
+    for (const NeuronId f : bucket.forced) b.forced.push_back(global_id(f));
+    for (std::size_t i = 0; i < bucket.targets.size(); ++i) {
+      SnapshotDelivery d;
+      d.target = global_id(bucket.targets[i]);
+      d.weight = bucket.weights[i];
+      if (run_.record_causes) d.source = bucket.sources[i];
+      b.deliveries.push_back(d);
+    }
+  };
+  for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
+    std::uint64_t word = ring_occupied_[w];
+    while (word != 0) {
+      const std::size_t slot =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+      word &= word - 1;
+      // Slot residue → absolute time: ring events live in
+      // (cursor_, cursor_ + W), so the offset from the slot after the
+      // cursor is unique.
+      const auto start = static_cast<std::size_t>((cursor_ + 1) & ring_mask_);
+      const std::size_t offset =
+          (slot - start) & static_cast<std::size_t>(ring_mask_);
+      add(cursor_ + 1 + static_cast<Time>(offset), ring_[slot]);
+    }
+  }
+  for (const auto& [t, bucket] : spill_) add(t, bucket);
+}
+
+void EventCore::restore_neuron(NeuronId id, const SnapshotNeuron& e) {
+  NeuronRecord& rec = neurons_[id];
+  touch_state(rec, id);
+  rec.v = e.v;
+  rec.last_update = e.last_update;
+  rec.first_spike = e.first_spike;
+  rec.last_spike = e.last_spike;
+  rec.spike_count = e.spike_count;
+  if (e.cause != kNoNeuron) {
+    ensure_causes();
+    cause_[id] = e.cause;
+  }
+}
+
+}  // namespace sga::snn

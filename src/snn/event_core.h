@@ -1,0 +1,381 @@
+// The one event core both engines run (ARCHITECTURE.md §1.5, §1.12).
+//
+// EventCore is the discrete-time event loop over one frozen store: the
+// calendar ring and its sorted spill, the pooled SoA delivery buckets with
+// their high-watermark trim, one 64-byte NeuronRecord per neuron with
+// 16-bit reset stamps, and drain<Store> with fire() and the segmented
+// fan-out kernels, instantiated once per storage layout. snn::Simulator
+// runs one core over the whole network. Each shard of
+// snn::ParallelSimulator runs one over its shard-local store
+// (CompiledNetwork::shard_split), so both engines execute the same
+// per-step code.
+//
+// What a shard needs is a property of the core, not a second loop:
+//   * run_until(bound) processes the events strictly before `bound`, and
+//     the cursor never jumps to or past it: mail may still arrive at any
+//     time >= bound (the serial engine passes kNoBound);
+//   * a core built with global ids reports cause sources, spike-log
+//     entries and probe hooks in global ids, so the cause tie-break
+//     compares global ids in both engines;
+//   * terminal first-fires are counted, and a core resolves them itself
+//     only while it owns a terminal count (RunState::terminals_remaining
+//     > 0). A shard's core never does; the coordinator resolves the
+//     summed count at the barrier;
+//   * a Remote, when set, receives every fire after the local fan-out —
+//     the sharded engine's cross-shard channel.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "core/types.h"
+#include "snn/compiled_network.h"
+#include "snn/neuron_record.h"
+
+namespace sga::obs {
+class Probe;
+}  // namespace sga::obs
+
+namespace sga::snn {
+
+struct SnapshotNeuron;  // snn/snapshot.h
+struct SnapshotBucket;
+
+/// Pending-event queue implementation (DESIGN.md §4 ablation knob).
+enum class QueueKind : std::uint8_t {
+  kCalendar,  ///< ring-bucket calendar queue + sorted overflow spill (default)
+  kMap,       ///< legacy std::map<Time, Bucket>; kept as the agreement oracle
+};
+
+/// Fan-out kernel implementation (DESIGN.md §4 ablation knob). Both run on
+/// the same delay-sorted CSR and produce event-for-event identical runs;
+/// kPerSynapse is kept for the bench ablation and as a fuzzing oracle.
+enum class FanoutKind : std::uint8_t {
+  kSegmented,   ///< one queue lookup per delay run, bulk SoA append (default)
+  kPerSynapse,  ///< legacy per-synapse queue lookup + single-element append
+};
+
+struct SimStats {
+  std::uint64_t spikes = 0;            ///< total spike events
+  std::uint64_t deliveries = 0;        ///< synaptic deliveries processed
+  std::uint64_t event_times = 0;       ///< distinct time steps touched
+  Time end_time = 0;                   ///< last processed time step
+  bool hit_terminal = false;           ///< stopped because a terminal fired
+  bool hit_time_limit = false;         ///< work was left beyond max_time
+  bool paused = false;                 ///< stopped at config.pause_time; the
+                                       ///< run is resumable (nothing dropped)
+  /// Execution time T per Definition 3 (first terminal spike), kNever if no
+  /// terminal fired.
+  Time execution_time = kNever;
+
+  // ---- Queue-level counters (surfaced by bench_simulator) --------------
+  /// Maximum number of pending events at any moment (identical across
+  /// queue kinds: it is a property of the event stream, not the queue).
+  std::uint64_t peak_queue_events = 0;
+  /// Largest single-time-step bucket drained.
+  std::uint64_t max_bucket_occupancy = 0;
+  /// Events that missed the calendar ring's window and went to the sorted
+  /// overflow spill (always 0 for QueueKind::kMap).
+  std::uint64_t overflow_spills = 0;
+  /// Empty ring slots skipped while seeking the next event time (calendar
+  /// only; measures how sparse the workload is relative to the window).
+  std::uint64_t empty_bucket_scans = 0;
+  /// Calendar ring size in buckets (0 for QueueKind::kMap).
+  std::uint32_t ring_buckets = 0;
+
+  // ---- Fan-out kernel counters (ARCHITECTURE.md §1.6) ------------------
+  /// Delay segments walked by the segmented fire() kernel (0 under
+  /// FanoutKind::kPerSynapse). Engine-specific, like the queue counters:
+  /// the sharded engine walks intra and cross runs separately.
+  std::uint64_t fanout_segments = 0;
+  /// Bulk delivery appends issued (fanout_segments minus horizon-dropped
+  /// runs; 0 under FanoutKind::kPerSynapse).
+  std::uint64_t bulk_appends = 0;
+  /// Bucket activations whose delivery storage came from the drained-bucket
+  /// pool (hit) vs. had to start from an empty vector (miss). After the
+  /// first reset(), a steady-state rerun of the same workload reports
+  /// pool_misses == 0 — the allocation-free contract. The packed kernels'
+  /// row-decode scratch rides the same contract: it is a persistent
+  /// per-simulator buffer, so packed steady-state reruns also report
+  /// pool_misses == 0.
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
+  /// Packed-target blocks touched by the fan-out kernels' row decodes, +1
+  /// per block a decoded row spans (0 for the flat encodings) — the packed
+  /// ablation's work counter (ARCHITECTURE.md §1.11).
+  std::uint64_t decode_blocks = 0;
+
+  // ---- Memory footprint (ARCHITECTURE.md §1.8, §1.11) ------------------
+  /// Resident bytes of the frozen CSR backing this run (row pointers +
+  /// segment CSR + the width-narrowed or delta-packed synapse payload —
+  /// always the ENCODED footprint). A property of the CompiledNetwork,
+  /// surfaced here so the bench trajectory tracks memory alongside wall
+  /// clock; a sharded run reports its shard-local stores plus the cross
+  /// CSR (ShardSplit::storage_bytes).
+  std::uint64_t csr_bytes = 0;
+  /// Which encoding backs this run: 0 = wide, 1 = narrow, 2 = packed
+  /// (snn::encoding_code). Lets the trajectory distinguish packed vs
+  /// narrow vs wide artifacts without re-deriving it from the widths.
+  std::uint8_t storage_encoding = 0;
+};
+
+class EventCore {
+ public:
+  /// A run_until() bound that never binds (the serial engine's).
+  static constexpr Time kNoBound = std::numeric_limits<Time>::max();
+
+  /// One time step's pending work, deliveries in structure-of-arrays form:
+  /// targets/weights always populated in lock-step; sources only when the
+  /// run records causes (the only consumer), cutting delivery memory
+  /// traffic by a third on the default path.
+  struct Bucket {
+    std::vector<NeuronId> targets;
+    std::vector<SynWeight> weights;
+    std::vector<NeuronId> sources;  ///< parallel to targets iff record_causes
+    std::vector<NeuronId> forced;   ///< injected spikes
+
+    bool empty() const { return targets.empty() && forced.empty(); }
+    std::size_t size() const { return targets.size() + forced.size(); }
+    void clear() {  // keeps capacity — cleared buckets are pooled
+      targets.clear();
+      weights.clear();
+      sources.clear();
+      forced.clear();
+    }
+  };
+
+  /// The cross-shard half of a fire. fan_out() runs after the local
+  /// fan-out with the firing neuron's LOCAL id; `stats` is the firing
+  /// core's, for the fan-out counters and the horizon flag.
+  class Remote {
+   public:
+    virtual void fan_out(NeuronId local, Time t, SimStats& stats) = 0;
+
+   protected:
+    ~Remote() = default;
+  };
+
+  /// Per-run settings plus the serial engine's terminal and pause state.
+  /// The owning engine sets them before run_until(); run_until() writes
+  /// back terminal_fired and the pause fields.
+  struct RunState {
+    bool record_causes = false;
+    bool record_log = false;
+    bool watch_all = false;
+    Time max_time = kNever;
+    /// Cooperative pause point (SimConfig::pause_time).
+    Time pause_time = kNever;
+    bool paused = false;
+    Time pause_floor = 0;  ///< next pending time at the pause
+    /// Terminal first-fires still needed to stop; 0 = this core does not
+    /// resolve terminals (no terminals, or a shard's core).
+    std::uint64_t terminals_remaining = 0;
+    bool terminal_fired = false;
+  };
+
+  /// A core over the whole of `net` (the serial engine). BORROWS `net`.
+  EventCore(const CompiledNetwork& net, QueueKind queue, FanoutKind fanout);
+  /// A shard's core over its shard-local store `local` (BORROWED, as is
+  /// `global_ids`, local → global). The ring is sized for `max_delay`, the
+  /// whole network's, since mail arrives with cross-shard delays; `remote`
+  /// receives each fire's cross half. Shards always run the calendar queue
+  /// and the segmented kernel, and record the times they process (steps()).
+  EventCore(const CompiledNetwork& local, const NeuronId* global_ids,
+            Delay max_delay, Remote* remote);
+
+  const CompiledNetwork& network() const { return *net_; }
+  QueueKind queue_kind() const { return queue_kind_; }
+  FanoutKind fanout_kind() const { return fanout_kind_; }
+
+  RunState& state() { return run_; }
+  const RunState& state() const { return run_; }
+  SimStats& stats() { return stats_; }
+  const SimStats& stats() const { return stats_; }
+  /// Replace the counters with `s` (a snapshot's), keeping the fields that
+  /// describe this engine (ring size, CSR bytes, encoding).
+  void adopt_stats(const SimStats& s);
+
+  /// Register `id` as a terminal / watched neuron for this run; returns
+  /// true when it was not registered yet.
+  bool mark_terminal(NeuronId id);
+  void mark_watched(NeuronId id);
+  const std::vector<NeuronId>& terminals() const { return active_terminals_; }
+  const std::vector<NeuronId>& watched() const { return active_watched_; }
+
+  /// Queue an injected spike of `id` at `t` (callers validate).
+  void inject(NeuronId id, Time t) { bucket_for(t, 1).forced.push_back(id); }
+  /// The bucket of time `t`, about to receive `count` events (bulk appends
+  /// update the occupancy stats once per run, not per synapse).
+  Bucket& bucket_for(Time t, std::uint64_t count);
+  /// Process every pending event before `bound` in time order, through
+  /// the drain loop instantiated for this core's store.
+  void run_until(Time bound);
+  /// Earliest pending event time into *t; false when the queue is empty.
+  /// Never moves the cursor to or past `bound` (see the file comment).
+  bool next_pending_time(Time* t, Time bound);
+  /// Rewind to the just-constructed state in O(events processed), trimming
+  /// the bucket pool to the larger of the last two runs' peaks.
+  void reset();
+
+  // ---- State readout (local ids) ---------------------------------------
+  const NeuronRecord& record(NeuronId id) const { return neurons_[id]; }
+  std::size_t num_neurons() const { return neurons_.size(); }
+  /// First-spike cause (a global id), kNoNeuron when none was recorded.
+  NeuronId cause(NeuronId id) const {
+    return cause_.empty() ? kNoNeuron : cause_[id];
+  }
+  /// Spike log in processing order, global ids.
+  const std::vector<std::pair<Time, NeuronId>>& spike_log() const {
+    return spike_log_;
+  }
+  std::vector<std::pair<Time, NeuronId>>& spike_log() { return spike_log_; }
+  bool logged(NeuronId id) const {
+    return run_.record_log && (run_.watch_all || is_watched_[id]);
+  }
+  std::size_t pool_resident_buckets() const { return pool_.size(); }
+  std::uint64_t pending_events() const { return pending_events_; }
+
+  void set_probe(obs::Probe* probe) { probe_ = probe; }
+  obs::Probe* probe() const { return probe_; }
+
+  // ---- Shard support ----------------------------------------------------
+  /// Terminal first-fires since the last call (the barrier's input).
+  std::uint64_t take_terminal_fires() {
+    return std::exchange(terminal_fires_, 0);
+  }
+  /// Times processed since the owner last cleared the list (shard cores).
+  std::vector<Time>& steps() { return steps_; }
+
+  // ---- Snapshot support (snn/snapshot.h) --------------------------------
+  /// Append the dirty neurons' state, in global ids.
+  void export_neurons(std::vector<SnapshotNeuron>* out) const;
+  /// Append every pending bucket to the time-keyed map, in global ids and
+  /// verbatim in-bucket order (ring before spill at a shared time).
+  void export_pending(std::map<Time, SnapshotBucket>* out) const;
+  /// Adopt one image neuron's state for local neuron `id`.
+  void restore_neuron(NeuronId id, const SnapshotNeuron& e);
+
+ private:
+  template <typename Store>
+  void drain(const Store& st, Time bound);
+  template <typename Store>
+  void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
+  template <typename Store>
+  void fanout_segmented(const Store& st, NeuronId id, Time t);
+  template <typename Store>
+  void fanout_per_synapse(const Store& st, NeuronId id, Time t);
+  /// Packed-layout helper: decode the targets of the non-empty flat range
+  /// [b, e) (one neuron's row) into decode_scratch_, counting one decode
+  /// block per block the row touches. The scratch is a persistent buffer
+  /// grown once to the largest row, so the steady state decodes
+  /// allocation-free, matching the bucket pool's contract.
+  template <typename Store>
+  void decode_row(const Store& st, std::size_t b, std::size_t e);
+
+  void init(Delay ring_delay);
+  NeuronId global_id(NeuronId id) const {
+    return global_ids_ == nullptr ? id : global_ids_[id];
+  }
+  /// Leak `rec` (neuron `id`) from its last update to t (Eq. (1) without
+  /// the input term).
+  Voltage decayed_potential(const NeuronRecord& rec, NeuronId id,
+                            Time t) const;
+  /// Mark `id`'s record dirty for the O(events) reset().
+  void touch_state(NeuronRecord& rec, NeuronId id) {
+    if (rec.stamp != epoch_) {
+      rec.stamp = epoch_;
+      dirty_.push_back(id);
+    }
+  }
+  /// Move spill entries whose time now falls inside the ring window into
+  /// the ring.
+  void migrate_spill();
+  void ensure_causes();
+
+  /// Bucket-storage pool (ARCHITECTURE.md §1.6). `activate` hands a newly
+  /// live bucket the vectors of a previously drained one; `recycle` returns
+  /// a drained bucket's storage.
+  void activate(Bucket& b) {
+    if (!pool_.empty()) {
+      ++stats_.pool_hits;
+      b = std::move(pool_.back());
+      pool_.pop_back();
+    } else {
+      ++stats_.pool_misses;
+    }
+    if (++live_buckets_ > peak_live_buckets_) {
+      peak_live_buckets_ = live_buckets_;
+    }
+  }
+  void recycle(Bucket& b) {
+    b.clear();
+    pool_.push_back(std::move(b));
+    --live_buckets_;
+  }
+  /// Engine-describing stats fields, restored after every wipe.
+  void describe_engine();
+
+  const CompiledNetwork* net_;
+  const NeuronId* global_ids_ = nullptr;  ///< null: local ids are global
+  Remote* remote_ = nullptr;
+  QueueKind queue_kind_;
+  FanoutKind fanout_kind_;
+  obs::Probe* probe_ = nullptr;  ///< cached flag for the disabled fast path
+  RunState run_;
+
+  // Calendar ring: ring_.size() is a power of two; slot = time & ring_mask_.
+  // Invariant: every ring event's time lies in (cursor_, cursor_ + W), W =
+  // ring size, so residues are collision-free and the slot being drained
+  // can never receive new events mid-iteration (delay ≥ 1 plus the strict
+  // upper bound). Events at or beyond cursor_ + W live in spill_.
+  std::vector<Bucket> ring_;
+  std::vector<std::uint64_t> ring_occupied_;  ///< 1 bit per slot
+  Time ring_mask_ = 0;
+  Time cursor_ = -1;                  ///< last processed (or jumped-to) time
+  std::uint64_t ring_events_ = 0;     ///< events currently in the ring
+  std::map<Time, Bucket> spill_;      ///< overflow; the whole queue for kMap
+  std::uint64_t pending_events_ = 0;  ///< ring + spill, for the peak stat
+  std::vector<Bucket> pool_;          ///< drained bucket storage, LIFO
+  // Pool high-watermark trim: buckets currently holding delivery storage
+  // and the per-run peak; reset() keeps max(this run's peak, previous
+  // run's peak) pooled buckets.
+  std::size_t live_buckets_ = 0;
+  std::size_t peak_live_buckets_ = 0;
+  std::size_t prev_peak_live_ = 0;
+
+  // Per-neuron state: one cache line per neuron (snn/neuron_record.h).
+  std::vector<NeuronRecord> neurons_;
+  // Cause bookkeeping, sized on the first record_causes run (or restore of
+  // a recorded cause) and empty until then: the first-spike causes, and the
+  // per-step best (weight, source) of each touched target.
+  struct CauseScratch {
+    SynWeight weight = 0;
+    NeuronId source = kNoNeuron;
+  };
+  std::vector<NeuronId> cause_;
+  std::vector<CauseScratch> accum_cause_;
+
+  // O(events) reset support: neurons whose state diverged from the
+  // just-constructed baseline this epoch. Record stamps are 16 bits wide;
+  // reset() clears them all when epoch_ wraps (once per 65,535 resets).
+  std::vector<NeuronId> dirty_;
+  std::uint16_t epoch_ = 1;
+
+  std::vector<NeuronId> targets_scratch_;  ///< per-step deduplicated targets
+  std::vector<NeuronId> decode_scratch_;   ///< packed row decodes
+
+  std::vector<char> is_terminal_;
+  std::vector<char> is_watched_;
+  std::vector<NeuronId> active_terminals_;  ///< set flags, for cheap reset
+  std::vector<NeuronId> active_watched_;
+  std::uint64_t terminal_fires_ = 0;
+  bool record_steps_ = false;
+  std::vector<Time> steps_;
+  std::vector<std::pair<Time, NeuronId>> spike_log_;
+  SimStats stats_;
+};
+
+}  // namespace sga::snn

@@ -23,131 +23,80 @@ namespace {
 /// time (events are clamped to ≤ kNever = max/4 on the fire side).
 constexpr Time kNoTime = std::numeric_limits<Time>::max();
 
-/// Calendar ring sizing, identical to the serial simulator's policy.
-std::size_t ring_size_for(Delay max_delay) {
-  const auto want = static_cast<std::uint64_t>(max_delay) + 1;
-  return static_cast<std::size_t>(
-      std::bit_ceil(std::clamp<std::uint64_t>(want, 64, 1u << 16)));
-}
-
 }  // namespace
 
 struct MailBox {
-  /// One contiguous run of deliveries sharing an arrival time: indices
-  /// [begin, end) into the SoA arrays below. Written by one fire() call
-  /// (a (dst-shard, delay) segment run), drained with one bulk append.
-  struct Slab {
-    Time t;  ///< delivery time
-    std::size_t begin;
-    std::size_t end;
+  /// The deliveries of one arrival time, in fire order.
+  struct Run {
+    Time t = 0;
+    std::size_t slot = 0;            ///< its entry in `index`
+    std::vector<NeuronId> targets;   ///< local index in the destination shard
+    std::vector<SynWeight> weights;
+    std::vector<NeuronId> sources;   ///< GLOBAL firing ids; iff record_causes
   };
-  std::vector<Slab> slabs;
-  std::vector<NeuronId> targets;   ///< local index in the destination shard
-  std::vector<SynWeight> weights;
-  std::vector<NeuronId> sources;   ///< GLOBAL firing ids; iff record_causes
+  /// runs[0, live) hold this window's mail, in order of first arrival;
+  /// runs past `live` keep their capacity for later windows.
+  std::vector<Run> runs;
+  std::size_t live = 0;
+  /// Arrival time → run, open addressing on the low bits of the time:
+  /// run + 1 per slot, 0 = empty. Sized to twice the runs one window
+  /// needs, so it follows traffic, not the delay range.
+  std::vector<std::uint32_t> index;
 
-  bool empty() const { return slabs.empty(); }
+  Run& run_for(Time t) {
+    if (2 * (live + 1) > index.size()) grow();
+    const std::size_t mask = index.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(t) & mask;
+    for (; index[slot] != 0; slot = (slot + 1) & mask) {
+      Run& r = runs[index[slot] - 1];
+      if (r.t == t) return r;
+    }
+    if (live == runs.size()) runs.emplace_back();
+    Run& r = runs[live++];
+    r.t = t;
+    r.slot = slot;
+    index[slot] = static_cast<std::uint32_t>(live);
+    return r;
+  }
+
+  void grow() {
+    index.assign(std::max<std::size_t>(16, 2 * index.size()), 0);
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t i = 0; i < live; ++i) {
+      std::size_t slot = static_cast<std::size_t>(runs[i].t) & mask;
+      while (index[slot] != 0) slot = (slot + 1) & mask;
+      index[slot] = static_cast<std::uint32_t>(i + 1);
+      runs[i].slot = slot;
+    }
+  }
+
   void clear() {  // keeps capacity — boxes are reused every window
-    slabs.clear();
-    targets.clear();
-    weights.clear();
-    sources.clear();
+    for (std::size_t i = 0; i < live; ++i) {
+      index[runs[i].slot] = 0;
+      runs[i].targets.clear();
+      runs[i].weights.clear();
+      runs[i].sources.clear();
+    }
+    live = 0;
   }
 };
 
-// One shard: a self-contained mini-simulator over LOCAL neuron indices,
-// with the serial engine's exact per-step semantics (delivery aggregation,
-// forced-spike handling, closed-form leak, horizon rules) but bounded by
-// the coordinator's window. All cross-shard traffic goes through the
-// outbox pointers installed for the current window.
-struct ParallelSimulator::Shard {
-  const CompiledNetwork* net = nullptr;
-  const ShardCsr* csr = nullptr;
-  std::uint32_t index = 0;
+// One shard: an EventCore over the shard-local store, plus the cross half
+// of every fire (EventCore::Remote) and the two ways mail comes back in.
+struct ParallelSimulator::Shard final : EventCore::Remote {
+  Shard(const CompiledNetwork& local, const ShardCsr& shard_csr,
+        Delay max_delay, std::uint32_t shard_index)
+      : core(local, shard_csr.global_ids.data(), max_delay, this),
+        csr(&shard_csr),
+        index(shard_index) {}
 
-  /// SoA delivery bucket, mirroring the serial Simulator::Bucket: targets
-  /// (local indices) and weights in lock-step, sources (global ids) only
-  /// when the run records causes.
-  struct Bucket {
-    std::vector<NeuronId> targets;
-    std::vector<SynWeight> weights;
-    std::vector<NeuronId> sources;
-    std::vector<NeuronId> forced;  ///< local indices
-
-    bool empty() const { return targets.empty() && forced.empty(); }
-    std::size_t size() const { return targets.size() + forced.size(); }
-    void clear() {
-      targets.clear();
-      weights.clear();
-      sources.clear();
-      forced.clear();
-    }
-  };
-
-  // Calendar ring + sorted spill, mirroring the serial kCalendar queue
-  // (same invariants: ring events in (cursor_, cursor_ + W), spill beyond).
-  std::vector<Bucket> ring_;
-  std::vector<std::uint64_t> ring_occupied_;
-  Time ring_mask_ = 0;
-  Time cursor_ = -1;
-  std::uint64_t ring_events_ = 0;
-  std::map<Time, Bucket> spill_;
-  std::uint64_t pending_events_ = 0;
-  std::vector<Bucket> pool_;  ///< drained bucket storage, LIFO
-
-  // Per-neuron state, LOCAL indices.
-  std::vector<Voltage> v_;
-  std::vector<Time> last_update_;
-  std::vector<Time> first_spike_;
-  std::vector<Time> last_spike_;
-  std::vector<std::uint32_t> spike_count_;
-  std::vector<NeuronId> cause_;  ///< GLOBAL id of the first-spike cause
-
-  // O(events) reset support (epoch-stamped dirty list, as in Simulator).
-  std::vector<NeuronId> dirty_;
-  std::vector<std::uint64_t> state_stamp_;
-  std::uint64_t epoch_ = 1;
-
-  // Per-step aggregation scratch.
-  std::vector<SynWeight> accum_;
-  std::vector<NeuronId> accum_cause_;
-  std::vector<SynWeight> accum_cause_weight_;
-  std::vector<char> touched_;
-  std::vector<NeuronId> targets_scratch_;
-
-  std::vector<char> is_terminal_;
-  std::vector<char> is_watched_;
-  std::vector<NeuronId> active_terminals_;
-  std::vector<NeuronId> active_watched_;
-  bool watch_all_ = false;
-  bool record_causes_ = false;
-  bool record_log_ = false;
-  Time max_time_ = kNever;
-
-  /// Spike log with GLOBAL ids, in local time order.
-  std::vector<std::pair<Time, NeuronId>> spike_log_;
+  EventCore core;
+  const ShardCsr* csr;
+  std::uint32_t index;
 
   // ---- per-window summary, read by the coordinator at the barrier ------
-  std::vector<Time> touched_times_;    ///< distinct times processed
-  Time out_min_time_ = kNoTime;        ///< earliest mailbox arrival written
-  Time next_time_ = kNoTime;           ///< earliest pending local event
-  Time terminal_time_ = kNoTime;       ///< earliest terminal FIRST fire
-  std::uint64_t terminals_newly_fired_ = 0;
-  bool hit_time_limit_ = false;        ///< fire-side horizon drops
-
-  // ---- cumulative queue/engine counters --------------------------------
-  std::uint64_t spikes_ = 0;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t peak_queue_events_ = 0;
-  std::uint64_t max_bucket_occupancy_ = 0;
-  std::uint64_t overflow_spills_ = 0;
-  std::uint64_t empty_bucket_scans_ = 0;
-  std::uint64_t fanout_segments_ = 0;
-  std::uint64_t bulk_appends_ = 0;
-  std::uint64_t pool_hits_ = 0;
-  std::uint64_t pool_misses_ = 0;
-
-  obs::Probe* probe_ = nullptr;  ///< per-shard probe (owned by parent)
+  Time out_min_time_ = kNoTime;  ///< earliest mailbox arrival written
+  Time next_time_ = kNoTime;     ///< earliest pending local event
   MailBox* out_ = nullptr;       ///< S outboxes, current parity
 
   // ---- shared-atomic cross channel (EngineKind::kSharedAtomic) ---------
@@ -170,216 +119,27 @@ struct ParallelSimulator::Shard {
   /// the last fold); read by the coordinator at the barrier.
   Time shared_next_ = kNoTime;
 
-  void init(const CompiledNetwork& network, const ShardCsr& shard_csr,
-            std::uint32_t shard_index) {
-    net = &network;
-    csr = &shard_csr;
-    index = shard_index;
-    const std::size_t n = csr->num_neurons();
-    v_.resize(n);
-    last_update_.assign(n, 0);
-    first_spike_.assign(n, kNever);
-    last_spike_.assign(n, kNever);
-    spike_count_.assign(n, 0);
-    cause_.assign(n, kNoNeuron);
-    state_stamp_.assign(n, 0);
-    accum_.assign(n, 0);
-    accum_cause_.assign(n, kNoNeuron);
-    accum_cause_weight_.assign(n, 0);
-    touched_.assign(n, 0);
-    is_terminal_.assign(n, 0);
-    is_watched_.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      v_[i] = net->v_reset(csr->global_ids[i]);
-    }
-    const std::size_t w = ring_size_for(net->max_delay());
-    ring_.resize(w);
-    ring_occupied_.assign(w / 64, 0);
-    ring_mask_ = static_cast<Time>(w - 1);
-  }
-
-  void touch_state(NeuronId lid) {
-    if (state_stamp_[lid] != epoch_) {
-      state_stamp_[lid] = epoch_;
-      dirty_.push_back(lid);
-    }
-  }
-
-  /// Bucket-storage pool, as in the serial engine (ARCHITECTURE.md §1.6):
-  /// drained buckets donate their vectors; activations take them back.
-  void activate(Bucket& b) {
-    if (!pool_.empty()) {
-      ++pool_hits_;
-      b = std::move(pool_.back());
-      pool_.pop_back();
-    } else {
-      ++pool_misses_;
-    }
-  }
-  void recycle(Bucket& b) {
-    b.clear();
-    pool_.push_back(std::move(b));
-  }
-
-  Bucket& bucket_for(Time t, std::uint64_t count) {
-    pending_events_ += count;
-    if (pending_events_ > peak_queue_events_) {
-      peak_queue_events_ = pending_events_;
-    }
-    if (t - cursor_ < static_cast<Time>(ring_.size())) {
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      std::uint64_t& word = ring_occupied_[slot >> 6];
-      const std::uint64_t bit = 1ULL << (slot & 63);
-      if ((word & bit) == 0) {
-        word |= bit;
-        activate(ring_[slot]);
-      }
-      ring_events_ += count;
-      return ring_[slot];
-    }
-    overflow_spills_ += count;
-    const auto [it, inserted] = spill_.try_emplace(t);
-    if (inserted) activate(it->second);
-    return it->second;
-  }
-
-  void migrate_spill() {
-    const auto w = static_cast<Time>(ring_.size());
-    while (!spill_.empty()) {
-      const auto it = spill_.begin();
-      if (it->first - cursor_ >= w) break;
-      const auto slot = static_cast<std::size_t>(it->first & ring_mask_);
-      Bucket& dst = ring_[slot];
-      ring_occupied_[slot >> 6] |= 1ULL << (slot & 63);
-      ring_events_ += it->second.size();
-      if (dst.empty()) {
-        // Unoccupied slots hold no storage (drains donate it to the pool).
-        dst = std::move(it->second);
-      } else {
-        Bucket& src = it->second;
-        dst.targets.insert(dst.targets.end(), src.targets.begin(),
-                           src.targets.end());
-        dst.weights.insert(dst.weights.end(), src.weights.begin(),
-                           src.weights.end());
-        dst.sources.insert(dst.sources.end(), src.sources.begin(),
-                           src.sources.end());
-        dst.forced.insert(dst.forced.end(), src.forced.begin(),
-                          src.forced.end());
-        recycle(src);
-      }
-      spill_.erase(it);
-    }
-  }
-
-  /// Earliest pending local event, bounded by the coordinator's window.
+  /// Cross-shard fan-out, one run per (dst-shard, delay) segment. Runs are
+  /// (shard, delay)-ordered, NOT globally delay-ascending, so a horizon
+  /// hit skips the run but keeps scanning.
   ///
-  /// Unlike the serial queue, a shard's queue can RECEIVE events after it
-  /// drains — mailbox deliveries land at every barrier, always at times
-  /// >= the window end `wend` (that is the δ-lookahead guarantee). So the
-  /// serial cursor jump to `spill head - 1` is unsafe here: jumping past
-  /// `wend` would strand later-drained mail BEHIND the cursor, where
-  /// `bucket_for`'s ring test files it into a stale slot and the scan
-  /// silently loses it. The rule: never move cursor_ to or beyond wend.
-  /// When the ring is empty and the spill head lies at or past wend,
-  /// report that time WITHOUT jumping — the window cannot use it anyway,
-  /// and the next window re-asks with a larger wend.
-  bool next_pending_time(Time* t, Time wend) {
-    migrate_spill();
-    if (ring_events_ == 0) {
-      if (spill_.empty()) return false;
-      const Time spill_head = spill_.begin()->first;
-      if (spill_head >= wend) {
-        *t = spill_head;
-        return true;
-      }
-      cursor_ = spill_head - 1;
-      migrate_spill();
-    }
-    const auto start = static_cast<std::size_t>((cursor_ + 1) & ring_mask_);
-    const std::size_t word_mask = ring_occupied_.size() - 1;
-    std::size_t w = start >> 6;
-    std::uint64_t word = ring_occupied_[w] & (~0ULL << (start & 63));
-    while (word == 0) {
-      w = (w + 1) & word_mask;
-      word = ring_occupied_[w];
-    }
-    const std::size_t slot =
-        (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-    const std::size_t offset =
-        (slot - start) & static_cast<std::size_t>(ring_mask_);
-    empty_bucket_scans_ += offset;
-    *t = cursor_ + 1 + static_cast<Time>(offset);
-    return true;
-  }
-
-  Voltage decayed_potential(NeuronId lid, Time t) const {
+  /// kMailbox: appended to the destination outbox's run for the arrival
+  /// time — only this shard's worker writes those boxes during the window;
+  /// the barrier hands them over. kSharedAtomic: relaxed fetch-ops into
+  /// the destination's accumulation slots of the shared ring (weight sum +
+  /// delivery count per target, plus touched/occupancy bitmaps); the
+  /// destination folds them at its next window start.
+  void fan_out(NeuronId lid, Time t, SimStats& st) override {
+    const EventCore::RunState& rs = core.state();
     const NeuronId gid = csr->global_ids[lid];
-    const Time dt = t - last_update_[lid];
-    SGA_CHECK(dt >= 0, "parallel: time went backwards for neuron " << gid);
-    return decay_potential(v_[lid], net->v_reset(gid), net->tau(gid), dt);
-  }
-
-  void fire(NeuronId lid, Time t) {
-    const NeuronId gid = csr->global_ids[lid];
-    const bool first_fire = first_spike_[lid] == kNever;
-    touch_state(lid);
-    v_[lid] = net->v_reset(gid);
-    last_update_[lid] = t;
-    ++spike_count_[lid];
-    ++spikes_;
-    if (first_fire) first_spike_[lid] = t;
-    last_spike_[lid] = t;
-    if (probe_ != nullptr) probe_->on_spike(t, gid);
-    if (record_log_ && (watch_all_ || is_watched_[lid])) {
-      spike_log_.emplace_back(t, gid);
-    }
-    if (is_terminal_[lid] && first_fire) {
-      ++terminals_newly_fired_;
-      if (t < terminal_time_) terminal_time_ = t;
-    }
-    // Intra-shard fan-out, segmented: the intra family inherits the
-    // delay-sorted row order, so each delay run is one queue lookup plus a
-    // bulk append. Same horizon rule as the serial engine (subtraction
-    // form avoids t + d overflow; dropped work reports hit_time_limit);
-    // ascending run delays let a horizon hit stop the whole row.
-    const NeuronId* itgt = csr->intra_target.data();
-    const SynWeight* iwgt = csr->intra_weight.data();
-    const std::size_t ise = csr->intra_seg_offsets[lid + 1];
-    for (std::size_t s = csr->intra_seg_offsets[lid]; s < ise; ++s) {
-      ++fanout_segments_;
-      const Delay d = csr->intra_seg_delay[s];
-      if (d > max_time_ - t) {
-        hit_time_limit_ = true;
-        break;
-      }
-      const std::size_t b = csr->intra_seg_begin[s];
-      const std::size_t e = csr->intra_seg_end[s];
-      Bucket& bucket = bucket_for(t + d, e - b);
-      bucket.targets.insert(bucket.targets.end(), itgt + b, itgt + e);
-      bucket.weights.insert(bucket.weights.end(), iwgt + b, iwgt + e);
-      if (record_causes_) {
-        bucket.sources.insert(bucket.sources.end(), e - b, gid);
-      }
-      ++bulk_appends_;
-    }
-    // Cross-shard fan-out, segmented: one run per (dst-shard, delay) pair.
-    // Runs are (shard, delay)-ordered, NOT globally delay-ascending, so a
-    // horizon hit skips the run but keeps scanning.
-    //
-    // kMailbox: one SoA slab appended to the destination's outbox — only
-    // this shard's worker writes those boxes during the window; the
-    // barrier hands them over. kSharedAtomic: relaxed fetch-ops into the
-    // destination's accumulation slots of the shared ring (weight sum +
-    // delivery count per target, plus touched/occupancy bitmaps); the
-    // destination folds them at its next window start.
     const NeuronId* clocal = csr->cross_local.data();
     const SynWeight* cwgt = csr->cross_weight.data();
     const std::size_t cse = csr->cross_seg_offsets[lid + 1];
     for (std::size_t s = csr->cross_seg_offsets[lid]; s < cse; ++s) {
-      ++fanout_segments_;
+      ++st.fanout_segments;
       const Delay d = csr->cross_seg_delay[s];
-      if (d > max_time_ - t) {
-        hit_time_limit_ = true;
+      if (d > rs.max_time - t) {
+        st.hit_time_limit = true;
         continue;
       }
       const Time at = t + d;
@@ -387,7 +147,7 @@ struct ParallelSimulator::Shard {
       const std::size_t e = csr->cross_seg_end[s];
       if (atomic_cross_) {
         const std::uint32_t ds = csr->cross_seg_shard[s];
-        const std::size_t slot = static_cast<std::size_t>(at & atom_mask_);
+        const auto slot = static_cast<std::size_t>(at & atom_mask_);
         std::atomic<SynWeight>* w =
             aw_ + slot * slot_entries_ + entry_base_[ds];
         std::atomic<std::uint32_t>* c =
@@ -404,42 +164,48 @@ struct ParallelSimulator::Shard {
         aocc_[static_cast<std::size_t>(ds) * occ_words_ + (slot >> 6)]
             .fetch_or(1ULL << (slot & 63), std::memory_order_relaxed);
       } else {
-        MailBox& box = out_[csr->cross_seg_shard[s]];
-        const std::size_t base = box.targets.size();
-        box.targets.insert(box.targets.end(), clocal + b, clocal + e);
-        box.weights.insert(box.weights.end(), cwgt + b, cwgt + e);
-        if (record_causes_) {
-          box.sources.insert(box.sources.end(), e - b, gid);
+        MailBox::Run& run = out_[csr->cross_seg_shard[s]].run_for(at);
+        if (e - b == 1) {  // singleton run: push_back, as the core kernel
+          run.targets.push_back(clocal[b]);
+          run.weights.push_back(cwgt[b]);
+          if (rs.record_causes) run.sources.push_back(gid);
+        } else {
+          run.targets.insert(run.targets.end(), clocal + b, clocal + e);
+          run.weights.insert(run.weights.end(), cwgt + b, cwgt + e);
+          if (rs.record_causes) {
+            run.sources.insert(run.sources.end(), e - b, gid);
+          }
         }
-        box.slabs.push_back(MailBox::Slab{at, base, base + (e - b)});
       }
-      ++bulk_appends_;
+      ++st.bulk_appends;
       if (at < out_min_time_) out_min_time_ = at;
     }
   }
 
-  /// Fold the mail delivered at the previous barrier into the local queue.
-  /// Inboxes are drained in source-shard order, which fixes the bucket
-  /// order deterministically (the serial bucket order differs, but bucket
-  /// order is only observable through FP summation order — exact for the
-  /// integer weights of every paper construction — and cause tie-breaks,
-  /// which use the order-free (weight, source id) rule).
+  /// Fold the mail delivered at the previous barrier into the local queue:
+  /// one bucket_for + bulk append per (source shard, arrival time). Boxes
+  /// are drained in source-shard order and each run holds its arrivals in
+  /// fire order, which fixes every bucket's order deterministically (the
+  /// serial bucket order differs, but bucket order is only observable
+  /// through FP summation order — exact for the integer weights of every
+  /// paper construction — and cause tie-breaks, which use the order-free
+  /// (weight, global source id) rule).
   void drain_inboxes(MailBox* in_boxes, std::size_t stride,
                      std::size_t num_shards) {
+    const bool causes = core.state().record_causes;
     for (std::size_t s = 0; s < num_shards; ++s) {
       MailBox& box = in_boxes[s * stride];
-      for (const MailBox::Slab& slab : box.slabs) {
-        Bucket& bucket = bucket_for(slab.t, slab.end - slab.begin);
-        bucket.targets.insert(bucket.targets.end(),
-                              box.targets.begin() + slab.begin,
-                              box.targets.begin() + slab.end);
-        bucket.weights.insert(bucket.weights.end(),
-                              box.weights.begin() + slab.begin,
-                              box.weights.begin() + slab.end);
-        if (record_causes_) {
-          bucket.sources.insert(bucket.sources.end(),
-                                box.sources.begin() + slab.begin,
-                                box.sources.begin() + slab.end);
+      for (std::size_t r = 0; r < box.live; ++r) {
+        const MailBox::Run& run = box.runs[r];
+        EventCore::Bucket& bucket =
+            core.bucket_for(run.t, run.targets.size());
+        bucket.targets.insert(bucket.targets.end(), run.targets.begin(),
+                              run.targets.end());
+        bucket.weights.insert(bucket.weights.end(), run.weights.begin(),
+                              run.weights.end());
+        if (causes) {
+          bucket.sources.insert(bucket.sources.end(), run.sources.begin(),
+                                run.sources.end());
         }
       }
       box.clear();
@@ -502,7 +268,7 @@ struct ParallelSimulator::Shard {
             const SynWeight sum = sw[local].exchange(0, std::memory_order_relaxed);
             const std::uint32_t cnt =
                 sc[local].exchange(0, std::memory_order_relaxed);
-            Bucket& bucket = bucket_for(t, cnt);
+            EventCore::Bucket& bucket = core.bucket_for(t, cnt);
             bucket.targets.push_back(local);
             bucket.weights.push_back(sum);
             for (std::uint32_t k = 1; k < cnt; ++k) {
@@ -515,164 +281,22 @@ struct ParallelSimulator::Shard {
     }
   }
 
-  /// Process every pending event with time < wend (exclusive), in time
-  /// order — the serial run() loop restricted to one window.
+  /// Process every pending event with time < wend through the core, then
+  /// record the earliest event left for the coordinator.
   void advance_window(Time wend) {
-    touched_times_.clear();
+    core.steps().clear();
     out_min_time_ = kNoTime;
-    terminal_time_ = kNoTime;
-    terminals_newly_fired_ = 0;
-
-    std::vector<NeuronId>& targets = targets_scratch_;
-    while (true) {
-      Time t = 0;
-      if (!next_pending_time(&t, wend)) break;
-      if (t >= wend) break;
-      cursor_ = t;
-      Bucket* bucket = &ring_[static_cast<std::size_t>(t & ring_mask_)];
-      ring_events_ -= bucket->size();
-      pending_events_ -= bucket->size();
-      if (bucket->size() > max_bucket_occupancy_) {
-        max_bucket_occupancy_ = bucket->size();
-      }
-      touched_times_.push_back(t);
-
-      if (probe_ != nullptr && probe_->counts_deliveries()) {
-        for (const NeuronId target : bucket->targets) {
-          probe_->on_delivery(csr->global_ids[target]);
-        }
-      }
-
-      targets.clear();
-      const std::size_t nd = bucket->targets.size();
-      deliveries_ += nd;
-      for (std::size_t i = 0; i < nd; ++i) {
-        const NeuronId target = bucket->targets[i];
-        const SynWeight weight = bucket->weights[i];
-        if (!touched_[target]) {
-          touched_[target] = 1;
-          targets.push_back(target);
-          accum_[target] = 0;
-          accum_cause_[target] = kNoNeuron;
-          accum_cause_weight_[target] = 0;
-        }
-        accum_[target] += weight;
-        if (record_causes_) {
-          // Deterministic cause selection (matches the serial engine):
-          // largest weight, ties to the smallest source id — independent
-          // of delivery order, hence of the parallel schedule. sources is
-          // populated exactly when record_causes_ is set.
-          const NeuronId source = bucket->sources[i];
-          SynWeight& bw = accum_cause_weight_[target];
-          NeuronId& bs = accum_cause_[target];
-          if (weight > bw ||
-              (bs != kNoNeuron && weight == bw && source < bs)) {
-            bs = source;
-            bw = weight;
-          }
-        }
-      }
-
-      for (const NeuronId lid : bucket->forced) {
-        if (last_spike_[lid] == t) continue;
-        fire(lid, t);
-        if (touched_[lid]) {
-          accum_[lid] = 0;
-          touched_[lid] = 2;
-        }
-      }
-
-      for (const NeuronId lid : targets) {
-        if (touched_[lid] == 2) {
-          touched_[lid] = 0;
-          continue;
-        }
-        touched_[lid] = 0;
-        const Voltage v_hat = decayed_potential(lid, t) + accum_[lid];
-        const NeuronId gid = csr->global_ids[lid];
-        if (v_hat >= net->v_threshold(gid)) {
-          if (record_causes_ && first_spike_[lid] == kNever) {
-            cause_[lid] = accum_cause_[lid];
-          }
-          fire(lid, t);
-        } else {
-          touch_state(lid);
-          v_[lid] = v_hat;
-          last_update_[lid] = t;
-        }
-      }
-
-      if (probe_ != nullptr && probe_->samples_potentials()) {
-        for (const NeuronId lid : targets) {
-          probe_->on_potential(t, csr->global_ids[lid], v_[lid]);
-        }
-      }
-
-      recycle(*bucket);  // storage (capacity intact) goes to the pool
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
-    }
-
+    core.run_until(wend);
     Time t = 0;
-    next_time_ = next_pending_time(&t, wend) ? t : kNoTime;
+    next_time_ = core.next_pending_time(&t, wend) ? t : kNoTime;
   }
 
   void reset() {
-    for (const NeuronId lid : dirty_) {
-      v_[lid] = net->v_reset(csr->global_ids[lid]);
-      last_update_[lid] = 0;
-      first_spike_[lid] = kNever;
-      last_spike_[lid] = kNever;
-      spike_count_[lid] = 0;
-      cause_[lid] = kNoNeuron;
-    }
-    dirty_.clear();
-    ++epoch_;
-    for (const NeuronId t : active_terminals_) is_terminal_[t] = 0;
-    active_terminals_.clear();
-    for (const NeuronId w : active_watched_) is_watched_[w] = 0;
-    active_watched_.clear();
-    watch_all_ = false;
-    if (ring_events_ > 0) {
-      for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
-        std::uint64_t word = ring_occupied_[w];
-        while (word != 0) {
-          const auto slot =
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-          word &= word - 1;
-          recycle(ring_[slot]);
-        }
-        ring_occupied_[w] = 0;
-      }
-      ring_events_ = 0;
-    }
-    for (auto& [t, bucket] : spill_) recycle(bucket);
-    spill_.clear();
-    pending_events_ = 0;
-    cursor_ = -1;
-    spike_log_.clear();
-    touched_times_.clear();
+    core.reset();
     out_min_time_ = kNoTime;
     shared_next_ = kNoTime;
     atomic_cross_ = false;
     next_time_ = kNoTime;
-    terminal_time_ = kNoTime;
-    terminals_newly_fired_ = 0;
-    hit_time_limit_ = false;
-    spikes_ = 0;
-    deliveries_ = 0;
-    peak_queue_events_ = 0;
-    max_bucket_occupancy_ = 0;
-    overflow_spills_ = 0;
-    empty_bucket_scans_ = 0;
-    fanout_segments_ = 0;
-    bulk_appends_ = 0;
-    pool_hits_ = 0;
-    pool_misses_ = 0;
-    record_causes_ = false;
-    record_log_ = false;
-    max_time_ = kNever;
-    probe_ = nullptr;
   }
 };
 
@@ -719,9 +343,9 @@ void ParallelSimulator::init() {
   const std::size_t s = split_.partition.num_shards;
   shards_.clear();
   for (std::size_t i = 0; i < s; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->init(*net_, split_.shards[i],
-                         static_cast<std::uint32_t>(i));
+    shards_.push_back(std::make_unique<Shard>(
+        split_.intra[i], split_.shards[i], net_->max_delay(),
+        static_cast<std::uint32_t>(i)));
   }
   mail_[0].assign(s * s, {});
   mail_[1].assign(s * s, {});
@@ -787,7 +411,7 @@ void ParallelSimulator::inject_spike(NeuronId id, Time t) {
               "inject_spike at t=" << t << " into a paused run whose resume "
                                    << "floor is " << pause_floor_);
   Shard& sh = *shards_[split_.partition.shard_of[id]];
-  sh.bucket_for(t, 1).forced.push_back(split_.partition.local_index[id]);
+  sh.core.inject(split_.partition.local_index[id], t);
 }
 
 void ParallelSimulator::attach_probe(obs::Probe& probe) {
@@ -805,8 +429,8 @@ void ParallelSimulator::plan_next_window() try {
     // a time.
     merge_scratch_.clear();
     for (const auto& sh : shards_) {
-      merge_scratch_.insert(merge_scratch_.end(), sh->touched_times_.begin(),
-                            sh->touched_times_.end());
+      merge_scratch_.insert(merge_scratch_.end(), sh->core.steps().begin(),
+                            sh->core.steps().end());
     }
     if (!merge_scratch_.empty()) {
       std::sort(merge_scratch_.begin(), merge_scratch_.end());
@@ -820,9 +444,9 @@ void ParallelSimulator::plan_next_window() try {
     // happened at the single just-executed step wstart_ — the barrier
     // decision is therefore exactly the serial loop's end-of-bucket
     // decision.
+    std::uint64_t newly = 0;
+    for (const auto& sh : shards_) newly += sh->core.take_terminal_fires();
     if (terminals_remaining_ > 0 && !terminal_fired_) {
-      std::uint64_t newly = 0;
-      for (const auto& sh : shards_) newly += sh->terminals_newly_fired_;
       if (newly >= terminals_remaining_) {
         terminal_fired_ = true;
         stats_.hit_terminal = true;
@@ -917,7 +541,7 @@ void ParallelSimulator::assign_shards() {
   est_scratch_.assign(workers, 0);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < s; ++i) {
-    const std::uint64_t e = shards_[i]->pending_events_;
+    const std::uint64_t e = shards_[i]->core.pending_events();
     est_scratch_[i % workers] += e;
     total += e;
   }
@@ -930,8 +554,8 @@ void ParallelSimulator::assign_shards() {
   }
   std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return shards_[a]->pending_events_ >
-                            shards_[b]->pending_events_;
+                     return shards_[a]->core.pending_events() >
+                            shards_[b]->core.pending_events();
                    });
   est_scratch_.assign(workers, 0);
   deal_scratch_.assign(s, 0);
@@ -941,7 +565,7 @@ void ParallelSimulator::assign_shards() {
       if (est_scratch_[w] < est_scratch_[best]) best = w;
     }
     deal_scratch_[shard] = best;
-    est_scratch_[best] += shards_[shard]->pending_events_;
+    est_scratch_[best] += shards_[shard]->core.pending_events();
   }
   const std::uint64_t max_lpt =
       *std::max_element(est_scratch_.begin(), est_scratch_.end());
@@ -986,8 +610,10 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     // Same resume contract as the serial engine: the recording flags and
     // horizon shaped the pre-pause event stream and cannot change.
     SGA_REQUIRE(shards_.empty() ||
-                    (config.record_causes == shards_[0]->record_causes_ &&
-                     config.record_spike_log == shards_[0]->record_log_),
+                    (config.record_causes ==
+                         shards_[0]->core.state().record_causes &&
+                     config.record_spike_log ==
+                         shards_[0]->core.state().record_log),
                 "resume: record_causes/record_spike_log must match the "
                 "paused run");
     SGA_REQUIRE(std::min(config.max_time, kNever) == max_time_,
@@ -1009,11 +635,7 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     SGA_REQUIRE(t < net_->num_neurons(), "bad terminal neuron " << t);
     Shard& sh = *shards_[part.shard_of[t]];
     const NeuronId lid = part.local_index[t];
-    if (!sh.is_terminal_[lid]) {
-      sh.is_terminal_[lid] = 1;
-      sh.active_terminals_.push_back(lid);
-      ++distinct_terminals;
-    }
+    if (sh.core.mark_terminal(lid)) ++distinct_terminals;
   }
   if (!resuming) {
     terminals_remaining_ = config.terminate_on_all
@@ -1029,16 +651,13 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
             : ((terminals_remaining_ == 0 && !terminal_fired_) ? 1 : 0);
   }
   const bool watch_all = resuming && !shards_.empty()
-                             ? shards_[0]->watch_all_
+                             ? shards_[0]->core.state().watch_all
                              : config.watched_neurons.empty();
   for (const NeuronId w : config.watched_neurons) {
     SGA_REQUIRE(w < net_->num_neurons(), "bad watched neuron " << w);
     Shard& sh = *shards_[part.shard_of[w]];
     const NeuronId lid = part.local_index[w];
-    if (!sh.is_watched_[lid]) {
-      sh.is_watched_[lid] = 1;
-      sh.active_watched_.push_back(lid);
-    }
+    sh.core.mark_watched(lid);
   }
 
   // Per-shard probes: same options as the attached probe, bound to the
@@ -1061,18 +680,19 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
   use_atomic_cross_ = atom_slots_ != 0 && !config.record_causes;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
-    sh.record_causes_ = config.record_causes;
-    sh.record_log_ = config.record_spike_log;
-    sh.watch_all_ = watch_all;
-    sh.max_time_ = max_time_;
-    sh.probe_ = probe_ != nullptr ? shard_probes_[i].get() : nullptr;
+    EventCore::RunState& rs = sh.core.state();
+    rs.record_causes = config.record_causes;
+    rs.record_log = config.record_spike_log;
+    rs.watch_all = watch_all;
+    rs.max_time = max_time_;
+    sh.core.set_probe(probe_ != nullptr ? shard_probes_[i].get() : nullptr);
     sh.atomic_cross_ = use_atomic_cross_;
     sh.shared_next_ = kNoTime;
     sh.next_time_ = kNoTime;
     Time t = 0;
     // wend = 0: the pre-run peek must never move the cursor — the first
     // window has not been planned, so every jump would be speculative.
-    if (sh.next_pending_time(&t, 0)) sh.next_time_ = t;
+    if (sh.core.next_pending_time(&t, 0)) sh.next_time_ = t;
     sh.out_min_time_ = kNoTime;
   }
 
@@ -1174,28 +794,24 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
   stats_.bulk_appends = base_.bulk_appends;
   stats_.pool_hits = base_.pool_hits;
   stats_.pool_misses = base_.pool_misses;
+  stats_.decode_blocks = base_.decode_blocks;
   for (const auto& sh : shards_) {
-    stats_.spikes += sh->spikes_;
-    stats_.deliveries += sh->deliveries_;
-    stats_.hit_time_limit = stats_.hit_time_limit || sh->hit_time_limit_;
-    stats_.peak_queue_events += sh->peak_queue_events_;
+    const SimStats& ss = sh->core.stats();
+    stats_.spikes += ss.spikes;
+    stats_.deliveries += ss.deliveries;
+    stats_.hit_time_limit = stats_.hit_time_limit || ss.hit_time_limit;
+    stats_.peak_queue_events += ss.peak_queue_events;
     stats_.max_bucket_occupancy =
-        std::max(stats_.max_bucket_occupancy, sh->max_bucket_occupancy_);
-    stats_.overflow_spills += sh->overflow_spills_;
-    stats_.empty_bucket_scans += sh->empty_bucket_scans_;
-    stats_.fanout_segments += sh->fanout_segments_;
-    stats_.bulk_appends += sh->bulk_appends_;
-    stats_.pool_hits += sh->pool_hits_;
-    stats_.pool_misses += sh->pool_misses_;
+        std::max(stats_.max_bucket_occupancy, ss.max_bucket_occupancy);
+    stats_.overflow_spills += ss.overflow_spills;
+    stats_.empty_bucket_scans += ss.empty_bucket_scans;
+    stats_.fanout_segments += ss.fanout_segments;
+    stats_.bulk_appends += ss.bulk_appends;
+    stats_.pool_hits += ss.pool_hits;
+    stats_.pool_misses += ss.pool_misses;
+    stats_.decode_blocks += ss.decode_blocks;
   }
-  if (!shards_.empty()) {
-    stats_.ring_buckets =
-        static_cast<std::uint32_t>(shards_[0]->ring_.size());
-  }
-  // The shard CSRs are full-width transients (DESIGN.md), so csr_bytes
-  // stays unreported here — but the encoding of the SOURCE artifact is
-  // still what the trajectory keys on.
-  stats_.storage_encoding = encoding_code(net_->storage_widths());
+  describe_engine(&stats_);
 
   // Canonical (time, id) spike log: shard logs are time-ordered already;
   // one global sort yields the canonical order (a neuron fires at most
@@ -1204,7 +820,8 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
   // rebuild covers pre-restore history too.
   log_.clear();
   for (const auto& sh : shards_) {
-    log_.insert(log_.end(), sh->spike_log_.begin(), sh->spike_log_.end());
+    log_.insert(log_.end(), sh->core.spike_log().begin(),
+                sh->core.spike_log().end());
   }
   std::sort(log_.begin(), log_.end());
 
@@ -1301,85 +918,40 @@ void ParallelSimulator::build_image(SnapshotImage* img) const {
   // Recording flags live in the shards (uniform across them by
   // construction); a never-run simulator has the defaults, exactly like a
   // fresh serial engine.
-  const Shard* s0 = shards_.empty() ? nullptr : shards_[0].get();
-  img->record_causes = s0 != nullptr && s0->record_causes_;
-  img->record_log = s0 != nullptr && s0->record_log_;
-  img->watch_all = s0 != nullptr && s0->watch_all_;
+  const EventCore::RunState rs =
+      shards_.empty() ? EventCore::RunState{} : shards_[0]->core.state();
+  img->record_causes = rs.record_causes;
+  img->record_log = rs.record_log;
+  img->watch_all = rs.watch_all;
   img->terminal_fired = terminal_fired_;
   img->max_time = max_time_;
   img->resume_floor =
       paused_ ? pause_floor_ : (ran_ ? stats_.end_time + 1 : 0);
   img->terminals_remaining = terminals_remaining_;
+  // Per-neuron state and pending events: each shard's, in global ids,
+  // merged into the id-sorted and time-ascending orders the format
+  // requires. At a pause the mailboxes are already folded into the shard
+  // queues (plan_next_window's pause path), so this IS the complete
+  // pending set. In-bucket order is shard-index order, which is
+  // deterministic for a given partition; delivery order inside a bucket is
+  // semantically order-free (docs/PERSISTENCE.md).
+  std::map<Time, SnapshotBucket> pending;
   for (const auto& sh : shards_) {
-    for (const NeuronId lid : sh->active_terminals_) {
+    for (const NeuronId lid : sh->core.terminals()) {
       img->terminals.push_back(sh->csr->global_ids[lid]);
     }
-    for (const NeuronId lid : sh->active_watched_) {
+    for (const NeuronId lid : sh->core.watched()) {
       img->watched.push_back(sh->csr->global_ids[lid]);
     }
+    sh->core.export_neurons(&img->neurons);
+    sh->core.export_pending(&pending);
   }
   std::sort(img->terminals.begin(), img->terminals.end());
   std::sort(img->watched.begin(), img->watched.end());
-
-  // Per-neuron state: each shard's dirty list, mapped to global ids and
-  // merged into the id-sorted order the format requires.
-  for (const auto& sh : shards_) {
-    for (const NeuronId lid : sh->dirty_) {
-      SnapshotNeuron e;
-      e.id = sh->csr->global_ids[lid];
-      e.v = sh->v_[lid];
-      e.last_update = sh->last_update_[lid];
-      e.first_spike = sh->first_spike_[lid];
-      e.last_spike = sh->last_spike_[lid];
-      e.spike_count = sh->spike_count_[lid];
-      e.cause = sh->cause_[lid];
-      img->neurons.push_back(e);
-    }
-  }
   std::sort(img->neurons.begin(), img->neurons.end(),
             [](const SnapshotNeuron& a, const SnapshotNeuron& b) {
               return a.id < b.id;
             });
-
-  // Pending events: merge every shard's ring + spill into one global
-  // time-ascending sequence. At a pause the mailboxes are already folded
-  // into the shard queues (plan_next_window's pause path), so this IS the
-  // complete pending set. In-bucket order is shard-index order, which is
-  // deterministic for a given partition; delivery order inside a bucket is
-  // semantically order-free (docs/PERSISTENCE.md).
-  std::map<Time, SnapshotBucket> pending;
-  const bool causes = img->record_causes;
-  for (const auto& sh : shards_) {
-    const auto add_bucket = [&](Time t, const Shard::Bucket& bucket) {
-      SnapshotBucket& b = pending[t];
-      b.time = t;
-      for (const NeuronId lid : bucket.forced) {
-        b.forced.push_back(sh->csr->global_ids[lid]);
-      }
-      for (std::size_t i = 0; i < bucket.targets.size(); ++i) {
-        SnapshotDelivery d;
-        d.target = sh->csr->global_ids[bucket.targets[i]];
-        d.weight = bucket.weights[i];
-        if (causes) d.source = bucket.sources[i];  // already global
-        b.deliveries.push_back(d);
-      }
-    };
-    for (std::size_t w = 0; w < sh->ring_occupied_.size(); ++w) {
-      std::uint64_t word = sh->ring_occupied_[w];
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const std::size_t start =
-            static_cast<std::size_t>((sh->cursor_ + 1) & sh->ring_mask_);
-        const std::size_t offset =
-            (slot - start) & static_cast<std::size_t>(sh->ring_mask_);
-        add_bucket(sh->cursor_ + 1 + static_cast<Time>(offset),
-                   sh->ring_[slot]);
-      }
-    }
-    for (const auto& [t, bucket] : sh->spill_) add_bucket(t, bucket);
-  }
   img->queue.reserve(pending.size());
   for (auto& [t, bucket] : pending) img->queue.push_back(std::move(bucket));
 
@@ -1403,22 +975,17 @@ void ParallelSimulator::apply_image(const SnapshotImage& img) {
   reset();
   const Partition& part = split_.partition;
   for (const auto& sh : shards_) {
-    sh->record_causes_ = img.record_causes;
-    sh->record_log_ = img.record_log;
-    sh->watch_all_ = img.watch_all;
+    EventCore::RunState& rs = sh->core.state();
+    rs.record_causes = img.record_causes;
+    rs.record_log = img.record_log;
+    rs.watch_all = img.watch_all;
   }
   max_time_ = img.max_time;
   for (const NeuronId t : img.terminals) {
-    Shard& sh = *shards_[part.shard_of[t]];
-    const NeuronId lid = part.local_index[t];
-    sh.is_terminal_[lid] = 1;
-    sh.active_terminals_.push_back(lid);
+    shards_[part.shard_of[t]]->core.mark_terminal(part.local_index[t]);
   }
   for (const NeuronId w : img.watched) {
-    Shard& sh = *shards_[part.shard_of[w]];
-    const NeuronId lid = part.local_index[w];
-    sh.is_watched_[lid] = 1;
-    sh.active_watched_.push_back(lid);
+    shards_[part.shard_of[w]]->core.mark_watched(part.local_index[w]);
   }
   terminals_remaining_ = img.terminals_remaining;
   terminal_fired_ = img.terminal_fired;
@@ -1427,67 +994,67 @@ void ParallelSimulator::apply_image(const SnapshotImage& img) {
   // queue path (ring vs spill follows each shard's own geometry).
   for (const SnapshotBucket& b : img.queue) {
     for (const NeuronId f : b.forced) {
-      Shard& sh = *shards_[part.shard_of[f]];
-      sh.bucket_for(b.time, 1).forced.push_back(part.local_index[f]);
+      shards_[part.shard_of[f]]->core.inject(part.local_index[f], b.time);
     }
     for (const SnapshotDelivery& d : b.deliveries) {
-      Shard& sh = *shards_[part.shard_of[d.target]];
-      Shard::Bucket& bk = sh.bucket_for(b.time, 1);
+      EventCore::Bucket& bk =
+          shards_[part.shard_of[d.target]]->core.bucket_for(b.time, 1);
       bk.targets.push_back(part.local_index[d.target]);
       bk.weights.push_back(d.weight);
       if (img.record_causes) bk.sources.push_back(d.source);
     }
+  }
+  for (const SnapshotNeuron& e : img.neurons) {
+    shards_[part.shard_of[e.id]]->core.restore_neuron(part.local_index[e.id],
+                                                      e);
   }
   // The re-enqueue above ran through bucket_for/activate, which bump
   // per-shard artifact counters; zero them so the post-restore deltas the
   // shards accumulate start clean (base_ carries the image's cumulative
   // totals — see finalize_run).
   for (const auto& sh : shards_) {
-    sh->peak_queue_events_ = 0;
-    sh->overflow_spills_ = 0;
-    sh->pool_hits_ = 0;
-    sh->pool_misses_ = 0;
-  }
-
-  for (const SnapshotNeuron& e : img.neurons) {
-    Shard& sh = *shards_[part.shard_of[e.id]];
-    const NeuronId lid = part.local_index[e.id];
-    sh.touch_state(lid);
-    sh.v_[lid] = e.v;
-    sh.last_update_[lid] = e.last_update;
-    sh.first_spike_[lid] = e.first_spike;
-    sh.last_spike_[lid] = e.last_spike;
-    sh.spike_count_[lid] = e.spike_count;
-    sh.cause_[lid] = e.cause;  // global id, stored as-is
+    SimStats& ss = sh->core.stats();
+    ss.peak_queue_events = 0;
+    ss.overflow_spills = 0;
+    ss.pool_hits = 0;
+    ss.pool_misses = 0;
   }
 
   // The merged log lives here; shard logs stay empty (finalize_run
   // concatenates shard logs onto an empty log_, so seed the restored
   // history into ONE shard to keep the rebuild correct).
   log_ = img.log;
-  if (!shards_.empty()) shards_[0]->spike_log_ = img.log;
+  if (!shards_.empty()) shards_[0]->core.spike_log() = img.log;
 
-  base_ = img.stats;
-  stats_ = img.stats;
   // Engine-specific fields reflect the LIVE engine, not the source's.
-  stats_.ring_buckets =
-      shards_.empty() ? 0
-                      : static_cast<std::uint32_t>(shards_[0]->ring_.size());
-  stats_.csr_bytes = 0;  // the parallel engine does not report CSR bytes
-  stats_.storage_encoding = encoding_code(net_->storage_widths());
-  base_.ring_buckets = stats_.ring_buckets;
-  base_.csr_bytes = 0;
-  base_.storage_encoding = stats_.storage_encoding;
+  base_ = img.stats;
+  describe_engine(&base_);
+  stats_ = base_;
   ran_ = img.mid_run;
   paused_ = img.mid_run && img.stats.paused;
   pause_floor_ = img.resume_floor;
   pause_time_ = kNever;
 }
 
+void ParallelSimulator::describe_engine(SimStats* s) const {
+  // One shard's ring size, the bytes of the stores the shards run on, and
+  // the encoding of the source artifact (shards may differ).
+  s->ring_buckets =
+      shards_.empty() ? 0 : shards_[0]->core.stats().ring_buckets;
+  s->csr_bytes = split_.storage_bytes();
+  s->storage_encoding = encoding_code(net_->storage_widths());
+}
+
+std::size_t ParallelSimulator::pool_resident_buckets() const {
+  std::size_t total = 0;
+  for (const auto& sh : shards_) total += sh->core.pool_resident_buckets();
+  return total;
+}
+
 Time ParallelSimulator::first_spike(NeuronId id) const {
   SGA_REQUIRE(id < net_->num_neurons(), "first_spike: bad neuron " << id);
   const Partition& p = split_.partition;
-  return shards_[p.shard_of[id]]->first_spike_[p.local_index[id]];
+  return shards_[p.shard_of[id]]->core.record(p.local_index[id]).first_spike;
 }
 
 std::vector<Time> ParallelSimulator::first_spikes() const {
@@ -1499,26 +1066,26 @@ std::vector<Time> ParallelSimulator::first_spikes() const {
 Time ParallelSimulator::last_spike(NeuronId id) const {
   SGA_REQUIRE(id < net_->num_neurons(), "last_spike: bad neuron " << id);
   const Partition& p = split_.partition;
-  return shards_[p.shard_of[id]]->last_spike_[p.local_index[id]];
+  return shards_[p.shard_of[id]]->core.record(p.local_index[id]).last_spike;
 }
 
 std::uint32_t ParallelSimulator::spike_count(NeuronId id) const {
   SGA_REQUIRE(id < net_->num_neurons(), "spike_count: bad neuron " << id);
   const Partition& p = split_.partition;
-  return shards_[p.shard_of[id]]->spike_count_[p.local_index[id]];
+  return shards_[p.shard_of[id]]->core.record(p.local_index[id]).spike_count;
 }
 
 NeuronId ParallelSimulator::first_spike_cause(NeuronId id) const {
   SGA_REQUIRE(id < net_->num_neurons(),
               "first_spike_cause: bad neuron " << id);
   const Partition& p = split_.partition;
-  return shards_[p.shard_of[id]]->cause_[p.local_index[id]];
+  return shards_[p.shard_of[id]]->core.cause(p.local_index[id]);
 }
 
 Voltage ParallelSimulator::potential(NeuronId id) const {
   SGA_REQUIRE(id < net_->num_neurons(), "potential: bad neuron " << id);
   const Partition& p = split_.partition;
-  return shards_[p.shard_of[id]]->v_[p.local_index[id]];
+  return shards_[p.shard_of[id]]->core.record(p.local_index[id]).v;
 }
 
 }  // namespace sga::snn

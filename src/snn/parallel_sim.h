@@ -1,18 +1,22 @@
 // Sharded conservative-parallel LIF simulator (ARCHITECTURE.md §1.5).
 //
-// The serial snn::Simulator runs one global event loop; this engine
-// partitions a CompiledNetwork's neurons into S shards (snn/partition.h),
-// gives each shard its own calendar queue and membrane state, and advances
-// all shards in lock-stepped windows of δ time steps, where δ is the
-// smallest CROSS-shard synapse delay. Definition 1 guarantees every
-// synaptic delay is ≥ δ_min ≥ 1, which is exactly the conservative
-// lookahead condition of parallel discrete-event simulation: a spike fired
-// at time t cannot influence another shard before t + δ, so within a
-// window shards run fully independently — no lock, no atomic, no shared
-// mutable state on the per-delivery hot path. Cross-shard spikes are
-// appended to double-buffered per-(source shard, destination shard)
-// mailboxes and handed over at the window barrier; the destination shard
-// folds them into its own queue at the start of the next window.
+// The serial snn::Simulator runs one snn::EventCore over the whole
+// network; this engine partitions a CompiledNetwork's neurons into S
+// shards (snn/partition.h) and runs one EventCore per shard over the
+// shard-local store CompiledNetwork::shard_split froze from its
+// intra-shard synapses — the same drain loop, records, queue and fan-out
+// kernels, for every store encoding. All shards advance in lock-stepped
+// windows of δ time steps, where δ is the smallest CROSS-shard synapse
+// delay. Definition 1 guarantees every synaptic delay is ≥ δ_min ≥ 1,
+// which is exactly the conservative lookahead condition of parallel
+// discrete-event simulation: a spike fired at time t cannot influence
+// another shard before t + δ, so within a window shards run fully
+// independently — no lock, no atomic, no shared mutable state on the
+// per-delivery hot path. Each fire's cross-shard half (EventCore::Remote)
+// appends to double-buffered per-(source shard, destination shard)
+// mailboxes that group deliveries by arrival time; the barrier hands them
+// over and the destination folds each arrival time into its own queue
+// with one bulk append at the start of the next window.
 //
 // Three knobs attack the parallel-vs-serial gap, each independently
 // switchable for ablation (ARCHITECTURE.md §1.10):
@@ -47,6 +51,9 @@
 // empty_bucket_scans sum over shards, max_bucket_occupancy is the max,
 // peak_queue_events sums the per-shard peaks (an upper bound on the true
 // instantaneous global peak), ring_buckets is one shard's ring size.
+// csr_bytes is the shard-local stores plus the cross CSR
+// (ShardSplit::storage_bytes); storage_encoding stays the source
+// artifact's.
 //
 // Observability: attach_probe() records through per-shard internal probes
 // that are merged into the attached probe after the run (counts add,
@@ -64,7 +71,7 @@
 #include "core/types.h"
 #include "snn/compiled_network.h"
 #include "snn/partition.h"
-#include "snn/simulator.h"  // SimConfig, SimStats, QueueKind
+#include "snn/simulator.h"  // SimConfig, SimStats, EventCore
 
 namespace sga::obs {
 class Probe;
@@ -72,9 +79,8 @@ class Probe;
 
 namespace sga::snn {
 
-/// One (src shard, dst shard) mailbox: contiguous SoA slabs of cross-shard
-/// deliveries, batched per (destination, delay) run. Defined in
-/// parallel_sim.cpp.
+/// One (src shard, dst shard) mailbox: a window's cross-shard deliveries,
+/// one SoA run per arrival time in fire order. Defined in parallel_sim.cpp.
 struct MailBox;
 
 /// Cross-shard delivery engine (ARCHITECTURE.md §1.10).
@@ -205,6 +211,10 @@ class ParallelSimulator {
     return log_;
   }
   const SimStats& stats() const { return stats_; }
+  /// Buckets resident in the shards' drained-storage pools, summed. Each
+  /// shard's core trims its pool on reset() exactly like
+  /// Simulator::pool_resident_buckets() describes.
+  std::size_t pool_resident_buckets() const;
 
  private:
   struct Shard;
@@ -234,6 +244,8 @@ class ParallelSimulator {
   /// engine-agnostic image / scatter a validated image across shards.
   void build_image(SnapshotImage* img) const;
   void apply_image(const SnapshotImage& img);
+  /// Set the SimStats fields that describe this engine, not the run.
+  void describe_engine(SimStats* s) const;
 
   const CompiledNetwork* net_;
   std::unique_ptr<CompiledNetwork> owned_;  ///< Network-ctor form only
@@ -266,9 +278,10 @@ class ParallelSimulator {
   /// Double-buffered mailboxes, flattened [parity][src * S + dst]. During
   /// a window with parity p, source shards append to mail_[p] and
   /// destination shards drain mail_[1 - p]; the barrier flips p, so no box
-  /// is ever read and written concurrently. Each box carries contiguous
-  /// SoA slabs — one per (fire, delay) run — so the barrier exchange moves
-  /// bulk-appendable blocks, not per-synapse entries.
+  /// is ever read and written concurrently. Each box holds one SoA run per
+  /// arrival time (fire order within it), so the fold is one bucket_for +
+  /// bulk append per (source shard, arrival time). A box's memory follows
+  /// its traffic, never max_delay.
   std::vector<MailBox> mail_[2];
 
   obs::Probe* probe_ = nullptr;

@@ -260,6 +260,24 @@ Delay partition_min_cross_delay(const CompiledNetwork& net,
   return min_cross;
 }
 
+std::size_t ShardCsr::cross_bytes() const {
+  return (cross_offsets.size() + cross_seg_offsets.size() +
+          cross_seg_begin.size() + cross_seg_end.size()) *
+             sizeof(std::size_t) +
+         (cross_shard.size() + cross_seg_shard.size()) *
+             sizeof(std::uint32_t) +
+         cross_local.size() * sizeof(NeuronId) +
+         cross_weight.size() * sizeof(SynWeight) +
+         (cross_delay.size() + cross_seg_delay.size()) * sizeof(Delay);
+}
+
+std::size_t ShardSplit::storage_bytes() const {
+  std::size_t bytes = 0;
+  for (const CompiledNetwork& net : intra) bytes += net.csr_storage_bytes();
+  for (const ShardCsr& shard : shards) bytes += shard.cross_bytes();
+  return bytes;
+}
+
 ShardSplit CompiledNetwork::shard_split(Partition partition) const {
   const std::size_t n = num_neurons();
   SGA_REQUIRE(partition.shard_of.size() == n,
@@ -269,133 +287,70 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
 
   ShardSplit split;
   split.shards.resize(partition.num_shards);
+  split.intra.reserve(partition.num_shards);
   Delay min_cross = 0;
 
+  // One walk per row sorts each synapse into its family. Rows are delay-
+  // sorted, so the intra family arrives delay-sorted with each delay run
+  // in builder insertion order, which the streamed freeze's stable sort
+  // keeps. The cross slice is stably re-sorted by destination shard, which
+  // leaves it sorted by (shard, delay) with insertion order within a run.
+  struct Syn {
+    NeuronId from;  ///< local source (intra) / destination shard (cross)
+    NeuronId to;    ///< local target
+    SynWeight weight;
+    Delay delay;
+  };
+  std::vector<Syn> intra;
+  std::vector<Syn> cross;
   for (std::size_t s = 0; s < partition.num_shards; ++s) {
     const std::vector<NeuronId>& members = partition.shard_neurons[s];
     ShardCsr& shard = split.shards[s];
     shard.global_ids = members;
-    shard.intra_offsets.resize(members.size() + 1);
-    shard.cross_offsets.resize(members.size() + 1);
-    shard.intra_offsets[0] = 0;
-    shard.cross_offsets[0] = 0;
-
-    // Two passes: count, then fill — keeps each family contiguous while
-    // preserving the delay-sorted per-source synapse order inside it (the
-    // cross family is then stably re-sorted by destination shard below).
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const NeuronId id = members[k];
-      std::size_t intra = 0;
-      for_each_out_synapse(id, [&](std::size_t, NeuronId tgt, SynWeight,
-                                   Delay) {
-        if (partition.shard_of[tgt] == s) ++intra;
-      });
-      shard.intra_offsets[k + 1] = shard.intra_offsets[k] + intra;
-      shard.cross_offsets[k + 1] =
-          shard.cross_offsets[k] + (out_degree(id) - intra);
-    }
-    shard.intra_target.resize(shard.intra_offsets[members.size()]);
-    shard.intra_weight.resize(shard.intra_offsets[members.size()]);
-    shard.intra_delay.resize(shard.intra_offsets[members.size()]);
-    shard.cross_shard.resize(shard.cross_offsets[members.size()]);
-    shard.cross_local.resize(shard.cross_offsets[members.size()]);
-    shard.cross_weight.resize(shard.cross_offsets[members.size()]);
-    shard.cross_delay.resize(shard.cross_offsets[members.size()]);
-
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const NeuronId id = members[k];
-      std::size_t wi = shard.intra_offsets[k];
-      std::size_t wc = shard.cross_offsets[k];
-      for_each_out_synapse(id, [&](std::size_t, NeuronId tgt, SynWeight w,
-                                   Delay d) {
+    shard.cross_offsets.assign(members.size() + 1, 0);
+    shard.cross_seg_offsets.assign(members.size() + 1, 0);
+    intra.clear();
+    for (NeuronId k = 0; k < members.size(); ++k) {
+      cross.clear();
+      for_each_out_synapse(members[k], [&](std::size_t, NeuronId tgt,
+                                           SynWeight w, Delay d) {
         const std::uint32_t ts = partition.shard_of[tgt];
         if (ts == s) {
-          shard.intra_target[wi] = partition.local_index[tgt];
-          shard.intra_weight[wi] = w;
-          shard.intra_delay[wi] = d;
-          ++wi;
+          intra.push_back(Syn{k, partition.local_index[tgt], w, d});
         } else {
-          shard.cross_shard[wc] = ts;
-          shard.cross_local[wc] = partition.local_index[tgt];
-          shard.cross_weight[wc] = w;
-          shard.cross_delay[wc] = d;
+          cross.push_back(Syn{ts, partition.local_index[tgt], w, d});
           min_cross = min_cross == 0 ? d : std::min(min_cross, d);
-          ++wc;
-          ++split.num_cross_synapses;
         }
       });
-    }
-
-    // Cross family: stably re-sort each neuron's slice by destination
-    // shard. The slice is already delay-ascending (inherited from the
-    // delay-sorted CSR row), so stability leaves it sorted by
-    // (shard, delay) with builder insertion order within each run.
-    struct CrossEntry {
-      std::uint32_t shard;
-      NeuronId local;
-      SynWeight weight;
-      Delay delay;
-    };
-    std::vector<CrossEntry> entries;
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const std::size_t cb = shard.cross_offsets[k];
-      const std::size_t ce = shard.cross_offsets[k + 1];
-      entries.clear();
-      for (std::size_t j = cb; j < ce; ++j) {
-        entries.push_back(CrossEntry{shard.cross_shard[j],
-                                     shard.cross_local[j],
-                                     shard.cross_weight[j],
-                                     shard.cross_delay[j]});
-      }
-      std::stable_sort(entries.begin(), entries.end(),
-                       [](const CrossEntry& a, const CrossEntry& b) {
-                         return a.shard < b.shard;
+      std::stable_sort(cross.begin(), cross.end(),
+                       [](const Syn& a, const Syn& b) {
+                         return a.from < b.from;
                        });
-      for (std::size_t j = cb; j < ce; ++j) {
-        const CrossEntry& e = entries[j - cb];
-        shard.cross_shard[j] = e.shard;
-        shard.cross_local[j] = e.local;
-        shard.cross_weight[j] = e.weight;
-        shard.cross_delay[j] = e.delay;
-      }
-    }
-
-    // Segment CSRs over both families: intra runs share a delay, cross
-    // runs share a (shard, delay) pair.
-    shard.intra_seg_offsets.resize(members.size() + 1);
-    shard.cross_seg_offsets.resize(members.size() + 1);
-    shard.intra_seg_offsets[0] = 0;
-    shard.cross_seg_offsets[0] = 0;
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      std::size_t j = shard.intra_offsets[k];
-      const std::size_t ie = shard.intra_offsets[k + 1];
-      while (j < ie) {
-        const Delay d = shard.intra_delay[j];
-        const std::size_t run_begin = j;
-        while (j < ie && shard.intra_delay[j] == d) ++j;
-        shard.intra_seg_delay.push_back(d);
-        shard.intra_seg_begin.push_back(run_begin);
-        shard.intra_seg_end.push_back(j);
-      }
-      shard.intra_seg_offsets[k + 1] = shard.intra_seg_delay.size();
-
-      j = shard.cross_offsets[k];
-      const std::size_t ce = shard.cross_offsets[k + 1];
-      while (j < ce) {
-        const std::uint32_t ds = shard.cross_shard[j];
-        const Delay d = shard.cross_delay[j];
-        const std::size_t run_begin = j;
-        while (j < ce && shard.cross_shard[j] == ds &&
-               shard.cross_delay[j] == d) {
-          ++j;
+      for (std::size_t j = 0; j < cross.size(); ++j) {
+        const Syn& e = cross[j];
+        // A (shard, delay) run starts wherever the key changes.
+        if (j == 0 || e.from != cross[j - 1].from ||
+            e.delay != cross[j - 1].delay) {
+          if (j > 0) shard.cross_seg_end.push_back(shard.cross_local.size());
+          shard.cross_seg_shard.push_back(e.from);
+          shard.cross_seg_delay.push_back(e.delay);
+          shard.cross_seg_begin.push_back(shard.cross_local.size());
         }
-        shard.cross_seg_shard.push_back(ds);
-        shard.cross_seg_delay.push_back(d);
-        shard.cross_seg_begin.push_back(run_begin);
-        shard.cross_seg_end.push_back(j);
+        shard.cross_shard.push_back(e.from);
+        shard.cross_local.push_back(e.to);
+        shard.cross_weight.push_back(e.weight);
+        shard.cross_delay.push_back(e.delay);
       }
+      if (!cross.empty()) shard.cross_seg_end.push_back(shard.cross_local.size());
+      shard.cross_offsets[k + 1] = shard.cross_local.size();
       shard.cross_seg_offsets[k + 1] = shard.cross_seg_delay.size();
     }
+    split.num_cross_synapses += shard.cross_local.size();
+    split.intra.push_back(compile_streamed(
+        members.size(), [&](NeuronId k) { return params(members[k]); },
+        [&](const SynapseSink& sink) {
+          for (const Syn& e : intra) sink(e.from, e.to, e.weight, e.delay);
+        }));
   }
   split.min_cross_delay = min_cross;
   split.partition = std::move(partition);

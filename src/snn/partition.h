@@ -33,11 +33,12 @@
 // neuron weight. kCutRefined moves are capped by the same bound, so it
 // holds for both kinds. Partition over S = 1 is the identity assignment.
 //
-// ShardSplit is the shard-aware CSR split the parallel simulator runs on:
-// for each shard, every member neuron's out-synapses are re-packed into two
-// contiguous CSR families —
-//   * intra-shard: target expressed as a LOCAL index into the same shard
-//     (delivered through the shard's own calendar queue, no communication),
+// ShardSplit is the shard-aware split the parallel simulator runs on: for
+// each shard, every member neuron's out-synapses go to one of two families —
+//   * intra-shard: frozen as a CompiledNetwork of the shard's own (LOCAL
+//     ids, the members' parameters, StoragePolicy::kAuto at the shard's
+//     size), which the shard's snn::EventCore runs exactly like the serial
+//     engine runs the whole network — every store encoding included;
 //   * cross-shard: target expressed as (destination shard, local index)
 //     (delivered through the window-barrier mailboxes).
 // The split also computes min_cross_delay, the conservative lookahead δ:
@@ -50,10 +51,9 @@
 #include <vector>
 
 #include "core/types.h"
+#include "snn/compiled_network.h"
 
 namespace sga::snn {
-
-class CompiledNetwork;
 
 enum class PartitionKind : std::uint8_t {
   kLpt,         ///< degree-balanced greedy, edge-blind (the oracle)
@@ -97,40 +97,25 @@ double partition_cut_weight(const CompiledNetwork& net, const Partition& p);
 Delay partition_min_cross_delay(const CompiledNetwork& net,
                                 const Partition& p);
 
-/// One shard's re-packed out-synapses (see file comment). All arrays are
-/// indexed per-shard: neuron k of the shard is global id `global_ids[k]`,
-/// its intra-shard synapses are intra_* [intra_offsets[k], intra_offsets[k+1])
-/// and its cross-shard synapses cross_* [cross_offsets[k], cross_offsets[k+1]).
+/// One shard's cross-shard out-synapses (see file comment). Neuron k of
+/// the shard is global id `global_ids[k]`; its cross-shard synapses are
+/// cross_* [cross_offsets[k], cross_offsets[k+1]). Its intra-shard
+/// synapses live in ShardSplit::intra.
 ///
-/// Segmented layout (ARCHITECTURE.md §1.6): both families inherit the
-/// CompiledNetwork's delay-sorted row order, the cross family additionally
-/// stably re-sorted by destination shard — so a neuron's intra row is one
-/// ascending sequence of delay runs and its cross row one sequence of
-/// (shard, delay) runs. The *_seg_* arrays record those runs CSR-style
-/// (offsets indexed by local neuron), letting the shard's fire() do one
-/// queue lookup — or one mailbox-slab append — per run instead of per
-/// synapse.
+/// Segmented layout (ARCHITECTURE.md §1.6): the cross family inherits the
+/// CompiledNetwork's delay-sorted row order, stably re-sorted by
+/// destination shard, so a neuron's cross row is one sequence of
+/// (shard, delay) runs. The cross_seg_* arrays record those runs CSR-style
+/// (offsets indexed by local neuron), letting a fire do one mailbox append
+/// per run instead of per synapse.
 struct ShardCsr {
   std::vector<NeuronId> global_ids;
-
-  std::vector<std::size_t> intra_offsets;  ///< local_n + 1 entries
-  std::vector<NeuronId> intra_target;      ///< LOCAL index in this shard
-  std::vector<SynWeight> intra_weight;
-  std::vector<Delay> intra_delay;
 
   std::vector<std::size_t> cross_offsets;  ///< local_n + 1 entries
   std::vector<std::uint32_t> cross_shard;  ///< destination shard
   std::vector<NeuronId> cross_local;       ///< local index in that shard
   std::vector<SynWeight> cross_weight;
   std::vector<Delay> cross_delay;
-
-  // Intra delay runs: segment s covers intra synapses
-  // [intra_seg_begin[s], intra_seg_end[s]), all with delay
-  // intra_seg_delay[s]; per neuron the delays are strictly increasing.
-  std::vector<std::size_t> intra_seg_offsets;  ///< local_n + 1 entries
-  std::vector<Delay> intra_seg_delay;
-  std::vector<std::size_t> intra_seg_begin;
-  std::vector<std::size_t> intra_seg_end;
 
   // Cross (shard, delay) runs: segment s covers cross synapses
   // [cross_seg_begin[s], cross_seg_end[s]), all bound for shard
@@ -143,18 +128,27 @@ struct ShardCsr {
   std::vector<std::size_t> cross_seg_end;
 
   std::size_t num_neurons() const { return global_ids.size(); }
+  /// Resident bytes of the cross family: row pointers, runs and payload.
+  std::size_t cross_bytes() const;
 };
 
 /// The full shard-aware CSR split of one CompiledNetwork under one
 /// Partition. Produced by CompiledNetwork::shard_split().
 struct ShardSplit {
   Partition partition;
+  /// Per shard, its intra-shard synapses frozen through
+  /// CompiledNetwork::compile_streamed (see the file comment).
+  std::vector<CompiledNetwork> intra;
   std::vector<ShardCsr> shards;
   /// Smallest delay of any cross-shard synapse — the conservative
   /// lookahead window δ. 0 when there are no cross-shard synapses
   /// (shards are then fully independent).
   Delay min_cross_delay = 0;
   std::size_t num_cross_synapses = 0;
+
+  /// Resident bytes the sharded engine runs on: every shard-local store
+  /// plus every cross family (SimStats::csr_bytes of a sharded run).
+  std::size_t storage_bytes() const;
 };
 
 }  // namespace sga::snn

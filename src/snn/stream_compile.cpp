@@ -98,10 +98,11 @@ void fill_streamed(Store& st, const std::vector<std::size_t>& offsets,
     const std::size_t b = offsets[i];
     const std::size_t e = offsets[i + 1];
     const std::size_t deg = e - b;
-    if (deg <= 1) continue;
+    const DlyT* dly = st.delays.data() + b;
+    // Rows emitted delay-sorted (a shard split's) need no permutation.
+    if (deg <= 1 || std::is_sorted(dly, dly + deg)) continue;
     order.resize(deg);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    const DlyT* dly = st.delays.data() + b;
     std::stable_sort(order.begin(), order.end(),
                      [dly](std::size_t a, std::size_t c) {
                        return dly[a] < dly[c];

@@ -31,8 +31,9 @@ namespace {
 
 /// Random mixed SNN, same family as test_fuzz_agreement's queue fuzz:
 /// integrators and gates, inhibition, self-loops, delays spanning (and
-/// occasionally exceeding) the 64-slot calendar ring window.
-snn::Network random_snn(std::uint64_t seed) {
+/// occasionally exceeding) the 64-slot calendar ring window. A nonzero
+/// `tweak` is added to every weight.
+snn::Network random_snn(std::uint64_t seed, SynWeight tweak = 0) {
   Rng rng(0xCA1E + seed * 0x9E3779B97F4A7C15ULL);
   snn::Network net;
   const auto n = static_cast<std::size_t>(rng.uniform_int(5, 40));
@@ -55,7 +56,7 @@ snn::Network random_snn(std::uint64_t seed) {
     const auto w = static_cast<SynWeight>(rng.uniform_int(-2, 3));
     const Delay d = rng.bernoulli(0.1) ? rng.uniform_int(64, 300)
                                        : rng.uniform_int(1, 9);
-    net.add_synapse(a, b, w, d);
+    net.add_synapse(a, b, w + tweak, d);
   }
   return net;
 }
@@ -535,6 +536,154 @@ TEST(ParallelRegression, MetricsMergeAcrossWorkerThreads) {
   EXPECT_EQ(reg.timers().at("psim.run_ns").count, 1u);
   // Each of the 3 workers timed its loop once.
   EXPECT_EQ(reg.timers().at("psim.worker_ns").count, 3u);
+}
+
+// ---- Shard-local stores in every encoding --------------------------------
+//
+// Each shard runs the event core over the store shard_split froze from its
+// intra-shard synapses under kAuto, so a shard's encoding follows its own
+// size and ranges. These instances pin each encoding down and check the
+// sharded run against the serial one.
+
+/// A random DAG (edges only from lower to higher ids, so activity dies
+/// out) with ~30% of its delays in [65,537, 70,000], plus a long
+/// inhibitory self-loop on every neuron. Self-loops are always intra-shard,
+/// so every shard-local store sees a delay beyond u16 and freezes wide;
+/// the long DAG edges that cross shards put one mailbox's arrivals tens of
+/// thousands of steps apart.
+snn::Network long_delay_dag(std::uint64_t seed) {
+  Rng rng(0x10D6 + seed);
+  snn::Network net;
+  const auto n = static_cast<NeuronId>(rng.uniform_int(16, 40));
+  for (NeuronId i = 0; i < n; ++i) {
+    const int mode = static_cast<int>(rng.uniform_int(0, 2));
+    net.add_neuron({0, static_cast<Voltage>(rng.uniform_int(1, 2)),
+                    mode == 0 ? 0.0 : (mode == 1 ? 1.0 : 0.5)});
+  }
+  for (NeuronId i = 0; i < n; ++i) net.add_synapse(i, i, -1, 65536 + i);
+  for (NeuronId e = 0; e < 3 * n; ++e) {
+    const auto a = static_cast<NeuronId>(rng.uniform_int(0, n - 2));
+    const auto b = static_cast<NeuronId>(rng.uniform_int(a + 1, n - 1));
+    const Delay d = rng.bernoulli(0.3) ? rng.uniform_int(65537, 70000)
+                                       : rng.uniform_int(1, 9);
+    net.add_synapse(a, b, static_cast<SynWeight>(rng.uniform_int(1, 2)), d);
+  }
+  return net;
+}
+
+/// A random DAG over 48 neurons plus 800 inhibitory self-loops per neuron
+/// (delays 1–9): at S ≤ 2 every shard holds ≥ 16,384 intra-shard synapses,
+/// so kAuto packs every shard-local store.
+snn::Network fanout_heavy_dag(std::uint64_t seed) {
+  Rng rng(0xFA4 + seed);
+  snn::Network net;
+  constexpr NeuronId kN = 48;
+  for (NeuronId i = 0; i < kN; ++i) net.add_threshold_neuron(1);
+  for (NeuronId i = 0; i < kN; ++i) {
+    for (int k = 0; k < 800; ++k) {
+      net.add_synapse(i, i, -1, rng.uniform_int(1, 9));
+    }
+  }
+  for (NeuronId e = 0; e < 3 * kN; ++e) {
+    const auto a = static_cast<NeuronId>(rng.uniform_int(0, kN - 2));
+    const auto b = static_cast<NeuronId>(rng.uniform_int(a + 1, kN - 1));
+    net.add_synapse(a, b, 1, rng.uniform_int(1, 9));
+  }
+  return net;
+}
+
+/// Runs `compiled` sharded at `shards` (1 and 2 threads) against the
+/// serial engine, after checking that every non-empty shard-local store
+/// froze with encoding `code` (0 wide, 1 narrow, 2 packed). Returns the
+/// split and the last run's stats, for instance-specific checks.
+std::pair<snn::ShardSplit, snn::SimStats> expect_shard_stores_agree(
+    const snn::CompiledNetwork& compiled, std::uint64_t seed,
+    std::size_t shards, std::uint8_t code, const snn::SimConfig& cfg) {
+  const SerialRun want =
+      drive_serial(compiled, seed, cfg, snn::QueueKind::kCalendar);
+  snn::ShardSplit split;
+  snn::SimStats stats;
+  for (const unsigned threads : {1u, 2u}) {
+    snn::ParallelConfig pcfg;
+    pcfg.num_shards = shards;
+    pcfg.num_threads = threads;
+    snn::ParallelSimulator psim(compiled, pcfg);
+    split = compiled.shard_split(psim.partition());
+    for (std::size_t i = 0; i < split.intra.size(); ++i) {
+      if (split.intra[i].num_neurons() == 0) continue;
+      EXPECT_EQ(snn::encoding_code(split.intra[i].storage_widths()), code)
+          << "seed " << seed << " S " << shards << " shard " << i;
+    }
+    inject_all(psim, seed, compiled.num_neurons());
+    stats = psim.run(cfg);
+    expect_agrees(want, psim, stats, "shard store", seed, shards);
+    EXPECT_GT(stats.spikes, 0u);
+    // The engine reports the bytes it runs on: shard stores + cross CSR.
+    EXPECT_GT(stats.csr_bytes, 0u);
+    EXPECT_EQ(stats.csr_bytes, split.storage_bytes());
+  }
+  return {std::move(split), stats};
+}
+
+class ShardStoreFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardStoreFuzz, NarrowStoresWithF32AndF64WeightsMatchSerial) {
+  // Integer weights fit float32. Adding 2^-30 to every weight does not,
+  // so those shard stores keep f64 weights; sums of small integers and
+  // multiples of 2^-30 stay exact in any order, so potentials still agree
+  // bit for bit.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  snn::SimConfig cfg;
+  cfg.max_time = 500;
+  cfg.record_spike_log = true;
+  cfg.record_causes = true;
+  for (const SynWeight tweak : {0.0, 0x1p-30}) {
+    const snn::CompiledNetwork compiled = random_snn(seed, tweak).compile();
+    for (const std::size_t shards : {2u, 3u}) {
+      const snn::ShardSplit split =
+          expect_shard_stores_agree(compiled, seed, shards, 1, cfg).first;
+      const bool f64 = std::any_of(
+          split.intra.begin(), split.intra.end(),
+          [](const snn::CompiledNetwork& c) {
+            return c.storage_widths().weight_bytes == 8;
+          });
+      EXPECT_EQ(f64, tweak != 0.0) << "seed " << seed << " S " << shards;
+    }
+  }
+}
+
+TEST_P(ShardStoreFuzz, WideStoresAndLongCrossDelaysMatchSerial) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const snn::CompiledNetwork compiled = long_delay_dag(seed).compile();
+  snn::SimConfig cfg;
+  cfg.record_spike_log = true;
+  cfg.record_causes = true;
+  for (const std::size_t shards : {2u, 3u}) {
+    const auto [split, stats] =
+        expect_shard_stores_agree(compiled, seed, shards, 0, cfg);
+    EXPECT_GT(stats.end_time, 65536) << "seed " << seed << " S " << shards;
+    Delay max_cross = 0;
+    for (const snn::ShardCsr& c : split.shards) {
+      for (const Delay d : c.cross_delay) max_cross = std::max(max_cross, d);
+    }
+    EXPECT_GT(max_cross, 65536) << "seed " << seed << " S " << shards;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardStoreFuzz, ::testing::Range(0, 6));
+
+TEST(ParallelRegression, PackedShardStoresMatchSerial) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const snn::CompiledNetwork compiled = fanout_heavy_dag(seed).compile();
+    snn::SimConfig cfg;
+    cfg.record_spike_log = true;
+    cfg.record_causes = true;
+    for (const std::size_t shards : {1u, 2u}) {
+      const snn::SimStats stats =
+          expect_shard_stores_agree(compiled, seed, shards, 2, cfg).second;
+      EXPECT_GT(stats.decode_blocks, 0u) << "seed " << seed << " S " << shards;
+    }
+  }
 }
 
 class BatchShardedFuzz : public ::testing::TestWithParam<int> {};

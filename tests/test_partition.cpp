@@ -136,12 +136,12 @@ TEST_P(PartitionFuzz, ShardSplitPreservesEverySynapseExactlyOnce) {
     const snn::ShardCsr& c = split.shards[sh];
     for (std::size_t k = 0; k < c.num_neurons(); ++k) {
       const NeuronId src = c.global_ids[k];
-      for (std::size_t j = c.intra_offsets[k]; j < c.intra_offsets[k + 1];
-           ++j) {
-        const NeuronId tgt =
-            split.partition.shard_neurons[sh][c.intra_target[j]];
-        got.emplace_back(src, tgt, c.intra_weight[j], c.intra_delay[j]);
-      }
+      split.intra[sh].for_each_out_synapse(
+          static_cast<NeuronId>(k),
+          [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+            got.emplace_back(src, split.partition.shard_neurons[sh][tgt], w,
+                             d);
+          });
       for (std::size_t j = c.cross_offsets[k]; j < c.cross_offsets[k + 1];
            ++j) {
         ASSERT_NE(c.cross_shard[j], sh) << "cross synapse stayed home";
@@ -167,8 +167,9 @@ TEST_P(PartitionFuzz, SegmentCsrsTileBothFamiliesWithSortedRuns) {
   // delays, and its cross family by (shard, delay) runs in strictly
   // increasing lexicographic order — non-empty, contiguous, gap-free, and
   // every covered synapse carrying its segment's key. That exact structure
-  // is what lets the shard fire() do one queue lookup (or one mailbox slab)
-  // per run.
+  // is what lets a shard's fire do one queue lookup (or one mailbox
+  // append) per run. The intra family is a frozen network of its own, so
+  // its segments are those of any freeze: verify_invariants checks them.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const snn::CompiledNetwork net = random_net(seed).compile();
   Rng rng(0x59117 + seed);
@@ -177,28 +178,18 @@ TEST_P(PartitionFuzz, SegmentCsrsTileBothFamiliesWithSortedRuns) {
 
   for (std::size_t sh = 0; sh < split.shards.size(); ++sh) {
     const snn::ShardCsr& c = split.shards[sh];
-    ASSERT_EQ(c.intra_seg_offsets.size(), c.num_neurons() + 1);
+    const snn::CompiledNetwork& intra = split.intra[sh];
+    ASSERT_EQ(intra.num_neurons(), c.num_neurons());
+    EXPECT_NO_THROW(intra.verify_invariants());
     ASSERT_EQ(c.cross_seg_offsets.size(), c.num_neurons() + 1);
     for (std::size_t k = 0; k < c.num_neurons(); ++k) {
-      std::size_t expect_next = c.intra_offsets[k];
-      for (std::size_t g = c.intra_seg_offsets[k];
-           g < c.intra_seg_offsets[k + 1]; ++g) {
-        EXPECT_EQ(c.intra_seg_begin[g], expect_next) << "gap or overlap";
-        EXPECT_LT(c.intra_seg_begin[g], c.intra_seg_end[g]) << "empty run";
-        if (g > c.intra_seg_offsets[k]) {
-          EXPECT_LT(c.intra_seg_delay[g - 1], c.intra_seg_delay[g])
-              << "intra delays not strictly increasing";
-        }
-        for (std::size_t j = c.intra_seg_begin[g]; j < c.intra_seg_end[g];
-             ++j) {
-          EXPECT_EQ(c.intra_delay[j], c.intra_seg_delay[g]);
-        }
-        expect_next = c.intra_seg_end[g];
+      const auto id = static_cast<NeuronId>(k);
+      for (std::size_t g = intra.seg_begin(id) + 1; g < intra.seg_end(id);
+           ++g) {
+        EXPECT_LT(intra.seg_delay(g - 1), intra.seg_delay(g))
+            << "intra delays not strictly increasing";
       }
-      EXPECT_EQ(expect_next, c.intra_offsets[k + 1])
-          << "intra segments do not cover the row";
-
-      expect_next = c.cross_offsets[k];
+      std::size_t expect_next = c.cross_offsets[k];
       for (std::size_t g = c.cross_seg_offsets[k];
            g < c.cross_seg_offsets[k + 1]; ++g) {
         EXPECT_EQ(c.cross_seg_begin[g], expect_next) << "gap or overlap";
@@ -362,12 +353,12 @@ TEST_P(CutRefinedFuzz, ShardSplitRoundTripsTheRefinedPartition) {
     const snn::ShardCsr& c = split.shards[sh];
     for (std::size_t k = 0; k < c.num_neurons(); ++k) {
       const NeuronId src = c.global_ids[k];
-      for (std::size_t j = c.intra_offsets[k]; j < c.intra_offsets[k + 1];
-           ++j) {
-        got.emplace_back(src,
-                         split.partition.shard_neurons[sh][c.intra_target[j]],
-                         c.intra_weight[j], c.intra_delay[j]);
-      }
+      split.intra[sh].for_each_out_synapse(
+          static_cast<NeuronId>(k),
+          [&](std::size_t, NeuronId tgt, SynWeight w, Delay d) {
+            got.emplace_back(src, split.partition.shard_neurons[sh][tgt], w,
+                             d);
+          });
       for (std::size_t j = c.cross_offsets[k]; j < c.cross_offsets[k + 1];
            ++j) {
         got.emplace_back(
@@ -440,7 +431,7 @@ TEST(Partition, SingleShardIsTheIdentityLayout) {
   const snn::ShardSplit split = net.shard_split(p);
   EXPECT_EQ(split.num_cross_synapses, 0u);
   EXPECT_EQ(split.min_cross_delay, 0u);
-  EXPECT_EQ(split.shards[0].intra_target.size(), net.num_synapses());
+  EXPECT_EQ(split.intra[0].num_synapses(), net.num_synapses());
 }
 
 TEST(Partition, EmptyNetwork) {
@@ -465,8 +456,8 @@ TEST(Partition, SingleNeuronWithSelfLoop) {
   const snn::ShardSplit split = compiled.shard_split(p);
   // The self-loop is intra-shard wherever the neuron lands.
   EXPECT_EQ(split.num_cross_synapses, 0u);
-  EXPECT_EQ(split.shards[0].intra_target.size(), 1u);
-  EXPECT_EQ(split.shards[0].intra_target[0], 0u);
+  EXPECT_EQ(split.intra[0].num_synapses(), 1u);
+  EXPECT_EQ(split.intra[0].syn_target(0), 0u);
 }
 
 TEST(Partition, RejectsMismatchedPartition) {

@@ -10,6 +10,7 @@
 #include "core/random.h"
 #include "snn/network.h"
 #include "snn/neuron.h"
+#include "snn/parallel_sim.h"
 #include "snn/probe.h"
 #include "snn/simulator.h"
 
@@ -240,15 +241,25 @@ TEST_P(SimProperties, MapQueueSimulatorSupportsResetToo) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimProperties, ::testing::Range(0, 10));
 
-TEST(SimInvariants, ResetStampWrapKeepsReuseExact) {
-  // Per-neuron dirty stamps are 16 bits wide, narrower than the reset
-  // counter. Stamp K subthreshold integrators in K consecutive cycles,
-  // leave them untouched across the stamp wrap, then touch them all again:
-  // a stale stamp that collided with the current epoch would hide its
-  // neuron from reset(), and its charge would leak into the next cycle.
-  // The gap puts the first touch after the wrap K+2 cycles past the
-  // counter's period — within the stamped range whether the period is
-  // 2^16 or 2^16 − 1.
+/// A single-threaded ParallelSimulator config with `shards` shards: the
+/// sharded engine's input to the engine-generic invariants below.
+ParallelConfig sharded(std::size_t shards) {
+  ParallelConfig cfg;
+  cfg.num_shards = shards;
+  cfg.num_threads = 1;
+  return cfg;
+}
+
+/// Per-neuron dirty stamps are 16 bits wide, narrower than the reset
+/// counter. Stamp K subthreshold integrators in K consecutive cycles, leave
+/// them untouched across the stamp wrap, then touch them all again: a
+/// stale stamp that collided with the current epoch would hide its neuron
+/// from reset(), and its charge would leak into the next cycle. The gap
+/// puts the first touch after the wrap K+2 cycles past the counter's
+/// period — within the stamped range whether the period is 2^16 or
+/// 2^16 − 1. `make(net)` builds the engine under test.
+template <typename MakeEngine>
+void check_stamp_wrap_keeps_reuse_exact(MakeEngine make) {
   constexpr int kStamped = 8;
   Network net;
   std::vector<NeuronId> inputs, accs;
@@ -261,7 +272,7 @@ TEST(SimInvariants, ResetStampWrapKeepsReuseExact) {
   const NeuronId sink = net.add_threshold_neuron(1);
   net.add_synapse(other, sink, 1, 1);
 
-  Simulator sim(net);
+  auto sim = make(net);
   for (int j = 0; j < kStamped; ++j) {
     if (j > 0) sim.reset();
     sim.inject_spike(inputs[j], 0);
@@ -288,6 +299,19 @@ TEST(SimInvariants, ResetStampWrapKeepsReuseExact) {
       EXPECT_EQ(sim.spike_count(accs[j]), 0u) << "rep " << rep << " j " << j;
     }
     EXPECT_EQ(sim.first_spike(sink), kNever) << "rep " << rep;
+  }
+}
+
+TEST(SimInvariants, ResetStampWrapKeepsReuseExact) {
+  check_stamp_wrap_keeps_reuse_exact(
+      [](const Network& net) { return Simulator(net); });
+  // Shards run the same core, so the same 16-bit stamps — per shard, with
+  // the stamped neurons spread over the shards.
+  for (const std::size_t shards : {2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "S " << shards);
+    check_stamp_wrap_keeps_reuse_exact([shards](const Network& net) {
+      return ParallelSimulator(net, sharded(shards));
+    });
   }
 }
 
@@ -504,17 +528,19 @@ TEST(SimInvariants, SteadyStateRunsAreAllocationFreeAfterReset) {
   EXPECT_EQ(second.pool_hits, first.pool_hits + first.pool_misses);
 }
 
-TEST(SimInvariants, MixedSizeReuseBoundsPoolStorage) {
-  // Reuse-lifecycle regression (docs/SERVICE.md): before the high-watermark
-  // trim, the bucket pool grew to the ALL-TIME peak concurrent bucket
-  // demand and never shrank — one oversized request pinned its footprint
-  // for the rest of a pooled worker's life. reset() now keeps only the
-  // larger of the last two runs' peaks, so (a) a same-shaped rerun stays
-  // allocation-free, (b) alternating big/small serve-many cycles stay
-  // allocation-free too, and (c) once the big workload stops arriving the
-  // pool shrinks to the small workload's demand within two resets.
+/// Reuse-lifecycle regression (docs/SERVICE.md): before the high-watermark
+/// trim, the bucket pool grew to the ALL-TIME peak concurrent bucket
+/// demand and never shrank — one oversized request pinned its footprint
+/// for the rest of a pooled worker's life. reset() now keeps only the
+/// larger of the last two runs' peaks, so (a) a same-shaped rerun stays
+/// allocation-free, (b) alternating big/small serve-many cycles stay
+/// allocation-free too, and (c) once the big workload stops arriving the
+/// pool shrinks to the small workload's demand within two resets.
+/// `make(net)` builds the engine under test.
+template <typename MakeEngine>
+void check_mixed_size_reuse_bounds_pool(MakeEngine make) {
   const Network net = random_network(0xB16, 40, 200);
-  Simulator sim(net);
+  auto sim = make(net);
 
   // "Big" request: many injections spread over time -> many live buckets.
   auto inject_big = [&] {
@@ -557,7 +583,7 @@ TEST(SimInvariants, MixedSizeReuseBoundsPoolStorage) {
 
   // What the small workload needs on its own: run it on a fresh simulator
   // (same network, same deterministic event stream).
-  Simulator fresh(net);
+  auto fresh = make(net);
   fresh.inject_spike(0, 0);
   fresh.run(small_cfg);
   fresh.reset();
@@ -579,6 +605,15 @@ TEST(SimInvariants, MixedSizeReuseBoundsPoolStorage) {
   sim.inject_spike(0, 0);
   const SimStats after = sim.run(small_cfg);
   EXPECT_EQ(after.pool_misses, 0u);
+}
+
+TEST(SimInvariants, MixedSizeReuseBoundsPoolStorage) {
+  check_mixed_size_reuse_bounds_pool(
+      [](const Network& net) { return Simulator(net); });
+  // Every shard's core trims its own pool; the engine reports the sum.
+  SCOPED_TRACE("2 shards");
+  check_mixed_size_reuse_bounds_pool(
+      [](const Network& net) { return ParallelSimulator(net, sharded(2)); });
 }
 
 }  // namespace
