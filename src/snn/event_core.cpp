@@ -67,6 +67,31 @@ void EventCore::init(Delay ring_delay) {
     ring_occupied_.assign(w / 64, 0);
     ring_mask_ = static_cast<Time>(w - 1);
   }
+  std::visit(
+      [&](const auto& st) {
+        using Store = std::decay_t<decltype(st)>;
+        if constexpr (Store::kPackedLayout) {
+          // Rows are laid out in id order, so one forward sweep decodes
+          // each block holding a row start at most once.
+          row_first_.assign(n, 0);
+          std::uint32_t block[kPackedBlockSize] = {};
+          std::size_t decoded = st.num_blocks();  // none yet
+          for (NeuronId i = 0; i < n; ++i) {
+            const std::size_t b = net_->out_begin(i);
+            if (b == net_->out_end(i)) continue;
+            const std::size_t j = b / kPackedBlockSize;
+            if (j != decoded) {
+              st.decode_range(j * kPackedBlockSize,
+                              std::min(st.num_targets,
+                                       (j + 1) * kPackedBlockSize),
+                              block);
+              decoded = j;
+            }
+            row_first_[i] = block[b - j * kPackedBlockSize];
+          }
+        }
+      },
+      net_->synapse_store());
   describe_engine();
 }
 
@@ -102,9 +127,10 @@ void EventCore::ensure_causes() {
 }
 
 template <typename Store>
-void EventCore::decode_row(const Store& st, std::size_t b, std::size_t e) {
+void EventCore::decode_row(const Store& st, NeuronId id, std::size_t b,
+                           std::size_t e) {
   if (decode_scratch_.size() < e - b) decode_scratch_.resize(e - b);
-  st.decode_range(b, e, decode_scratch_.data());
+  st.decode_from(b, row_first_[id], e, decode_scratch_.data());
   stats_.decode_blocks += (e - 1) / kPackedBlockSize - b / kPackedBlockSize + 1;
 }
 
@@ -135,7 +161,7 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
         break;
       }
       if (!decoded) {
-        decode_row(st, rb, net_->out_end(id));
+        decode_row(st, id, rb, net_->out_end(id));
         decoded = true;
       }
       const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
@@ -199,7 +225,7 @@ void EventCore::fanout_per_synapse(const Store& st, NeuronId id, Time t) {
     // including its per-synapse horizon `continue`.
     const std::size_t rb = net_->out_begin(id);
     if (net_->out_end(id) == rb) return;
-    decode_row(st, rb, net_->out_end(id));
+    decode_row(st, id, rb, net_->out_end(id));
     const auto* wgt = st.weights.data();
     const std::size_t se = net_->seg_end(id);
     for (std::size_t s = net_->seg_begin(id); s < se; ++s) {

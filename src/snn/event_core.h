@@ -267,13 +267,17 @@ class EventCore {
   void fanout_segmented(const Store& st, NeuronId id, Time t);
   template <typename Store>
   void fanout_per_synapse(const Store& st, NeuronId id, Time t);
-  /// Packed-layout helper: decode the targets of the non-empty flat range
-  /// [b, e) (one neuron's row) into decode_scratch_, counting one decode
-  /// block per block the row touches. The scratch is a persistent buffer
-  /// grown once to the largest row, so the steady state decodes
-  /// allocation-free, matching the bucket pool's contract.
+  /// Packed-layout helper: decode the targets of neuron `id`'s non-empty
+  /// row [b, e) into decode_scratch_, counting one decode block per block
+  /// the row touches. The decode starts at the row's own slot from its
+  /// anchor (row_first_: 4 B per neuron, packed cores only), not at its
+  /// block's base, so a row that starts mid-block replays none of the
+  /// block's prefix. The scratch is a
+  /// persistent buffer grown once to the largest row, so the steady state
+  /// decodes allocation-free, matching the bucket pool's contract.
   template <typename Store>
-  void decode_row(const Store& st, std::size_t b, std::size_t e);
+  void decode_row(const Store& st, NeuronId id, std::size_t b,
+                  std::size_t e);
 
   void init(Delay ring_delay);
   NeuronId global_id(NeuronId id) const {
@@ -376,6 +380,11 @@ class EventCore {
   std::vector<Time> steps_;
   std::vector<std::pair<Time, NeuronId>> spike_log_;
   SimStats stats_;
+  // Packed stores only (empty otherwise): each local row's first target,
+  // decoded once in init() — the anchor decode_row starts from. Engine
+  // state like NeuronRecord's copied threshold, 4 B per neuron; the
+  // frozen artifact does not carry it.
+  std::vector<std::uint32_t> row_first_;
 };
 
 }  // namespace sga::snn

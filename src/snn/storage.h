@@ -29,10 +29,9 @@
 //
 // The dispatch is a std::variant over SynStore/PackedSynStore
 // instantiations: consumers off the hot path go through CompiledNetwork's
-// generic accessors (one visit per call), while Simulator resolves the
-// variant ONCE at construction into a member-function-pointer to a
-// fully-typed kernel instantiation — no per-event branching in the inner
-// loop.
+// generic accessors (one visit per call), while EventCore::run_until
+// visits the variant once per call into drain<Store>, the event loop
+// instantiated for that layout — no per-event branching in the inner loop.
 #pragma once
 
 #include <algorithm>
@@ -203,39 +202,41 @@ inline std::uint32_t group_field(const std::uint32_t* w) {
   return z & kMask;
 }
 
-/// Apply the first `n` (≤ 32) deltas of one group to `prev`, storing the
-/// entry that field R completes at out[max(first + R, 0)]. Entries before
-/// the requested span (negative index) all land on out[0], which the
-/// span's first entry overwrites last: a branch-free prefix skip.
+/// Apply the deltas in fields [r_lo, r_hi) (r_lo < r_hi ≤ 32) of one
+/// group to `prev`, storing the entry that field R completes at
+/// out[first + R].
 template <unsigned B, std::size_t... R>
 inline std::uint32_t decode_group(const std::uint32_t* w, std::uint32_t prev,
-                                  std::size_t n, std::ptrdiff_t first,
-                                  std::uint32_t* out,
+                                  std::size_t r_lo, std::size_t r_hi,
+                                  std::ptrdiff_t first, std::uint32_t* out,
                                   std::index_sequence<R...>) {
-  (void)((R < n &&
-          (prev += packed_unzigzag(group_field<B, R>(w)),
-           out[std::max<std::ptrdiff_t>(
-               first + static_cast<std::ptrdiff_t>(R), 0)] = prev,
-           true)) &&
+  (void)((R < r_lo ||
+          (R < r_hi &&
+           (prev += packed_unzigzag(group_field<B, R>(w)),
+            out[first + static_cast<std::ptrdiff_t>(R)] = prev, true))) &&
          ...);
   return prev;
 }
 
-/// Entries [lo, hi) of one B-bit block (0 ≤ lo < hi ≤ its count) into
-/// out[0 .. hi − lo). Entry 0 is the base; entry t adds the delta in slot
-/// t − 1. Only slots below hi − 1 are read, so the block's tail is never
-/// touched.
+/// Entries [lo, hi) of one B-bit block (lo < hi ≤ its count) into
+/// out[0 .. hi − lo), given entry lo's value `v`: the block base when
+/// lo = 0, else a row's anchor. Entry t > 0 adds the
+/// delta in slot t − 1, so only slots [lo, hi − 1) are read — neither the
+/// block's prefix nor its tail. A span that starts mid-group enters the
+/// unrolled group at field lo mod 32.
 template <unsigned B>
-void decode_span(const std::uint32_t* w, std::uint32_t base, std::size_t lo,
+void decode_span(const std::uint32_t* w, std::uint32_t v, std::size_t lo,
                  std::size_t hi, std::uint32_t* out) {
   if constexpr (B == 0) {
-    std::fill(out, out + (hi - lo), base);
+    std::fill(out, out + (hi - lo), v);
   } else {
-    out[0] = base;
-    std::uint32_t prev = base;
-    for (std::size_t s = 0; s + 1 < hi; s += 32, w += B) {
-      prev = decode_group<B>(
-          w, prev, std::min<std::size_t>(32, hi - 1 - s),
+    out[0] = v;
+    const std::size_t end = hi - 1;  // one past the last slot read
+    std::size_t s = lo / 32 * 32;    // first slot of the current group
+    std::size_t r_lo = lo - s;
+    for (w += lo / 32 * B; s + r_lo < end; s += 32, w += B, r_lo = 0) {
+      v = decode_group<B>(
+          w, v, r_lo, std::min<std::size_t>(32, end - s),
           static_cast<std::ptrdiff_t>(s + 1) - static_cast<std::ptrdiff_t>(lo),
           out, std::make_index_sequence<32>{});
     }
@@ -291,14 +292,37 @@ struct PackedSynStore {
   std::size_t num_blocks() const { return block_base.size(); }
   std::size_t num_segments() const { return seg_delays.size(); }
 
-  /// Decode flat targets [b, e) into out[0 .. e − b). Each block the range
-  /// touches is decoded from its base only up to min(e, block end) — never
-  /// its tail — by the width-specialized span decoder its bit width selects
+  /// Decode flat targets [b, e) into out[0 .. e − b), given entry b's
+  /// value `first` — a row's anchor (EventCore) or its block's base. Each
+  /// block the range touches is decoded from b (or, past b's block, from
+  /// the block's base) only up to min(e, block end) by the
+  /// width-specialized span decoder its bit width selects
   /// (packed_detail::decode_span), writing straight into `out`. Callers
-  /// guarantee b ≤ e ≤ num_targets and a structurally valid table
+  /// guarantee b < e ≤ num_targets and a structurally valid table
   /// (verify_invariants' packed pre-checks); the decoder then never reads
   /// past pack_words.size(), which the sanitizer lane checks under ASan.
-  void decode_range(std::size_t b, std::size_t e, std::uint32_t* out) const;
+  void decode_from(std::size_t b, std::uint32_t first, std::size_t e,
+                   std::uint32_t* out) const;
+
+  /// decode_from for callers that hold no value inside the column. A
+  /// mid-block b decodes its block from the base into a stack buffer, up
+  /// to min(e, block end), and copies out the entries from b on. Empty
+  /// ranges (b == e) decode nothing.
+  void decode_range(std::size_t b, std::size_t e, std::uint32_t* out) const {
+    if (b == e) return;
+    const std::size_t j = b / kPackedBlockSize;
+    const std::size_t start = j * kPackedBlockSize;
+    if (b == start) {
+      decode_from(b, block_base[j], e, out);
+      return;
+    }
+    const std::size_t hi = std::min(e - start, kPackedBlockSize);
+    std::uint32_t block[kPackedBlockSize];
+    packed_detail::kSpanDecoders[block_bits[j]](
+        pack_words.data() + block_word[j], block_base[j], 0, hi, block);
+    out = std::copy(block + (b - start), block + hi, out);
+    if (start + hi < e) decode_from(start + hi, block_base[j + 1], e, out);
+  }
 
   /// Build the block tables from a flat (already delay-sorted) target
   /// column. The only encoder — compile(), compile_streamed(), and the io
@@ -396,17 +420,20 @@ struct PackedSynStore {
 };
 
 template <typename DlyT, typename WgtT>
-void PackedSynStore<DlyT, WgtT>::decode_range(std::size_t b, std::size_t e,
-                                              std::uint32_t* out) const {
-  while (b < e) {
+void PackedSynStore<DlyT, WgtT>::decode_from(std::size_t b,
+                                             std::uint32_t first,
+                                             std::size_t e,
+                                             std::uint32_t* out) const {
+  while (true) {
     const std::size_t j = b / kPackedBlockSize;
     const std::size_t start = j * kPackedBlockSize;
-    const std::size_t lo = b - start;
     const std::size_t hi = std::min(e - start, kPackedBlockSize);
     packed_detail::kSpanDecoders[block_bits[j]](
-        pack_words.data() + block_word[j], block_base[j], lo, hi, out);
-    out += hi - lo;
+        pack_words.data() + block_word[j], first, b - start, hi, out);
+    out += start + hi - b;
     b = start + hi;
+    if (b == e) return;
+    first = block_base[j + 1];
   }
 }
 

@@ -7,7 +7,10 @@
 // packing only changes how target columns are STORED, never what is
 // delivered. On top of that: the range decoder against the column it
 // encoded (every bit width 0..32, mid-block and block-aligned ranges,
-// wrapping deltas, the short final block), the row walk against the
+// wrapping deltas, the short final block), the anchored row decode the
+// event core starts at each row's own slot (the same widths, rows from
+// block slots 0, 1, 31, 32, 33 and 63, empty to three blocks long, and
+// through both fan-out kernels), the row walk against the
 // per-synapse accessors, the kAuto selection threshold, the
 // steady-state allocation-free contract (pool_misses == 0 with the decode
 // scratch in play), the patch surface (weights yes, delays no), the
@@ -241,6 +244,129 @@ TEST(PackedStorage, DecodeRangeInvertsWrappingDeltas) {
   EXPECT_EQ(st.block_bits[0], 2u);
   EXPECT_EQ(st.block_bits.back(), 32u);
   expect_ranges_decode(st, col, "wrap");
+}
+
+// ---- Anchored row decodes ------------------------------------------------
+
+/// The rows the anchored-decode tests cut from a column: starts at block
+/// slots 0, 1, 31, 32, 33 and 63 of the second block, each single-entry,
+/// short, and spanning two and three blocks. (Empty rows never decode;
+/// AnchoredRowsFanOutTheirOwnTargets runs them through the engine.)
+std::vector<std::pair<std::size_t, std::size_t>> anchored_rows() {
+  std::vector<std::pair<std::size_t, std::size_t>> rows;
+  for (const std::size_t slot : {0, 1, 31, 32, 33, 63}) {
+    const std::size_t b = kPackedBlockSize + slot;
+    for (const std::size_t e :
+         {b + 1, std::min(b + 2, 2 * kPackedBlockSize),
+          2 * kPackedBlockSize + 1, 3 * kPackedBlockSize + 1}) {
+      rows.emplace_back(b, e);
+    }
+  }
+  return rows;
+}
+
+/// decode_from started at each row's own slot from the row's first value
+/// returns exactly the row's slice of the column and writes nothing past
+/// it.
+void expect_anchored_rows_decode(const PackedSynStore<std::uint8_t, float>& st,
+                                 const std::vector<std::uint32_t>& col,
+                                 const std::string& what) {
+  constexpr std::uint32_t kGuard = 0xDEADBEEF;
+  for (const auto& [b, e] : anchored_rows()) {
+    std::vector<std::uint32_t> out(e - b + 1, kGuard);
+    st.decode_from(b, col[b], e, out.data());
+    EXPECT_EQ(out.back(), kGuard) << what << " row [" << b << ", " << e << ")";
+    out.pop_back();
+    EXPECT_EQ(out, std::vector<std::uint32_t>(col.begin() + b,
+                                              col.begin() + e))
+        << what << " row [" << b << ", " << e << ")";
+  }
+}
+
+TEST(PackedStorage, AnchoredRowDecodeReturnsTheColumnAtEveryBitWidth) {
+  // 4 blocks + 9: the three-block rows end in the fourth block, and the
+  // short final block follows.
+  const std::size_t len = 4 * kPackedBlockSize + 9;
+  for (unsigned bits = 0; bits <= 32; ++bits) {
+    const std::vector<std::uint32_t> col =
+        column_at_width(0xE0 + bits * 11, len, bits);
+    PackedSynStore<std::uint8_t, float> st;
+    st.pack_targets(col);
+    ASSERT_EQ(st.block_bits[1], bits);
+    expect_anchored_rows_decode(st, col, "bits " + std::to_string(bits));
+  }
+}
+
+TEST(PackedStorage, AnchoredRowDecodeInvertsWrappingDeltas) {
+  // Alternating 0 / 0xFFFFFFFF: every delta wraps (−1 and +1 mod 2^32).
+  std::vector<std::uint32_t> col;
+  for (std::size_t k = 0; k < 4 * kPackedBlockSize + 9; ++k) {
+    col.push_back(k % 2 == 0 ? 0u : 0xFFFFFFFFu);
+  }
+  col[kPackedBlockSize + 40] = 0x80000000u;  // INT32_MIN both ways: 32 bits
+  PackedSynStore<std::uint8_t, float> st;
+  st.pack_targets(col);
+  EXPECT_EQ(st.block_bits[0], 2u);
+  EXPECT_EQ(st.block_bits[1], 32u);
+  expect_anchored_rows_decode(st, col, "wrap");
+}
+
+TEST(PackedStorage, AnchoredRowsFanOutTheirOwnTargets) {
+  // Rows laid out so their starts hit block slots 0, 1, 31, 32, 33 and 63,
+  // each empty, single, short and spanning two and three blocks, with a
+  // filler row before each to reach the slot. Every source fires once;
+  // thresholds are out of reach and no neuron leaks, so each target ends
+  // holding exactly the sum of its in-weights — the oracle is the edge
+  // list itself, for both fan-out kernels over the anchors init() builds.
+  constexpr std::size_t kTargets = 97;
+  std::vector<std::size_t> degrees;
+  std::size_t pos = 0;
+  for (const std::size_t slot : {0, 1, 31, 32, 33, 63}) {
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2},
+          kPackedBlockSize - slot + 1, 2 * kPackedBlockSize - slot + 1}) {
+      const std::size_t gap =
+          (slot + kPackedBlockSize - pos % kPackedBlockSize) %
+          kPackedBlockSize;
+      if (gap != 0) degrees.push_back(gap);
+      degrees.push_back(len);
+      pos += gap + len;
+    }
+  }
+  Network net;
+  NeuronParams p;
+  p.v_threshold = 1e9;
+  for (std::size_t i = 0; i < degrees.size() + kTargets; ++i) {
+    net.add_neuron(p);
+  }
+  Rng rng(0xE7);
+  std::vector<SynWeight> expect(kTargets, 0);
+  for (std::size_t r = 0; r < degrees.size(); ++r) {
+    for (std::size_t k = 0; k < degrees[r]; ++k) {
+      const auto t = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kTargets) - 1));
+      const auto wt = static_cast<SynWeight>(rng.uniform_int(1, 5));
+      net.add_synapse(static_cast<NeuronId>(r),
+                      static_cast<NeuronId>(degrees.size() + t), wt,
+                      rng.uniform_int(1, 3));
+      expect[t] += wt;
+    }
+  }
+  const CompiledNetwork packed(net, StoragePolicy::kPacked);
+  ASSERT_TRUE(packed.storage_widths().packed);
+  ASSERT_EQ(packed.num_synapses(), pos);
+  for (const FanoutKind f :
+       {FanoutKind::kSegmented, FanoutKind::kPerSynapse}) {
+    Simulator sim(packed, QueueKind::kCalendar, f);
+    for (NeuronId r = 0; r < degrees.size(); ++r) sim.inject_spike(r, 0);
+    const SimStats stats = sim.run();
+    EXPECT_EQ(stats.deliveries, pos);
+    for (std::size_t t = 0; t < kTargets; ++t) {
+      EXPECT_EQ(sim.potential(static_cast<NeuronId>(degrees.size() + t)),
+                expect[t])
+          << "fan-out " << static_cast<int>(f) << " target " << t;
+    }
+  }
 }
 
 TEST(PackedStorage, RowWalkMatchesThePerSynapseAccessors) {
