@@ -9,7 +9,7 @@
 //   * a deterministic one-shot summary emitted to BENCH_parallel_sim.json
 //     for the bench_compare trajectory. Shard AND thread counts are pinned
 //     (never derived from std::thread::hardware_concurrency()), so the
-//     semantic observables — T, spikes, events, windows, steals, the cut
+//     semantic observables — T, spikes, events, windows, the cut
 //     statistics — are machine-independent; only wall_ns is noise. The
 //     serial record and every parallel record must agree on T/spikes/
 //     events, which makes the trajectory file itself a standing drift
@@ -22,8 +22,8 @@
 // machine's hardware_concurrency is recorded in the context: wall numbers
 // from different core counts are not comparable, and bench_compare
 // downgrades *_ns/*_per_sec checks to informational when the counts
-// differ. The s4 ablation trio (lpt / atomic / nosteal) isolates each
-// ISSUE-9 knob at S = 4.
+// differ. The s4/lpt record flips the engine's one knob, the
+// partitioner, at S = 4.
 //
 // Set SGA_REQUIRE_PARALLEL_WIN=1 (multi-core CI lane) to exit non-zero
 // unless the default s4 configuration beats the serial engine's wall
@@ -68,8 +68,8 @@ struct TimedRun {
 };
 
 /// Steady-state serial run: construction and injection outside the timer.
-TimedRun run_serial(snn::QueueKind kind) {
-  snn::Simulator sim(sssp_network(), kind);
+TimedRun run_serial() {
+  snn::Simulator sim(sssp_network());
   sim.inject_spike(0, 0);
   WallTimer w;
   TimedRun r;
@@ -101,7 +101,7 @@ snn::ParallelConfig make_config(std::size_t shards) {
 
 void BM_SsspSerialCalendar(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_serial(snn::QueueKind::kCalendar).stats.spikes);
+    benchmark::DoNotOptimize(run_serial().stats.spikes);
   }
 }
 BENCHMARK(BM_SsspSerialCalendar);
@@ -157,7 +157,6 @@ void record_parallel(obs::BenchReport& report, const std::string& name,
       .set("deliveries_per_sec", rate_per_sec(r.stats.deliveries, r.wall_ns))
       .set("event_times", r.stats.event_times)
       .set("windows", reg.counter("psim.windows"))
-      .set("steals", reg.counter("psim.steals"))
       .set("threads", static_cast<std::uint64_t>(pcfg.num_threads))
       .set("cross_synapses",
            static_cast<std::uint64_t>(count_cross_synapses(sssp_network(), part)))
@@ -181,11 +180,11 @@ std::pair<std::uint64_t, std::uint64_t> emit_summary(obs::BenchReport& report) {
   // Warm-up: force the lazy network build + one full run outside every
   // timer, so the serial record does not pay construction and first-touch
   // page faults that the later records skip.
-  (void)run_serial(snn::QueueKind::kCalendar);
+  (void)run_serial();
 
   std::uint64_t serial_wall = 0;
   {
-    const TimedRun r = run_serial(snn::QueueKind::kCalendar);
+    const TimedRun r = run_serial();
     serial_wall = r.wall_ns;
     report.record("sssp/serial")
         .T(r.stats.end_time)
@@ -197,8 +196,7 @@ std::pair<std::uint64_t, std::uint64_t> emit_summary(obs::BenchReport& report) {
         .set("event_times", r.stats.event_times);
   }
 
-  // Shard sweep under the ISSUE-9 defaults: kCutRefined partition,
-  // mailbox engine, work stealing on.
+  // Shard sweep under the default kCutRefined partition.
   std::uint64_t s4_wall = 0;
   for (const std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
@@ -206,21 +204,11 @@ std::pair<std::uint64_t, std::uint64_t> emit_summary(obs::BenchReport& report) {
                     make_config(s), s == 4 ? &s4_wall : nullptr);
   }
 
-  // s4 ablation trio: flip exactly one knob off the default at a time.
+  // The edge-blind partitioner at S = 4.
   {
     snn::ParallelConfig pcfg = make_config(4);
     pcfg.partition = snn::PartitionKind::kLpt;
     record_parallel(report, "sssp/parallel/s4/lpt", pcfg);
-  }
-  {
-    snn::ParallelConfig pcfg = make_config(4);
-    pcfg.engine = snn::EngineKind::kSharedAtomic;
-    record_parallel(report, "sssp/parallel/s4/atomic", pcfg);
-  }
-  {
-    snn::ParallelConfig pcfg = make_config(4);
-    pcfg.work_stealing = false;
-    record_parallel(report, "sssp/parallel/s4/nosteal", pcfg);
   }
   return {serial_wall, s4_wall};
 }

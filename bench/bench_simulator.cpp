@@ -1,11 +1,9 @@
 // google-benchmark microbenchmarks of the substrate itself: event-driven
 // simulator throughput (deliveries/sec) across workload shapes, circuit
-// evaluation latency, the spiking-SSSP end-to-end rate, and the
-// event-queue ablation called out in DESIGN.md §4 — the REAL simulator run
-// with QueueKind::kCalendar (ring-bucket calendar queue, the default hot
-// path) vs QueueKind::kMap (the legacy std::map bucket queue), the
-// fire-kernel ablation (FanoutKind::kSegmented delay-run bulk appends vs
-// the legacy kPerSynapse loop, ARCHITECTURE.md §1.6), plus the batched
+// evaluation latency, the spiking-SSSP end-to-end rate, the calendar queue
+// across delay spreads (DESIGN.md §4), the synapse-layout comparison
+// against the nested-vector ReferenceSimulator, the segmented fan-out
+// kernel across delay-run lengths (ARCHITECTURE.md §1.6), plus the batched
 // multi-source SSSP driver vs 64 fresh single-source runs.
 #include <benchmark/benchmark.h>
 
@@ -122,13 +120,11 @@ void BM_KhopPolyGateLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_KhopPolyGateLevel)->Arg(2)->Arg(8);
 
-// --- event-queue ablation (DESIGN.md §4) --------------------------------
-// The REAL simulator on a dense-delay recurrent workload, switched between
-// the two QueueKind implementations. Arg = max synapse delay: larger spread
-// means more distinct live time buckets, which is exactly where the
-// std::map's per-event rebalancing loses to the calendar ring's O(1)
-// slotting. items/sec = synaptic deliveries processed per second, so the
-// reported per-item time is ns/event.
+// --- event queue (DESIGN.md §4) -----------------------------------------
+// The REAL simulator on a dense-delay recurrent workload. Arg = max synapse
+// delay: larger spread means more distinct live time buckets for the
+// calendar ring to slot and scan. items/sec = synaptic deliveries processed
+// per second, so the reported per-item time is ns/event.
 
 snn::Network make_dense_delay_net(std::size_t n, std::size_t fan,
                                   Delay max_delay) {
@@ -146,11 +142,11 @@ snn::Network make_dense_delay_net(std::size_t n, std::size_t fan,
   return net;
 }
 
-void run_queue_ablation(benchmark::State& state, snn::QueueKind kind) {
+void BM_SimQueueCalendar(benchmark::State& state) {
   const auto max_delay = static_cast<Delay>(state.range(0));
   const snn::Network net = make_dense_delay_net(512, 8, max_delay);
   std::uint64_t deliveries = 0;
-  snn::Simulator sim(net, kind);
+  snn::Simulator sim(net);
   for (auto _ : state) {
     sim.reset();
     for (NeuronId i = 0; i < 8; ++i) sim.inject_spike(i, 0);
@@ -162,26 +158,15 @@ void run_queue_ablation(benchmark::State& state, snn::QueueKind kind) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(deliveries));
 }
-
-void BM_SimQueueCalendar(benchmark::State& state) {
-  run_queue_ablation(state, snn::QueueKind::kCalendar);
-}
 BENCHMARK(BM_SimQueueCalendar)->Arg(16)->Arg(64)->Arg(512);
 
-void BM_SimQueueMap(benchmark::State& state) {
-  run_queue_ablation(state, snn::QueueKind::kMap);
-}
-BENCHMARK(BM_SimQueueMap)->Arg(16)->Arg(64)->Arg(512);
-
 // --- synapse-layout ablation (nested vectors vs CSR) --------------------
-// The same dense-delay recurrent workload, three execution models, all
+// The same dense-delay recurrent workload, two execution models, both
 // constructing a fresh simulator per iteration so setup costs are charged
 // equally:
 //   NestedVector — ReferenceSimulator: per-neuron std::vector<Synapse>
 //                  chased on every fired neuron, std::map bucket queue
 //                  (the pre-compile() execution model);
-//   CsrMap       — compiled CSR/SoA network, same std::map queue: isolates
-//                  what the flat synapse layout alone buys;
 //   CsrCalendar  — compiled network on the calendar queue: the production
 //                  hot path end to end.
 // items/sec = synaptic deliveries, so per-item time is ns/delivery.
@@ -202,13 +187,13 @@ void run_layout_ablation_reference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(deliveries));
 }
 
-void run_layout_ablation_csr(benchmark::State& state, snn::QueueKind kind) {
+void run_layout_ablation_csr(benchmark::State& state) {
   const auto max_delay = static_cast<Delay>(state.range(0));
   const snn::CompiledNetwork net =
       make_dense_delay_net(512, 8, max_delay).compile();
   std::uint64_t deliveries = 0;
   for (auto _ : state) {
-    snn::Simulator sim(net, kind);
+    snn::Simulator sim(net);
     for (NeuronId i = 0; i < 8; ++i) sim.inject_spike(i, 0);
     snn::SimConfig cfg;
     cfg.max_time = 200 + 4 * max_delay;
@@ -224,32 +209,26 @@ void BM_SimLayoutNestedVector(benchmark::State& state) {
 }
 BENCHMARK(BM_SimLayoutNestedVector)->Arg(16)->Arg(64)->Arg(512);
 
-void BM_SimLayoutCsrMap(benchmark::State& state) {
-  run_layout_ablation_csr(state, snn::QueueKind::kMap);
-}
-BENCHMARK(BM_SimLayoutCsrMap)->Arg(16)->Arg(64)->Arg(512);
-
 void BM_SimLayoutCsrCalendar(benchmark::State& state) {
-  run_layout_ablation_csr(state, snn::QueueKind::kCalendar);
+  run_layout_ablation_csr(state);
 }
 BENCHMARK(BM_SimLayoutCsrCalendar)->Arg(16)->Arg(64)->Arg(512);
 
-// --- fire-kernel ablation (segmented vs per-synapse fan-out) ------------
+// --- fire kernel across delay-run lengths -------------------------------
 // ARCHITECTURE.md §1.6: the segmented kernel does one bucket_for() + one
-// bulk SoA append per delay RUN; the retained per-synapse kernel (the
-// pre-segmentation fire loop) pays the full queue lookup per synapse. Arg
-// = max synapse delay at fixed fan-out 64, so Arg is the expected number
-// of runs per row and 64/Arg their length: small Arg = long runs (where
-// segmentation collapses almost all queue traffic), Arg ≥ 512 degenerates
-// toward one-synapse runs (the ablation's worst case). items/sec =
-// deliveries, so per-item time is ns/delivery.
+// bulk SoA append per delay RUN. Arg = max synapse delay at fixed fan-out
+// 64, so Arg is the expected number of runs per row and 64/Arg their
+// length: small Arg = long runs (where segmentation collapses almost all
+// queue traffic), Arg ≥ 512 degenerates toward one-synapse runs (the
+// kernel's worst case). items/sec = deliveries, so per-item time is
+// ns/delivery.
 
-void run_fanout_ablation(benchmark::State& state, snn::FanoutKind fanout) {
+void BM_SimFanoutSegmented(benchmark::State& state) {
   const auto max_delay = static_cast<Delay>(state.range(0));
   const snn::CompiledNetwork net =
       make_dense_delay_net(512, 64, max_delay).compile();
   std::uint64_t deliveries = 0;
-  snn::Simulator sim(net, snn::QueueKind::kCalendar, fanout);
+  snn::Simulator sim(net);
   for (auto _ : state) {
     sim.reset();
     for (NeuronId i = 0; i < 8; ++i) sim.inject_spike(i, 0);
@@ -261,16 +240,7 @@ void run_fanout_ablation(benchmark::State& state, snn::FanoutKind fanout) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(deliveries));
 }
-
-void BM_SimFanoutSegmented(benchmark::State& state) {
-  run_fanout_ablation(state, snn::FanoutKind::kSegmented);
-}
 BENCHMARK(BM_SimFanoutSegmented)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_SimFanoutPerSynapse(benchmark::State& state) {
-  run_fanout_ablation(state, snn::FanoutKind::kPerSynapse);
-}
-BENCHMARK(BM_SimFanoutPerSynapse)->Arg(8)->Arg(64)->Arg(512);
 
 // --- batched multi-source SSSP vs 64 fresh runs -------------------------
 // The batch driver builds the network once and reuses epoch-reset
@@ -338,19 +308,19 @@ void emit_summary(obs::BenchReport& report) {
   report.context("workload.sssp", "n=256 m=2048 U=32 sources=64");
   report.context("workload.sssp_high_fanout", "n=512 m=32768 U=8 sources=64");
 
-  // Queue ablation, one deterministic run per queue kind.
-  const snn::CompiledNetwork dense = make_dense_delay_net(512, 8, 64).compile();
-  for (const auto kind : {snn::QueueKind::kCalendar, snn::QueueKind::kMap}) {
-    snn::Simulator sim(dense, kind);
+  // Dense-delay recurrent workload on the calendar queue, one
+  // deterministic run.
+  {
+    const snn::CompiledNetwork dense =
+        make_dense_delay_net(512, 8, 64).compile();
+    snn::Simulator sim(dense);
     for (NeuronId i = 0; i < 8; ++i) sim.inject_spike(i, 0);
     snn::SimConfig cfg;
     cfg.max_time = 200 + 4 * 64;
     WallTimer w;
     const auto st = sim.run(cfg);
     const auto wall = static_cast<std::uint64_t>(w.seconds() * 1e9);
-    report
-        .record(std::string("dense_delay/") +
-                (kind == snn::QueueKind::kCalendar ? "calendar" : "map"))
+    report.record("dense_delay/calendar")
         .T(st.end_time)
         .spikes(st.spikes)
         .events(st.deliveries)
@@ -377,52 +347,43 @@ void emit_summary(obs::BenchReport& report) {
         .set("deliveries_per_sec", rate_per_sec(r.sim.deliveries, wall));
   }
 
-  // High-fan-out SSSP with the fire-kernel ablation: 32 out-edges per
-  // vertex over only 8 distinct lengths, so each relay's fan-out is a few
-  // long delay runs — the workload the segmented kernel exists for. The
-  // network is compiled OUTSIDE the timer and a 64-source sweep reuses one
-  // simulator through reset(), so wall_ns measures the simulation hot path
-  // (and the steady-state bucket pool), not graph loading. Both kernels run
-  // the identical instance; the per_synapse record IS the pre-segmentation
-  // fire loop, so segmented/per_synapse deliveries_per_sec is the kernel
-  // speedup, tracked commit over commit.
+  // High-fan-out SSSP: 32 out-edges per vertex over only 8 distinct
+  // lengths, so each relay's fan-out is a few long delay runs — the
+  // workload the segmented kernel exists for. The network is compiled
+  // OUTSIDE the timer and a 64-source sweep reuses one simulator through
+  // reset(), so wall_ns measures the simulation hot path (and the
+  // steady-state bucket pool), not graph loading.
   {
     Rng rng(0xBEEF08);
     const Graph hg = make_random_graph(512, 32768, {1, 8}, rng);
     const snn::CompiledNetwork hnet = nga::build_sssp_network(hg).compile();
-    for (const auto fanout :
-         {snn::FanoutKind::kSegmented, snn::FanoutKind::kPerSynapse}) {
-      snn::Simulator sim(hnet, snn::QueueKind::kCalendar, fanout);
-      std::uint64_t spikes = 0, deliveries = 0;
-      Time t_sum = 0;
-      snn::SimStats last;
-      // One throwaway source outside the timer: fills the bucket pool so
-      // the timed sweep runs allocation-free, like the batch driver.
-      sim.inject_spike(0, 0);
-      sim.run();
-      WallTimer w;
-      for (VertexId s = 0; s < 64; ++s) {
-        sim.reset();
-        sim.inject_spike(s, 0);
-        last = sim.run();
-        spikes += last.spikes;
-        deliveries += last.deliveries;
-        t_sum += last.end_time;
-      }
-      const auto wall = static_cast<std::uint64_t>(w.seconds() * 1e9);
-      report
-          .record(std::string("sssp/high_fanout/") +
-                  (fanout == snn::FanoutKind::kSegmented ? "segmented"
-                                                         : "per_synapse"))
-          .T(t_sum)
-          .spikes(spikes)
-          .events(deliveries)
-          .wall_ns(wall)
-          .set("deliveries_per_sec", rate_per_sec(deliveries, wall))
-          .set("fanout_segments", last.fanout_segments)
-          .set("bulk_appends", last.bulk_appends)
-          .set("pool_misses", last.pool_misses);
+    snn::Simulator sim(hnet);
+    std::uint64_t spikes = 0, deliveries = 0;
+    Time t_sum = 0;
+    snn::SimStats last;
+    // One throwaway source outside the timer: fills the bucket pool so
+    // the timed sweep runs allocation-free, like the batch driver.
+    sim.inject_spike(0, 0);
+    sim.run();
+    WallTimer w;
+    for (VertexId s = 0; s < 64; ++s) {
+      sim.reset();
+      sim.inject_spike(s, 0);
+      last = sim.run();
+      spikes += last.spikes;
+      deliveries += last.deliveries;
+      t_sum += last.end_time;
     }
+    const auto wall = static_cast<std::uint64_t>(w.seconds() * 1e9);
+    report.record("sssp/high_fanout/segmented")
+        .T(t_sum)
+        .spikes(spikes)
+        .events(deliveries)
+        .wall_ns(wall)
+        .set("deliveries_per_sec", rate_per_sec(deliveries, wall))
+        .set("fanout_segments", last.fanout_segments)
+        .set("bulk_appends", last.bulk_appends)
+        .set("pool_misses", last.pool_misses);
   }
 
   // Batched 64-source sweep with the driver's merged metrics attached.

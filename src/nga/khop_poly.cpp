@@ -160,7 +160,7 @@ KHopPolyResult khop_sssp_poly(const Graph& g, const KHopPolyOptions& opt) {
   // Freeze the compiled fabric, then launch: the source broadcasts
   // distance 0 (complement = all ones).
   const snn::CompiledNetwork compiled = net.compile();
-  snn::Simulator sim(compiled, opt.queue);
+  snn::Simulator sim(compiled);
   snn::inject_binary(sim, nodes[opt.source].max.outputs, kComplementMask, 0);
   sim.inject_spike(nodes[opt.source].out_valid, 0);
   for (const auto& pm : memory) {

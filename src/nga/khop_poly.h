@@ -40,8 +40,6 @@ struct KHopPolyOptions {
   std::optional<VertexId> target;
   /// Max-circuit construction for the per-node MIN (ablation knob).
   circuits::MaxKind max_kind = circuits::MaxKind::kWiredOr;
-  /// Event-queue implementation for the simulator (DESIGN.md §4 knob).
-  snn::QueueKind queue = snn::QueueKind::kCalendar;
   /// Build Section 4.3's IN-NETWORK path memory: per vertex, a one-hot→
   /// binary encoder over the MIN circuit's winner lines feeding k
   /// clock-strobed latch banks (circuits::RoundStore) — "the extra storage

@@ -246,7 +246,7 @@ KHopTtlResult khop_sssp_ttl(const Graph& g, const KHopTtlOptions& opt) {
   SGA_REQUIRE(g.num_edges() >= 1, "khop_sssp_ttl: graph has no edges");
 
   const KHopTtlCompiled compiled = compile_khop_ttl(g, opt.k, opt.max_kind);
-  snn::Simulator sim(compiled.network, opt.queue);
+  snn::Simulator sim(compiled.network);
   KHopTtlRunOptions ropt;
   ropt.source = opt.source;
   ropt.k = opt.k;

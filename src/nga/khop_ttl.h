@@ -38,8 +38,6 @@ struct KHopTtlOptions {
   std::optional<VertexId> target;
   /// Which Section-5 max circuit to instantiate at nodes (ablation knob).
   circuits::MaxKind max_kind = circuits::MaxKind::kWiredOr;
-  /// Event-queue implementation for the simulator (DESIGN.md §4 knob).
-  snn::QueueKind queue = snn::QueueKind::kCalendar;
 };
 
 /// Per-vertex wiring of a compiled k-hop fabric: the neuron ids a serve

@@ -105,7 +105,7 @@ SsspBatchResult spiking_sssp_batch(const Graph& g,
       if (i >= sources.size()) break;
       try {
         if (!sim) {
-          sim.emplace(net, opt.queue);
+          sim.emplace(net);
         } else {
           sim->reset();
         }

@@ -31,8 +31,6 @@ struct SsspBatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (≥ 1). The
   /// pool never exceeds the number of sources.
   unsigned num_threads = 0;
-  /// Event-queue implementation for the per-worker simulators.
-  snn::QueueKind queue = snn::QueueKind::kCalendar;
   /// Shard-parallelism mode (snn/parallel_sim.h): when > 0, the batch runs
   /// each source SEQUENTIALLY on one reusable sharded ParallelSimulator
   /// with this many shards and `num_threads` workers, instead of fanning

@@ -78,7 +78,7 @@ SpikingSsspResult spiking_sssp(const Graph& g, const SpikingSsspOptions& opt) {
 
   // build → freeze → simulate: mutation ends here.
   const snn::CompiledNetwork net = build_sssp_network(g).compile(opt.storage);
-  snn::Simulator sim(net, opt.queue, opt.fanout);
+  snn::Simulator sim(net);
   sim.inject_spike(opt.source, 0);
 
   snn::SimConfig cfg;

@@ -43,11 +43,6 @@ struct SpikingSsspOptions {
   bool record_parents = true;
   /// Safety horizon; kNever = none (the network quiesces on its own).
   Time max_time = kNever;
-  /// Event-queue implementation (DESIGN.md §4 ablation knob).
-  snn::QueueKind queue = snn::QueueKind::kCalendar;
-  /// Fan-out kernel (DESIGN.md §4 ablation knob): delay-segmented bulk
-  /// appends vs the legacy per-synapse loop.
-  snn::FanoutKind fanout = snn::FanoutKind::kSegmented;
   /// Freeze-time storage policy (ARCHITECTURE.md §1.8): kAuto narrows the
   /// CSR to the observed ranges; kWide keeps the full-width oracle layout.
   /// Drivers that re-freeze per phase on small graphs (max-flow) pin kWide

@@ -36,19 +36,13 @@ void append_widened(std::vector<T>& dst, const U* b, const U* e) {
 
 }  // namespace
 
-EventCore::EventCore(const CompiledNetwork& net, QueueKind queue,
-                     FanoutKind fanout)
-    : net_(&net), queue_kind_(queue), fanout_kind_(fanout) {
+EventCore::EventCore(const CompiledNetwork& net) : net_(&net) {
   init(net.max_delay());
 }
 
 EventCore::EventCore(const CompiledNetwork& local, const NeuronId* global_ids,
                      Delay max_delay, Remote* remote)
-    : net_(&local),
-      global_ids_(global_ids),
-      remote_(remote),
-      queue_kind_(QueueKind::kCalendar),
-      fanout_kind_(FanoutKind::kSegmented) {
+    : net_(&local), global_ids_(global_ids), remote_(remote) {
   record_steps_ = true;
   init(max_delay);
 }
@@ -61,12 +55,10 @@ void EventCore::init(Delay ring_delay) {
   }
   is_terminal_.assign(n, 0);
   is_watched_.assign(n, 0);
-  if (queue_kind_ == QueueKind::kCalendar) {
-    const std::size_t w = ring_size_for(ring_delay);
-    ring_.resize(w);
-    ring_occupied_.assign(w / 64, 0);
-    ring_mask_ = static_cast<Time>(w - 1);
-  }
+  const std::size_t w = ring_size_for(ring_delay);
+  ring_.resize(w);
+  ring_occupied_.assign(w / 64, 0);
+  ring_mask_ = static_cast<Time>(w - 1);
   std::visit(
       [&](const auto& st) {
         using Store = std::decay_t<decltype(st)>;
@@ -214,77 +206,29 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
   }
 }
 
-template <typename Store>
-void EventCore::fanout_per_synapse(const Store& st, NeuronId id, Time t) {
-  // Legacy per-synapse kernel (bench ablation + fuzzing oracle; serial
-  // cores only, so sources are local ids = global ids).
-  if constexpr (Store::kPackedLayout) {
-    // Per-synapse oracle over the packed layout: one whole-row decode,
-    // then single-element appends in flat order with the delay taken from
-    // the enclosing run — event-for-event identical to the flat oracle,
-    // including its per-synapse horizon `continue`.
-    const std::size_t rb = net_->out_begin(id);
-    if (net_->out_end(id) == rb) return;
-    decode_row(st, id, rb, net_->out_end(id));
-    const auto* wgt = st.weights.data();
-    const std::size_t se = net_->seg_end(id);
-    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
-      const auto d = static_cast<Delay>(st.seg_delays[s]);
-      const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
-      if (d > run_.max_time - t) {
-        stats_.hit_time_limit = true;
-        continue;
-      }
-      for (auto k = static_cast<std::size_t>(st.seg_syn_begin[s]); k < e;
-           ++k) {
-        Bucket& bucket = bucket_for(t + d, 1);
-        bucket.targets.push_back(decode_scratch_[k - rb]);
-        bucket.weights.push_back(static_cast<SynWeight>(wgt[k]));
-        if (run_.record_causes) bucket.sources.push_back(id);
-      }
-    }
-    return;
-  } else {
-    const std::size_t ke = net_->out_end(id);
-    for (std::size_t k = net_->out_begin(id); k < ke; ++k) {
-      const auto d = static_cast<Delay>(st.delays[k]);
-      if (d > run_.max_time - t) {
-        stats_.hit_time_limit = true;
-        continue;
-      }
-      Bucket& bucket = bucket_for(t + d, 1);
-      bucket.targets.push_back(static_cast<NeuronId>(st.targets[k]));
-      bucket.weights.push_back(static_cast<SynWeight>(st.weights[k]));
-      if (run_.record_causes) bucket.sources.push_back(id);
-    }
-  }
-}
-
 EventCore::Bucket& EventCore::bucket_for(Time t, std::uint64_t count) {
   pending_events_ += count;
   if (pending_events_ > stats_.peak_queue_events) {
     stats_.peak_queue_events = pending_events_;
   }
-  if (queue_kind_ == QueueKind::kCalendar) {
-    // Strict upper bound: a slot equal to the one currently being drained
-    // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
-    // draining a bucket in place is safe.
-    if (t - cursor_ < static_cast<Time>(ring_.size())) {
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      std::uint64_t& word = ring_occupied_[slot >> 6];
-      const std::uint64_t bit = 1ULL << (slot & 63);
-      if ((word & bit) == 0) {
-        // First event in this slot since it was last drained: hand it
-        // pooled storage (drained buckets donate theirs, so only a
-        // cold-start activation allocates).
-        word |= bit;
-        activate(ring_[slot]);
-      }
-      ring_events_ += count;
-      return ring_[slot];
+  // Strict upper bound: a slot equal to the one currently being drained
+  // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
+  // draining a bucket in place is safe.
+  if (t - cursor_ < static_cast<Time>(ring_.size())) {
+    const auto slot = static_cast<std::size_t>(t & ring_mask_);
+    std::uint64_t& word = ring_occupied_[slot >> 6];
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    if ((word & bit) == 0) {
+      // First event in this slot since it was last drained: hand it pooled
+      // storage (drained buckets donate theirs, so only a cold-start
+      // activation allocates).
+      word |= bit;
+      activate(ring_[slot]);
     }
-    stats_.overflow_spills += count;
+    ring_events_ += count;
+    return ring_[slot];
   }
+  stats_.overflow_spills += count;
   const auto [it, inserted] = spill_.try_emplace(t);
   if (inserted) activate(it->second);
   return it->second;
@@ -322,11 +266,6 @@ void EventCore::migrate_spill() {
 }
 
 bool EventCore::next_pending_time(Time* t, Time bound) {
-  if (queue_kind_ == QueueKind::kMap) {
-    if (spill_.empty()) return false;
-    *t = spill_.begin()->first;
-    return true;
-  }
   migrate_spill();
   if (ring_events_ == 0) {
     if (spill_.empty()) return false;
@@ -384,16 +323,12 @@ void EventCore::fire(const Store& st, NeuronRecord& rec, NeuronId id,
   if (first_fire && is_terminal_[id]) ++terminal_fires_;
   // CSR fan-out: the fired neuron's synapses are one contiguous, delay-
   // sorted slice of the flat delay/target/weight arrays. The horizon check
-  // inside the kernels is in subtraction form: t ≤ max_time always holds
+  // inside the kernel is in subtraction form: t ≤ max_time always holds
   // here, so max_time - t cannot overflow, while t + delay could (kNever
   // horizon × pseudopolynomial delay). Dropping work past the horizon
   // reports hit_time_limit, consistently with the pop-side check that
   // catches post-horizon injected spikes.
-  if (fanout_kind_ == FanoutKind::kSegmented) {
-    fanout_segmented(st, id, t);
-  } else {
-    fanout_per_synapse(st, id, t);
-  }
+  fanout_segmented(st, id, t);
   if (remote_ != nullptr) remote_->fan_out(id, t, stats_);
 }
 
@@ -430,17 +365,11 @@ void EventCore::drain(const Store& st, Time bound) {
     }
     // Drain the bucket in place: with delay ≥ 1 and the ring's strict
     // window bound, nothing scheduled during fire() can land back in the
-    // bucket being iterated (map nodes are reference-stable anyway).
-    Bucket* bucket = nullptr;
-    auto map_it = spill_.end();
-    if (queue_kind_ == QueueKind::kCalendar) {
-      cursor_ = t;
-      bucket = &ring_[static_cast<std::size_t>(t & ring_mask_)];
-      ring_events_ -= bucket->size();
-    } else {
-      map_it = spill_.begin();
-      bucket = &map_it->second;
-    }
+    // bucket being iterated.
+    cursor_ = t;
+    const auto slot = static_cast<std::size_t>(t & ring_mask_);
+    Bucket* const bucket = &ring_[slot];
+    ring_events_ -= bucket->size();
     pending_events_ -= bucket->size();
     if (bucket->size() > stats_.max_bucket_occupancy) {
       stats_.max_bucket_occupancy = bucket->size();
@@ -478,8 +407,8 @@ void EventCore::drain(const Store& st, Time bound) {
       if (causes) {
         // Deterministic selection: largest weight, ties broken by smallest
         // source id. Sources are global ids, so the rule is independent of
-        // delivery order and of sharding: every engine (serial, map-queue,
-        // sharded-parallel) reports the same cause. sources is populated
+        // delivery order and of sharding: the serial and the sharded engine
+        // report the same cause. sources is populated
         // exactly when record_causes is set.
         const NeuronId source = src[i];
         CauseScratch& best = accum_cause_[target];
@@ -539,12 +468,7 @@ void EventCore::drain(const Store& st, Time bound) {
     // Release the drained bucket: its storage (capacity intact) goes to the
     // pool for the next activation, keeping the steady state allocation-free.
     recycle(*bucket);
-    if (queue_kind_ == QueueKind::kCalendar) {
-      const auto slot = static_cast<std::size_t>(t & ring_mask_);
-      ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
-    } else {
-      spill_.erase(map_it);
-    }
+    ring_occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
 
     // Terminal resolution at the end of the terminal's own step — only
     // when this core owns the terminal count.

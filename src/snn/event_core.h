@@ -4,7 +4,7 @@
 // calendar ring and its sorted spill, the pooled SoA delivery buckets with
 // their high-watermark trim, one 64-byte NeuronRecord per neuron with
 // 16-bit reset stamps, and drain<Store> with fire() and the segmented
-// fan-out kernels, instantiated once per storage layout. snn::Simulator
+// fan-out kernel, instantiated once per storage layout. snn::Simulator
 // runs one core over the whole network. Each shard of
 // snn::ParallelSimulator runs one over its shard-local store
 // (CompiledNetwork::shard_split), so both engines execute the same
@@ -44,20 +44,6 @@ namespace sga::snn {
 struct SnapshotNeuron;  // snn/snapshot.h
 struct SnapshotBucket;
 
-/// Pending-event queue implementation (DESIGN.md §4 ablation knob).
-enum class QueueKind : std::uint8_t {
-  kCalendar,  ///< ring-bucket calendar queue + sorted overflow spill (default)
-  kMap,       ///< legacy std::map<Time, Bucket>; kept as the agreement oracle
-};
-
-/// Fan-out kernel implementation (DESIGN.md §4 ablation knob). Both run on
-/// the same delay-sorted CSR and produce event-for-event identical runs;
-/// kPerSynapse is kept for the bench ablation and as a fuzzing oracle.
-enum class FanoutKind : std::uint8_t {
-  kSegmented,   ///< one queue lookup per delay run, bulk SoA append (default)
-  kPerSynapse,  ///< legacy per-synapse queue lookup + single-element append
-};
-
 struct SimStats {
   std::uint64_t spikes = 0;            ///< total spike events
   std::uint64_t deliveries = 0;        ///< synaptic deliveries processed
@@ -72,38 +58,38 @@ struct SimStats {
   Time execution_time = kNever;
 
   // ---- Queue-level counters (surfaced by bench_simulator) --------------
-  /// Maximum number of pending events at any moment (identical across
-  /// queue kinds: it is a property of the event stream, not the queue).
+  /// Maximum number of pending events at any moment (a property of the
+  /// event stream, not of the queue that holds it).
   std::uint64_t peak_queue_events = 0;
   /// Largest single-time-step bucket drained.
   std::uint64_t max_bucket_occupancy = 0;
   /// Events that missed the calendar ring's window and went to the sorted
-  /// overflow spill (always 0 for QueueKind::kMap).
+  /// overflow spill.
   std::uint64_t overflow_spills = 0;
-  /// Empty ring slots skipped while seeking the next event time (calendar
-  /// only; measures how sparse the workload is relative to the window).
+  /// Empty ring slots skipped while seeking the next event time (measures
+  /// how sparse the workload is relative to the window).
   std::uint64_t empty_bucket_scans = 0;
-  /// Calendar ring size in buckets (0 for QueueKind::kMap).
+  /// Calendar ring size in buckets.
   std::uint32_t ring_buckets = 0;
 
   // ---- Fan-out kernel counters (ARCHITECTURE.md §1.6) ------------------
-  /// Delay segments walked by the segmented fire() kernel (0 under
-  /// FanoutKind::kPerSynapse). Engine-specific, like the queue counters:
-  /// the sharded engine walks intra and cross runs separately.
+  /// Delay segments walked by the fan-out kernel. Engine-specific, like the
+  /// queue counters: the sharded engine walks intra and cross runs
+  /// separately.
   std::uint64_t fanout_segments = 0;
   /// Bulk delivery appends issued (fanout_segments minus horizon-dropped
-  /// runs; 0 under FanoutKind::kPerSynapse).
+  /// runs).
   std::uint64_t bulk_appends = 0;
   /// Bucket activations whose delivery storage came from the drained-bucket
   /// pool (hit) vs. had to start from an empty vector (miss). After the
   /// first reset(), a steady-state rerun of the same workload reports
-  /// pool_misses == 0 — the allocation-free contract. The packed kernels'
+  /// pool_misses == 0 — the allocation-free contract. The packed kernel's
   /// row-decode scratch rides the same contract: it is a persistent
   /// per-simulator buffer, so packed steady-state reruns also report
   /// pool_misses == 0.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Packed-target blocks touched by the fan-out kernels' row decodes, +1
+  /// Packed-target blocks touched by the fan-out kernel's row decodes, +1
   /// per block a decoded row spans (0 for the flat encodings) — the packed
   /// ablation's work counter (ARCHITECTURE.md §1.11).
   std::uint64_t decode_blocks = 0;
@@ -177,18 +163,16 @@ class EventCore {
   };
 
   /// A core over the whole of `net` (the serial engine). BORROWS `net`.
-  EventCore(const CompiledNetwork& net, QueueKind queue, FanoutKind fanout);
+  explicit EventCore(const CompiledNetwork& net);
   /// A shard's core over its shard-local store `local` (BORROWED, as is
   /// `global_ids`, local → global). The ring is sized for `max_delay`, the
   /// whole network's, since mail arrives with cross-shard delays; `remote`
-  /// receives each fire's cross half. Shards always run the calendar queue
-  /// and the segmented kernel, and record the times they process (steps()).
+  /// receives each fire's cross half. Shard cores record the times they
+  /// process (steps()).
   EventCore(const CompiledNetwork& local, const NeuronId* global_ids,
             Delay max_delay, Remote* remote);
 
   const CompiledNetwork& network() const { return *net_; }
-  QueueKind queue_kind() const { return queue_kind_; }
-  FanoutKind fanout_kind() const { return fanout_kind_; }
 
   RunState& state() { return run_; }
   const RunState& state() const { return run_; }
@@ -265,8 +249,6 @@ class EventCore {
   void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
   template <typename Store>
   void fanout_segmented(const Store& st, NeuronId id, Time t);
-  template <typename Store>
-  void fanout_per_synapse(const Store& st, NeuronId id, Time t);
   /// Packed-layout helper: decode the targets of neuron `id`'s non-empty
   /// row [b, e) into decode_scratch_, counting one decode block per block
   /// the row touches. The decode starts at the row's own slot from its
@@ -325,8 +307,6 @@ class EventCore {
   const CompiledNetwork* net_;
   const NeuronId* global_ids_ = nullptr;  ///< null: local ids are global
   Remote* remote_ = nullptr;
-  QueueKind queue_kind_;
-  FanoutKind fanout_kind_;
   obs::Probe* probe_ = nullptr;  ///< cached flag for the disabled fast path
   RunState run_;
 
@@ -340,7 +320,7 @@ class EventCore {
   Time ring_mask_ = 0;
   Time cursor_ = -1;                  ///< last processed (or jumped-to) time
   std::uint64_t ring_events_ = 0;     ///< events currently in the ring
-  std::map<Time, Bucket> spill_;      ///< overflow; the whole queue for kMap
+  std::map<Time, Bucket> spill_;      ///< overflow, time-keyed
   std::uint64_t pending_events_ = 0;  ///< ring + spill, for the peak stat
   std::vector<Bucket> pool_;          ///< drained bucket storage, LIFO
   // Pool high-watermark trim: buckets currently holding delivery storage

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <bit>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -82,53 +81,27 @@ struct MailBox {
 };
 
 // One shard: an EventCore over the shard-local store, plus the cross half
-// of every fire (EventCore::Remote) and the two ways mail comes back in.
+// of every fire (EventCore::Remote) and the fold of the mail it receives.
 struct ParallelSimulator::Shard final : EventCore::Remote {
   Shard(const CompiledNetwork& local, const ShardCsr& shard_csr,
-        Delay max_delay, std::uint32_t shard_index)
+        Delay max_delay)
       : core(local, shard_csr.global_ids.data(), max_delay, this),
-        csr(&shard_csr),
-        index(shard_index) {}
+        csr(&shard_csr) {}
 
   EventCore core;
   const ShardCsr* csr;
-  std::uint32_t index;
 
   // ---- per-window summary, read by the coordinator at the barrier ------
   Time out_min_time_ = kNoTime;  ///< earliest mailbox arrival written
   Time next_time_ = kNoTime;     ///< earliest pending local event
   MailBox* out_ = nullptr;       ///< S outboxes, current parity
 
-  // ---- shared-atomic cross channel (EngineKind::kSharedAtomic) ---------
-  // Views into the parent's slot-major ring (parallel_sim.h). All writes
-  // are relaxed atomic RMWs; inter-thread ordering comes solely from the
-  // window barrier, and the ring sizing guarantees a slot being folded
-  // never has a concurrent writer (ARCHITECTURE.md §1.10).
-  std::atomic<SynWeight>* aw_ = nullptr;
-  std::atomic<std::uint32_t>* ac_ = nullptr;
-  std::atomic<std::uint64_t>* atouch_ = nullptr;
-  std::atomic<std::uint64_t>* aocc_ = nullptr;
-  const std::size_t* entry_base_ = nullptr;  ///< parent-owned, per shard
-  const std::size_t* word_base_ = nullptr;
-  std::size_t slot_entries_ = 0;
-  std::size_t slot_words_ = 0;
-  std::size_t occ_words_ = 0;
-  Time atom_mask_ = 0;
-  bool atomic_cross_ = false;  ///< set per run (off when recording causes)
-  /// Earliest arrival still parked in the shared ring (≥ the window end at
-  /// the last fold); read by the coordinator at the barrier.
-  Time shared_next_ = kNoTime;
-
   /// Cross-shard fan-out, one run per (dst-shard, delay) segment. Runs are
   /// (shard, delay)-ordered, NOT globally delay-ascending, so a horizon
-  /// hit skips the run but keeps scanning.
-  ///
-  /// kMailbox: appended to the destination outbox's run for the arrival
-  /// time — only this shard's worker writes those boxes during the window;
-  /// the barrier hands them over. kSharedAtomic: relaxed fetch-ops into
-  /// the destination's accumulation slots of the shared ring (weight sum +
-  /// delivery count per target, plus touched/occupancy bitmaps); the
-  /// destination folds them at its next window start.
+  /// hit skips the run but keeps scanning. Each run is appended to the
+  /// destination outbox's run for the arrival time — only this shard's
+  /// worker writes those boxes during the window; the barrier hands them
+  /// over.
   void fan_out(NeuronId lid, Time t, SimStats& st) override {
     const EventCore::RunState& rs = core.state();
     const NeuronId gid = csr->global_ids[lid];
@@ -145,36 +118,16 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
       const Time at = t + d;
       const std::size_t b = csr->cross_seg_begin[s];
       const std::size_t e = csr->cross_seg_end[s];
-      if (atomic_cross_) {
-        const std::uint32_t ds = csr->cross_seg_shard[s];
-        const auto slot = static_cast<std::size_t>(at & atom_mask_);
-        std::atomic<SynWeight>* w =
-            aw_ + slot * slot_entries_ + entry_base_[ds];
-        std::atomic<std::uint32_t>* c =
-            ac_ + slot * slot_entries_ + entry_base_[ds];
-        std::atomic<std::uint64_t>* tw =
-            atouch_ + slot * slot_words_ + word_base_[ds];
-        for (std::size_t j = b; j < e; ++j) {
-          const NeuronId local = clocal[j];
-          w[local].fetch_add(cwgt[j], std::memory_order_relaxed);
-          c[local].fetch_add(1, std::memory_order_relaxed);
-          tw[local >> 6].fetch_or(1ULL << (local & 63),
-                                  std::memory_order_relaxed);
-        }
-        aocc_[static_cast<std::size_t>(ds) * occ_words_ + (slot >> 6)]
-            .fetch_or(1ULL << (slot & 63), std::memory_order_relaxed);
+      MailBox::Run& run = out_[csr->cross_seg_shard[s]].run_for(at);
+      if (e - b == 1) {  // singleton run: push_back, as the core kernel
+        run.targets.push_back(clocal[b]);
+        run.weights.push_back(cwgt[b]);
+        if (rs.record_causes) run.sources.push_back(gid);
       } else {
-        MailBox::Run& run = out_[csr->cross_seg_shard[s]].run_for(at);
-        if (e - b == 1) {  // singleton run: push_back, as the core kernel
-          run.targets.push_back(clocal[b]);
-          run.weights.push_back(cwgt[b]);
-          if (rs.record_causes) run.sources.push_back(gid);
-        } else {
-          run.targets.insert(run.targets.end(), clocal + b, clocal + e);
-          run.weights.insert(run.weights.end(), cwgt + b, cwgt + e);
-          if (rs.record_causes) {
-            run.sources.insert(run.sources.end(), e - b, gid);
-          }
+        run.targets.insert(run.targets.end(), clocal + b, clocal + e);
+        run.weights.insert(run.weights.end(), cwgt + b, cwgt + e);
+        if (rs.record_causes) {
+          run.sources.insert(run.sources.end(), e - b, gid);
         }
       }
       ++st.bulk_appends;
@@ -212,75 +165,6 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
     }
   }
 
-  /// Fold this shard's fully-published shared-atomic slots into the
-  /// private queue (kSharedAtomic counterpart of drain_inboxes).
-  ///
-  /// `base` is a known lower bound on every parked arrival (the window
-  /// start, or the global next-event floor at a pause), so a slot's time is
-  /// reconstructed uniquely as base + ((slot - base) mod W): the ring
-  /// sizing keeps all live arrivals inside [base, base + W). Slots at or
-  /// past `bound` (the window end) may still be receiving concurrent
-  /// writes from shards already executing the new window — they are left
-  /// in place and only contribute to shared_next_. Concurrently-added
-  /// occupancy bits this scan misses are covered by the writing shard's
-  /// out_min_time_ at the barrier, so the coordinator never loses an
-  /// arrival.
-  ///
-  /// Each folded slot entry becomes one delivery carrying the accumulated
-  /// weight sum plus count-1 zero-weight paddings to the same target:
-  /// potentials are exact for integer weights (sums are order-free), and
-  /// delivery counts, bucket occupancies, touched sets, and probe delivery
-  /// counts all match the mailbox engine entry-for-entry.
-  void drain_shared(Time base, Time bound) {
-    shared_next_ = kNoTime;
-    if (aw_ == nullptr) return;
-    const std::size_t nloc = csr->num_neurons();
-    const std::size_t my_words = (nloc + 63) >> 6;
-    const std::size_t occ_base =
-        static_cast<std::size_t>(index) * occ_words_;
-    for (std::size_t w = 0; w < occ_words_; ++w) {
-      std::uint64_t word = aocc_[occ_base + w].load(std::memory_order_relaxed);
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const Time t = base + ((static_cast<Time>(slot) - base) & atom_mask_);
-        if (t >= bound) {
-          if (t < shared_next_) shared_next_ = t;
-          continue;
-        }
-        aocc_[occ_base + w].fetch_and(~(1ULL << (slot & 63)),
-                                      std::memory_order_relaxed);
-        std::atomic<std::uint64_t>* tw =
-            atouch_ + slot * slot_words_ + word_base_[index];
-        std::atomic<SynWeight>* sw =
-            aw_ + slot * slot_entries_ + entry_base_[index];
-        std::atomic<std::uint32_t>* sc =
-            ac_ + slot * slot_entries_ + entry_base_[index];
-        for (std::size_t wi = 0; wi < my_words; ++wi) {
-          std::uint64_t tword = tw[wi].load(std::memory_order_relaxed);
-          if (tword == 0) continue;
-          tw[wi].store(0, std::memory_order_relaxed);
-          while (tword != 0) {
-            const NeuronId local = static_cast<NeuronId>(
-                (wi << 6) + static_cast<std::size_t>(std::countr_zero(tword)));
-            tword &= tword - 1;
-            const SynWeight sum = sw[local].exchange(0, std::memory_order_relaxed);
-            const std::uint32_t cnt =
-                sc[local].exchange(0, std::memory_order_relaxed);
-            EventCore::Bucket& bucket = core.bucket_for(t, cnt);
-            bucket.targets.push_back(local);
-            bucket.weights.push_back(sum);
-            for (std::uint32_t k = 1; k < cnt; ++k) {
-              bucket.targets.push_back(local);
-              bucket.weights.push_back(0);
-            }
-          }
-        }
-      }
-    }
-  }
-
   /// Process every pending event with time < wend through the core, then
   /// record the earliest event left for the coordinator.
   void advance_window(Time wend) {
@@ -294,8 +178,6 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
   void reset() {
     core.reset();
     out_min_time_ = kNoTime;
-    shared_next_ = kNoTime;
-    atomic_cross_ = false;
     next_time_ = kNoTime;
   }
 };
@@ -317,8 +199,6 @@ ParallelSimulator::~ParallelSimulator() = default;
 void ParallelSimulator::configure(ParallelConfig config) {
   SGA_REQUIRE(config.max_window >= 1,
               "ParallelSimulator: max_window must be >= 1");
-  SGA_REQUIRE(config.steal_skew >= 1.0,
-              "ParallelSimulator: steal_skew must be >= 1");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned requested = config.num_threads != 0 ? config.num_threads : hw;
   const std::size_t shards = config.num_shards != 0
@@ -326,9 +206,6 @@ void ParallelSimulator::configure(ParallelConfig config) {
                                  : static_cast<std::size_t>(requested);
   threads_ = static_cast<unsigned>(std::min<std::size_t>(requested, shards));
   max_window_ = config.max_window;
-  engine_ = config.engine;
-  stealing_ = config.work_stealing;
-  steal_skew_ = config.steal_skew;
   split_ = net_->shard_split(make_partition(*net_, shards, config.partition));
   lookahead_ = split_.min_cross_delay == 0
                    ? max_window_
@@ -336,67 +213,13 @@ void ParallelSimulator::configure(ParallelConfig config) {
   // Keep wstart_ + window_len_ overflow-free for any config: event times
   // never exceed kNever (= max/4), so this clamp cannot change results.
   lookahead_ = std::min(lookahead_, kNever);
-  init();
-}
-
-void ParallelSimulator::init() {
-  const std::size_t s = split_.partition.num_shards;
   shards_.clear();
-  for (std::size_t i = 0; i < s; ++i) {
+  for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        split_.intra[i], split_.shards[i], net_->max_delay(),
-        static_cast<std::uint32_t>(i)));
+        split_.intra[i], split_.shards[i], net_->max_delay()));
   }
-  mail_[0].assign(s * s, {});
-  mail_[1].assign(s * s, {});
-
-  // Shared-atomic delivery ring. W ≥ window + max_delay + 1 gives the two
-  // invariants §1.10 relies on: (a) every live arrival lies within W slots
-  // of the window start, so slot→time reconstruction is unique, and (b) a
-  // slot folded this window (time < wend) can never alias a concurrent
-  // write (times ≥ wend, all < wend + max_delay ≤ fold time + W).
-  atom_slots_ = 0;
-  if (engine_ == EngineKind::kSharedAtomic && split_.num_cross_synapses > 0) {
-    const auto want = static_cast<std::uint64_t>(lookahead_) +
-                      static_cast<std::uint64_t>(net_->max_delay()) + 1;
-    const std::uint64_t w = std::bit_ceil(std::max<std::uint64_t>(want, 64));
-    const std::size_t n = net_->num_neurons();
-    SGA_REQUIRE(w * n <= (1ull << 28),
-                "kSharedAtomic: shared ring would need "
-                    << w * n << " accumulation slots (" << w
-                    << " time slots x " << n
-                    << " neurons); use kMailbox for this delay range");
-    atom_slots_ = static_cast<std::size_t>(w);
-    slot_entries_ = n;
-    occ_words_ = atom_slots_ / 64;
-    entry_base_.assign(s + 1, 0);
-    word_base_.assign(s + 1, 0);
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::size_t local_n = split_.shards[i].num_neurons();
-      entry_base_[i + 1] = entry_base_[i] + local_n;
-      word_base_[i + 1] = word_base_[i] + ((local_n + 63) >> 6);
-    }
-    slot_words_ = word_base_[s];
-    atom_weight_ = std::vector<std::atomic<SynWeight>>(atom_slots_ * n);
-    atom_count_ =
-        std::vector<std::atomic<std::uint32_t>>(atom_slots_ * n);
-    atom_touched_ =
-        std::vector<std::atomic<std::uint64_t>>(atom_slots_ * slot_words_);
-    atom_occ_ = std::vector<std::atomic<std::uint64_t>>(s * occ_words_);
-    for (std::size_t i = 0; i < s; ++i) {
-      Shard& sh = *shards_[i];
-      sh.aw_ = atom_weight_.data();
-      sh.ac_ = atom_count_.data();
-      sh.atouch_ = atom_touched_.data();
-      sh.aocc_ = atom_occ_.data();
-      sh.entry_base_ = entry_base_.data();
-      sh.word_base_ = word_base_.data();
-      sh.slot_entries_ = slot_entries_;
-      sh.slot_words_ = slot_words_;
-      sh.occ_words_ = occ_words_;
-      sh.atom_mask_ = static_cast<Time>(atom_slots_ - 1);
-    }
-  }
+  mail_[0].assign(shards * shards, {});
+  mail_[1].assign(shards * shards, {});
 }
 
 void ParallelSimulator::inject_spike(NeuronId id, Time t) {
@@ -468,14 +291,12 @@ void ParallelSimulator::plan_next_window() try {
     return;
   }
 
-  // Global earliest pending event: shard queues, mail written in the
-  // window just finished (it is not in any queue until drained), and
-  // arrivals still parked in the shared-atomic ring.
+  // Global earliest pending event: shard queues and the mail written in
+  // the window just finished (it is not in any queue until drained).
   Time next = kNoTime;
   for (const auto& sh : shards_) {
     next = std::min(next, sh->next_time_);
     next = std::min(next, sh->out_min_time_);
-    next = std::min(next, sh->shared_next_);
   }
   if (next == kNoTime) {
     done_ = true;  // quiescence
@@ -493,13 +314,8 @@ void ParallelSimulator::plan_next_window() try {
     // the destination shards' queues now, single-threaded, so the COMPLETE
     // pending-event set lives in shard queues — that is the state
     // snapshot() enumerates and run() resumes from. Nothing is dropped.
-    // The shared-atomic ring folds the same way: `next` lower-bounds every
-    // parked arrival, and with all workers at the barrier there are no
-    // concurrent writers, so an unbounded drain empties the ring.
-    const std::size_t nshards = shards_.size();
-    for (std::size_t i = 0; i < nshards; ++i) {
-      shards_[i]->drain_inboxes(mail_[parity_].data() + i, nshards, nshards);
-      if (use_atomic_cross_) shards_[i]->drain_shared(next, kNoTime);
+    for (std::size_t i = 0; i < s; ++i) {
+      shards_[i]->drain_inboxes(mail_[parity_].data() + i, s, s);
       shards_[i]->out_min_time_ = kNoTime;
     }
     paused_ = true;
@@ -515,80 +331,18 @@ void ParallelSimulator::plan_next_window() try {
   for (std::size_t i = 0; i < s; ++i) {
     shards_[i]->out_ = mail_[p].data() + i * s;
   }
-  assign_shards();
 } catch (...) {
   if (!error_) error_ = std::current_exception();
   done_ = true;
 }
 
-void ParallelSimulator::assign_shards() {
-  const std::size_t s = shards_.size();
-  const unsigned workers = workers_;
-  assign_.resize(s);
-  for (std::size_t i = 0; i < s; ++i) {
-    assign_[i] = static_cast<std::uint32_t>(i % workers);
-  }
-  // Deterministic per-window work stealing: estimate each shard's coming
-  // work as its private queue depth (cheap, and a pure function of the
-  // simulation state — mail/shared arrivals not yet folded are invisible,
-  // identically so on every run). If the static round-robin deal leaves
-  // one worker with more than steal_skew × the best achievable (LPT)
-  // maximum, adopt the LPT deal; a shard executing away from its static
-  // owner counts as one steal. Shard state is self-contained, so WHICH
-  // worker runs a shard can never change results — only the metric needs
-  // determinism, and it gets it by construction.
-  if (!stealing_ || workers < 2 || s <= workers) return;
-  est_scratch_.assign(workers, 0);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const std::uint64_t e = shards_[i]->core.pending_events();
-    est_scratch_[i % workers] += e;
-    total += e;
-  }
-  const std::uint64_t max_static =
-      *std::max_element(est_scratch_.begin(), est_scratch_.end());
-  if (max_static == 0) return;
-  order_scratch_.resize(s);
-  for (std::size_t i = 0; i < s; ++i) {
-    order_scratch_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return shards_[a]->core.pending_events() >
-                            shards_[b]->core.pending_events();
-                   });
-  est_scratch_.assign(workers, 0);
-  deal_scratch_.assign(s, 0);
-  for (const std::uint32_t shard : order_scratch_) {
-    unsigned best = 0;
-    for (unsigned w = 1; w < workers; ++w) {
-      if (est_scratch_[w] < est_scratch_[best]) best = w;
-    }
-    deal_scratch_[shard] = best;
-    est_scratch_[best] += shards_[shard]->core.pending_events();
-  }
-  const std::uint64_t max_lpt =
-      *std::max_element(est_scratch_.begin(), est_scratch_.end());
-  const double skew = static_cast<double>(max_static) /
-                      std::max(1.0, static_cast<double>(total) / workers);
-  skew_max_ = std::max(skew_max_, skew);
-  if (static_cast<double>(max_static) <=
-      steal_skew_ * static_cast<double>(max_lpt)) {
-    return;
-  }
-  for (std::size_t i = 0; i < s; ++i) {
-    if (deal_scratch_[i] != assign_[i]) ++steals_;
-    assign_[i] = deal_scratch_[i];
-  }
-}
-
 void ParallelSimulator::advance_owned_shards(unsigned worker) {
+  // Static round-robin: shard state is self-contained, so which worker
+  // runs a shard never changes results.
   const std::size_t s = shards_.size();
-  for (std::size_t i = 0; i < s; ++i) {
-    if (assign_[i] != worker) continue;
+  for (std::size_t i = worker; i < s; i += workers_) {
     // Inboxes for shard i under read parity: mail_[1 - parity_][src*s + i].
     shards_[i]->drain_inboxes(mail_[1 - parity_].data() + i, s, s);
-    if (use_atomic_cross_) shards_[i]->drain_shared(wstart_, wend_);
     shards_[i]->advance_window(wend_);
   }
 }
@@ -672,12 +426,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     }
   }
 
-  // The shared-atomic ring cannot carry per-delivery provenance, so a
-  // cause-recording run transparently uses the mailbox channel instead
-  // (EngineKind::kSharedAtomic doc). The ring is empty at every run entry:
-  // fresh/reset()/restored simulators never touched it, and a pause folds
-  // it into the shard queues.
-  use_atomic_cross_ = atom_slots_ != 0 && !config.record_causes;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
     EventCore::RunState& rs = sh.core.state();
@@ -686,8 +434,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     rs.watch_all = watch_all;
     rs.max_time = max_time_;
     sh.core.set_probe(probe_ != nullptr ? shard_probes_[i].get() : nullptr);
-    sh.atomic_cross_ = use_atomic_cross_;
-    sh.shared_next_ = kNoTime;
     sh.next_time_ = kNoTime;
     Time t = 0;
     // wend = 0: the pre-run peek must never move the cursor — the first
@@ -709,7 +455,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
       1u, std::min<unsigned>(threads_,
                              static_cast<unsigned>(shards_.size())));
   workers_ = workers;
-  const std::uint64_t steals0 = steals_;
   if (workers == 1) {
     while (true) {
       plan_next_window();
@@ -769,8 +514,6 @@ SimStats ParallelSimulator::run(const SimConfig& config) {
     caller_metrics->add("sim.spikes", stats_.spikes - spikes0);
     caller_metrics->add("sim.deliveries", stats_.deliveries - deliveries0);
     caller_metrics->add("sim.event_times", stats_.event_times - event_times0);
-    caller_metrics->add("psim.steals", steals_ - steals0);
-    caller_metrics->gauge("psim.skew", skew_max_);
     caller_metrics->gauge("psim.shards", static_cast<double>(shards_.size()));
     caller_metrics->gauge("psim.threads", static_cast<double>(workers));
   }
@@ -833,53 +576,11 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
   }
 }
 
-void ParallelSimulator::clear_shared_slots() {
-  // A run that stopped at a terminal or the horizon can leave undelivered
-  // arrivals parked in the shared ring (exactly as the mailbox engine
-  // leaves undrained mail); reset() discards both the same way. O(occupied
-  // slots) — single-threaded, plain loads/stores through the atomics.
-  if (atom_slots_ == 0) return;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t local_n = split_.shards[s].num_neurons();
-    const std::size_t my_words = (local_n + 63) >> 6;
-    for (std::size_t w = 0; w < occ_words_; ++w) {
-      std::uint64_t word =
-          atom_occ_[s * occ_words_ + w].load(std::memory_order_relaxed);
-      if (word == 0) continue;
-      atom_occ_[s * occ_words_ + w].store(0, std::memory_order_relaxed);
-      while (word != 0) {
-        const std::size_t slot =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        for (std::size_t wi = 0; wi < my_words; ++wi) {
-          std::atomic<std::uint64_t>& tw =
-              atom_touched_[slot * slot_words_ + word_base_[s] + wi];
-          std::uint64_t tword = tw.load(std::memory_order_relaxed);
-          if (tword == 0) continue;
-          tw.store(0, std::memory_order_relaxed);
-          while (tword != 0) {
-            const std::size_t local =
-                (wi << 6) + static_cast<std::size_t>(std::countr_zero(tword));
-            tword &= tword - 1;
-            const std::size_t e = slot * slot_entries_ + entry_base_[s] + local;
-            atom_weight_[e].store(0, std::memory_order_relaxed);
-            atom_count_[e].store(0, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-  }
-}
-
 void ParallelSimulator::reset() {
   for (const auto& sh : shards_) sh->reset();
   for (int p = 0; p < 2; ++p) {
     for (auto& box : mail_[p]) box.clear();
   }
-  clear_shared_slots();
-  steals_ = 0;
-  skew_max_ = 0.0;
-  use_atomic_cross_ = false;
   shard_probes_.clear();
   log_.clear();
   stats_ = SimStats{};

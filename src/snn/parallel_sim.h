@@ -5,7 +5,7 @@
 // shards (snn/partition.h) and runs one EventCore per shard over the
 // shard-local store CompiledNetwork::shard_split froze from its
 // intra-shard synapses — the same drain loop, records, queue and fan-out
-// kernels, for every store encoding. All shards advance in lock-stepped
+// kernel, for every store encoding. All shards advance in lock-stepped
 // windows of δ time steps, where δ is the smallest CROSS-shard synapse
 // delay. Definition 1 guarantees every synaptic delay is ≥ δ_min ≥ 1,
 // which is exactly the conservative lookahead condition of parallel
@@ -18,15 +18,11 @@
 // over and the destination folds each arrival time into its own queue
 // with one bulk append at the start of the next window.
 //
-// Three knobs attack the parallel-vs-serial gap, each independently
-// switchable for ablation (ARCHITECTURE.md §1.10):
-//   * PartitionKind::kCutRefined (default) — cut-minimizing placement that
-//     shrinks cross traffic without ever shrinking the δ window;
-//   * ParallelConfig::work_stealing — deterministic per-window shard
-//     re-dealing when the static round-robin map is load-skewed
-//     (psim.steals / psim.skew metrics);
-//   * EngineKind::kSharedAtomic — the shared-atomics delivery ring of
-//     arXiv 2107.04092 as an alternative to mailboxes.
+// One knob attacks the parallel-vs-serial gap (ARCHITECTURE.md §1.10):
+// PartitionKind::kCutRefined (default) is a cut-minimizing placement that
+// shrinks cross traffic without ever shrinking the δ window; kLpt is the
+// edge-blind load-balancing alternative. Shards map to workers statically,
+// round-robin (shard i runs on worker i mod threads).
 //
 // Exactness contract (enforced by tests/test_parallel_agreement.cpp): a
 // ParallelSimulator run is event-for-event identical to the serial
@@ -63,8 +59,8 @@
 // pattern as nga::spiking_sssp_batch (docs/OBSERVABILITY.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -83,21 +79,6 @@ namespace sga::snn {
 /// one SoA run per arrival time in fire order. Defined in parallel_sim.cpp.
 struct MailBox;
 
-/// Cross-shard delivery engine (ARCHITECTURE.md §1.10).
-enum class EngineKind : std::uint8_t {
-  /// Double-buffered per-(src shard, dst shard) SoA mailboxes exchanged at
-  /// the window barrier (the PR-4 design). Supports every SimConfig.
-  kMailbox,
-  /// One shared ring of per-(time slot, neuron) atomic accumulation slots
-  /// (weight sum + delivery count), written with relaxed fetch-ops by the
-  /// firing shard and folded into the owner's queue at the next barrier —
-  /// the shared-atomics delivery design of arXiv 2107.04092. Exact for
-  /// integer-valued weights (sums are order-free there). record_causes
-  /// needs per-delivery provenance that an accumulator cannot carry, so
-  /// cause-recording runs transparently fall back to the mailbox channel.
-  kSharedAtomic,
-};
-
 struct ParallelConfig {
   /// Number of shards S; 0 = the resolved thread count. S may exceed the
   /// thread count (shards are multiplexed round-robin onto workers) and
@@ -115,16 +96,6 @@ struct ParallelConfig {
   /// minimizes 1/delay-weighted cross edges without ever shrinking the δ
   /// window; kLpt is the edge-blind load-balancing oracle.
   PartitionKind partition = PartitionKind::kCutRefined;
-  /// Cross-shard delivery engine; results are identical either way.
-  EngineKind engine = EngineKind::kMailbox;
-  /// Per-window deterministic work stealing: when the static round-robin
-  /// shard→worker map would leave one worker with more than steal_skew ×
-  /// the best achievable (LPT over per-shard queue-depth estimates) load,
-  /// the coordinator re-deals the shards at the barrier. Pure function of
-  /// the simulation state — steal counts and all results are reproducible.
-  bool work_stealing = true;
-  /// Stealing trigger threshold (≥ 1; higher = steal less eagerly).
-  double steal_skew = 1.5;
 };
 
 class ParallelSimulator {
@@ -146,16 +117,7 @@ class ParallelSimulator {
   /// cross-shard delay, clamped to [1, max_window] (max_window when no
   /// cross-shard synapse exists).
   Time lookahead() const { return lookahead_; }
-  EngineKind engine() const { return engine_; }
   PartitionKind partition_kind() const { return split_.partition.kind; }
-  bool work_stealing() const { return stealing_; }
-  /// Shards executed by a worker other than their static round-robin owner,
-  /// cumulative since construction/reset(). Deterministic (see
-  /// ParallelConfig::work_stealing); also reported as `psim.steals`.
-  std::uint64_t steals() const { return steals_; }
-  /// Largest per-window load skew observed (max static worker load over
-  /// the ideal total/workers share); also reported as `psim.skew`.
-  double max_skew() const { return skew_max_; }
 
   /// Same contract as Simulator::inject_spike. Must precede run().
   void inject_spike(NeuronId id, Time t);
@@ -171,8 +133,8 @@ class ParallelSimulator {
   /// Serialize the complete simulation state into the SAME engine-agnostic
   /// versioned format as Simulator::snapshot() (global neuron ids; shard
   /// structure is not part of the image). A parallel snapshot restores
-  /// into a serial Simulator, either queue kind, or a ParallelSimulator
-  /// with a DIFFERENT shard count — and vice versa.
+  /// into a serial Simulator or a ParallelSimulator with a DIFFERENT shard
+  /// count — and vice versa.
   std::vector<std::uint8_t> snapshot() const;
   /// All-or-nothing restore; see Simulator::restore. Probe data is not
   /// part of the image (probes are observers, not simulation state).
@@ -222,18 +184,13 @@ class ParallelSimulator {
   /// Shared constructor tail: resolve threads/shards, partition, split,
   /// and build per-shard state.
   void configure(ParallelConfig config);
-  void init();
   /// Coordinator step run at every barrier (and before the first window):
   /// folds the finished window's shard summaries into global stats,
   /// resolves terminals, and either publishes the next window or sets
   /// done_. Never throws (errors latch error_ and stop the run).
   void plan_next_window();
-  /// Deterministic shard→worker map for the window just published: static
-  /// round-robin unless work stealing triggers (see plan_next_window).
-  void assign_shards();
+  /// Run this window for the shards of `worker`: i ≡ worker (mod workers_).
   void advance_owned_shards(unsigned worker);
-  /// Zero every occupied shared-atomic slot (reset/restore path).
-  void clear_shared_slots();
   /// Fold shard counters/logs into stats_/log_. Idempotent: counters are
   /// ASSIGNED as base_ (restored/pre-pause cumulative) + per-shard sums, so
   /// it runs once per pause AND once at completion without double-counting.
@@ -253,26 +210,6 @@ class ParallelSimulator {
   unsigned threads_ = 1;
   Time lookahead_ = 1;   ///< quiescent-mode window length
   Time max_window_ = 1;  ///< config cap
-  EngineKind engine_ = EngineKind::kMailbox;
-  bool stealing_ = true;
-  double steal_skew_ = 1.5;
-
-  // ---- shared-atomic delivery ring (EngineKind::kSharedAtomic) ---------
-  // Slot-major flat arrays over W = atom_slots_ time slots × n neurons
-  // (grouped per destination shard inside a slot). Allocated once in
-  // init() iff the engine is kSharedAtomic and cross synapses exist; the
-  // ring is sized W ≥ window + max_delay + 1 so a slot being folded can
-  // never receive a concurrent write (ARCHITECTURE.md §1.10).
-  std::size_t atom_slots_ = 0;    ///< W (power of two); 0 = not allocated
-  std::size_t slot_entries_ = 0;  ///< entries per slot (= n)
-  std::size_t slot_words_ = 0;    ///< touched-bitmap words per slot
-  std::size_t occ_words_ = 0;     ///< occupancy words per shard (W/64)
-  std::vector<std::size_t> entry_base_;  ///< shard → entry offset in a slot
-  std::vector<std::size_t> word_base_;   ///< shard → touched-word offset
-  std::vector<std::atomic<SynWeight>> atom_weight_;
-  std::vector<std::atomic<std::uint32_t>> atom_count_;
-  std::vector<std::atomic<std::uint64_t>> atom_touched_;
-  std::vector<std::atomic<std::uint64_t>> atom_occ_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Double-buffered mailboxes, flattened [parity][src * S + dst]. During
@@ -298,15 +235,7 @@ class ParallelSimulator {
   int parity_ = 0;  ///< mailbox parity of the window being executed
   bool done_ = false;
   bool first_plan_ = true;
-  bool use_atomic_cross_ = false;  ///< this run delivers cross via atomics
-  unsigned workers_ = 1;           ///< resolved worker count of this run
-  /// shard → executing worker for the current window (see assign_shards).
-  std::vector<std::uint32_t> assign_;
-  std::vector<std::uint64_t> est_scratch_;     ///< per-worker load scratch
-  std::vector<std::uint32_t> order_scratch_;   ///< shard order scratch
-  std::vector<std::uint32_t> deal_scratch_;    ///< candidate LPT deal
-  std::uint64_t steals_ = 0;
-  double skew_max_ = 0.0;
+  unsigned workers_ = 1;  ///< resolved worker count of this run
   Time max_time_ = kNever;
   std::uint64_t terminals_remaining_ = 0;
   bool terminal_fired_ = false;

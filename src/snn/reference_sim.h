@@ -5,11 +5,12 @@
 //      chasing the per-neuron std::vector<Synapse> on every fired neuron,
 //      std::map bucket queue — with step semantics identical to
 //      snn::Simulator (same per-step delivery aggregation, forced-spike
-//      handling, closed-form leak, horizon rules). test_fuzz_agreement
-//      asserts spike-trace equality of this interpreter, the CSR simulator
-//      with the map queue, and the CSR simulator with the calendar queue,
-//      which is what certifies the compile()/CSR rewrite preserved
-//      semantics.
+//      handling, closed-form leak, horizon rules). It is the one
+//      differential oracle of both production engines: the fuzz, property
+//      and golden suites assert that the CSR simulator (calendar queue,
+//      segmented fan-out) and the sharded engine reproduce its spike
+//      traces and final potentials, which is what certifies the
+//      compile()/CSR rewrite preserved semantics.
 //   2. Ablation baseline. bench_simulator measures it against the CSR
 //      simulator on the same workload, so the flat-layout win is a number,
 //      not an assertion.
@@ -43,6 +44,9 @@ class ReferenceSimulator {
 
   Time first_spike(NeuronId id) const;
   const std::vector<Time>& first_spikes() const { return first_spike_; }
+  /// Membrane potential as of each neuron's last update, indexed by id
+  /// (Simulator::potential's semantics).
+  const std::vector<Voltage>& potentials() const { return v_; }
   const std::vector<std::pair<Time, NeuronId>>& spike_log() const {
     return spike_log_;
   }

@@ -9,13 +9,11 @@
 
 namespace sga::snn {
 
-Simulator::Simulator(const CompiledNetwork& net, QueueKind queue,
-                     FanoutKind fanout)
-    : core_(net, queue, fanout) {}
+Simulator::Simulator(const CompiledNetwork& net) : core_(net) {}
 
-Simulator::Simulator(const Network& net, QueueKind queue, FanoutKind fanout)
+Simulator::Simulator(const Network& net)
     : owned_(std::make_unique<const CompiledNetwork>(net.compile())),
-      core_(*owned_, queue, fanout) {}
+      core_(*owned_) {}
 
 void Simulator::attach_probe(obs::Probe& probe) {
   probe.bind(network().num_neurons());

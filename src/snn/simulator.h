@@ -15,9 +15,8 @@
 // time is found with a per-slot occupancy bitmap (one countr_zero per 64
 // slots). Events beyond the window — far-future injections, or synapse
 // delays larger than the clamped ring — spill into a sorted std::map and
-// migrate into the ring as the window slides past them. The legacy
-// std::map<Time, Bucket> queue is retained behind QueueKind::kMap as the
-// agreement oracle for tests and the bench ablation.
+// migrate into the ring as the window slides past them. The differential
+// oracle for this engine is snn::ReferenceSimulator (snn/reference_sim.h).
 //
 // Reuse: reset() rewinds the simulator for another run over the same
 // network in O(processed events), not O(neurons) — per-neuron state is
@@ -97,16 +96,12 @@ class Simulator {
   /// keeps it alive for the simulator's lifetime. This is the form the
   /// algorithm compilers and the batch driver use — one CompiledNetwork,
   /// many (possibly concurrent) simulators.
-  explicit Simulator(const CompiledNetwork& net,
-                     QueueKind queue = QueueKind::kCalendar,
-                     FanoutKind fanout = FanoutKind::kSegmented);
+  explicit Simulator(const CompiledNetwork& net);
 
   /// Convenience for one-shot runs (tests, examples): compiles `net` and
   /// owns the frozen copy. Equivalent to compiling first and keeping the
   /// CompiledNetwork next to the simulator.
-  explicit Simulator(const Network& net,
-                     QueueKind queue = QueueKind::kCalendar,
-                     FanoutKind fanout = FanoutKind::kSegmented);
+  explicit Simulator(const Network& net);
 
   /// Not copyable. Movable: a moved-to simulator keeps executing the same
   /// frozen network — the owned copy of the Network constructor lives on
@@ -143,8 +138,8 @@ class Simulator {
   /// counters — into the versioned binary snapshot format. Callable at any
   /// point outside run(): before a run, while paused (the checkpoint case),
   /// or after completion. The image uses global neuron ids and is engine-
-  /// agnostic: it restores into either queue kind, either fan-out kind, or
-  /// a ParallelSimulator over the same CompiledNetwork.
+  /// agnostic: it restores into another Simulator or a ParallelSimulator
+  /// over the same CompiledNetwork.
   std::vector<std::uint8_t> snapshot() const;
 
   /// Replace this simulator's state with a snapshot taken on the SAME
@@ -165,9 +160,6 @@ class Simulator {
   /// pending event time. Everything strictly below it has been processed;
   /// inject_spike() during a pause must target t ≥ resume_floor().
   Time resume_floor() const { return core_.state().pause_floor; }
-
-  QueueKind queue_kind() const { return core_.queue_kind(); }
-  FanoutKind fanout_kind() const { return core_.fanout_kind(); }
 
   /// Buckets currently resident in the drained-storage pool. Bounded across
   /// serve-many reuse: reset() trims the pool to the peak concurrent bucket

@@ -7,14 +7,14 @@
 // cumulative counters — and a byte-exact serialization of it (magic +
 // version + flags, framed sections, trailing CRC-32). Both snn::Simulator
 // and snn::ParallelSimulator produce and consume the same image with GLOBAL
-// neuron ids, so a snapshot taken from one engine (or queue kind, or shard
-// count) restores into any other: fault tolerance, shard migration, and
-// A/B-ing kernel variants mid-run all reduce to snapshot() + restore().
+// neuron ids, so a snapshot taken from one engine (or shard count)
+// restores into any other: fault tolerance and shard migration both reduce
+// to snapshot() + restore().
 //
 // Determinism contract: restore-from-snapshot + resume is event-for-event
 // identical to the uninterrupted run (tests/test_snapshot.cpp proves it
-// across both queue kinds, both fan-out kinds, narrow+wide storage, and the
-// sharded engine). Combined with the SpikeJournal — an append-only record
+// across ring- and spill-resident pending events, narrow+wide storage, and
+// the sharded engine). Combined with the SpikeJournal — an append-only record
 // of every injected spike — any run replays exactly from (snapshot,
 // journal tail): the snapshot pins all state up to its resume floor, the
 // journal replays the inputs that arrived after it.
@@ -175,7 +175,7 @@ struct SnapshotBucket {
 };
 
 /// The complete engine-agnostic simulation state. Global neuron ids
-/// everywhere; nothing in here depends on queue kind, fan-out kind, storage
+/// everywhere; nothing in here depends on the queue's ring geometry, storage
 /// width, or shard count — which is what makes cross-engine restore work.
 struct SnapshotImage {
   // -- network fingerprint: the frozen CompiledNetwork this state belongs

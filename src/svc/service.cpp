@@ -83,7 +83,7 @@ void QueryService::drain() {
 }
 
 void QueryService::worker_main() {
-  WorkerSlots slots(opt_.slots_per_worker, opt_.queue);
+  WorkerSlots slots(opt_.slots_per_worker);
   while (true) {
     Job job;
     {

@@ -60,8 +60,6 @@ struct ServiceOptions {
   /// Injected admission policy (BORROWED; must outlive the service).
   /// nullptr = QueueDepthShedder(max_queue_depth).
   LoadShedder* shedder = nullptr;
-  /// Event-queue implementation for every worker simulator.
-  snn::QueueKind queue = snn::QueueKind::kCalendar;
   /// Periodic checkpointing for SSSP queries (docs/PERSISTENCE.md): when
   /// > 0 AND `checkpoints` is set AND the request carries a non-zero
   /// ticket, the worker pauses the run every this-many time steps and

@@ -6,8 +6,7 @@
 
 namespace sga::svc {
 
-WorkerSlots::WorkerSlots(std::size_t capacity, snn::QueueKind queue)
-    : capacity_(capacity), queue_(queue) {
+WorkerSlots::WorkerSlots(std::size_t capacity) : capacity_(capacity) {
   SGA_REQUIRE(capacity >= 1, "WorkerSlots: capacity must be >= 1");
   slots_.reserve(capacity);
 }
@@ -44,7 +43,7 @@ snn::Simulator& WorkerSlots::acquire(NetworkCache::ArtifactPtr artifact) {
     slot->probe.reset();
   }
   slot->artifact = std::move(artifact);
-  slot->sim.emplace(slot->artifact->net(), queue_);
+  slot->sim.emplace(slot->artifact->net());
   slot->last_used = tick_;
   current_ = slot;
   return *slot->sim;

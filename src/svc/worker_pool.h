@@ -38,10 +38,8 @@ namespace sga::svc {
 
 class WorkerSlots {
  public:
-  /// `capacity` ≥ 1: simulators kept per worker. `queue` selects the event
-  /// queue for every simulator this worker builds.
-  explicit WorkerSlots(std::size_t capacity = 4,
-                       snn::QueueKind queue = snn::QueueKind::kCalendar);
+  /// `capacity` ≥ 1: simulators kept per worker.
+  explicit WorkerSlots(std::size_t capacity = 4);
 
   /// A simulator over `artifact->net()`, ready to serve (freshly built or
   /// epoch-reset, no probe attached). The returned reference is valid until
@@ -69,7 +67,6 @@ class WorkerSlots {
   };
 
   const std::size_t capacity_;
-  const snn::QueueKind queue_;
   std::vector<Slot> slots_;
   Slot* current_ = nullptr;
   std::uint64_t tick_ = 0;

@@ -177,11 +177,11 @@ snn::Network random_snn(std::uint64_t seed) {
 class QueueFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(QueueFuzz, BothQueuesAndReferenceInterpreterProduceIdenticalRuns) {
-  // Three executions of the same random network must agree spike-for-spike:
-  // the CSR-compiled simulator under both queue implementations, and the
-  // nested-vector ReferenceSimulator running straight off the mutable
-  // builder. The last one is what certifies the compile()/CSR packing
-  // preserved semantics, not just that the two queues agree with each other.
+  // The CSR-compiled simulator — its calendar ring and its sorted overflow
+  // spill — and the nested-vector ReferenceSimulator (std::map queue)
+  // running straight off the mutable builder must agree spike-for-spike.
+  // That is what certifies the compile()/CSR packing and the calendar
+  // queue preserved semantics.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork compiled = net.compile();
@@ -202,26 +202,14 @@ TEST_P(QueueFuzz, BothQueuesAndReferenceInterpreterProduceIdenticalRuns) {
   cfg.max_time = 500;
   cfg.record_spike_log = true;
 
-  auto drive = [&](snn::QueueKind kind) {
-    snn::Simulator sim(compiled, kind);
-    inject_all(sim);
-    const snn::SimStats stats = sim.run(cfg);
-    return std::tuple(stats, sim.spike_log(), sim.first_spikes());
-  };
-
-  const auto [cs, clog, cfirst] = drive(snn::QueueKind::kCalendar);
-  const auto [ms, mlog, mfirst] = drive(snn::QueueKind::kMap);
-  EXPECT_EQ(clog, mlog) << "seed " << seed;
-  EXPECT_EQ(cfirst, mfirst) << "seed " << seed;
-  EXPECT_EQ(cs.spikes, ms.spikes) << "seed " << seed;
-  EXPECT_EQ(cs.deliveries, ms.deliveries) << "seed " << seed;
-  EXPECT_EQ(cs.event_times, ms.event_times) << "seed " << seed;
-  EXPECT_EQ(cs.end_time, ms.end_time) << "seed " << seed;
-  EXPECT_EQ(cs.execution_time, ms.execution_time) << "seed " << seed;
-  EXPECT_EQ(cs.hit_time_limit, ms.hit_time_limit) << "seed " << seed;
-  EXPECT_EQ(cs.peak_queue_events, ms.peak_queue_events) << "seed " << seed;
-  EXPECT_EQ(cs.max_bucket_occupancy, ms.max_bucket_occupancy)
-      << "seed " << seed;
+  snn::Simulator sim(compiled);
+  inject_all(sim);
+  const snn::SimStats cs = sim.run(cfg);
+  const auto& clog = sim.spike_log();
+  const std::vector<Time> cfirst = sim.first_spikes();
+  // Queue-load counters are a property of the event stream: the peak can
+  // never be below the largest single bucket drained.
+  EXPECT_GE(cs.peak_queue_events, cs.max_bucket_occupancy) << "seed " << seed;
 
   snn::ReferenceSimulator ref(net);
   inject_all(ref);
@@ -245,12 +233,12 @@ class FanoutFuzz : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 TEST_P(FanoutFuzz, SegmentedKernelMatchesOraclesWithAndWithoutCauses) {
   // The delay-segmented fan-out kernel (ARCHITECTURE.md §1.6) bulk-appends
   // one SoA block per delay run instead of pushing per synapse. This fuzz
-  // certifies the rewrite is event-for-event invisible: on random networks
-  // the segmented kernel must agree with the kMap oracle, with the retained
-  // per-synapse kernel (FanoutKind::kPerSynapse), and with the nested-vector
-  // ReferenceSimulator — with record_causes both on and off, since the
-  // optional SoA `sources` array only exists in the on case and the cause
-  // tie-break reads it entry-by-entry.
+  // certifies it is event-for-event invisible: on random networks it must
+  // agree with the nested-vector ReferenceSimulator, which pushes one
+  // delivery per synapse — spike log, first spikes and final potentials —
+  // with record_causes both on and off, since the optional SoA `sources`
+  // array only exists in the on case and the cause tie-break reads it
+  // entry-by-entry.
   const auto seed = static_cast<std::uint64_t>(std::get<0>(GetParam()));
   const bool causes = std::get<1>(GetParam());
   const snn::Network net = random_snn(seed);
@@ -272,64 +260,28 @@ TEST_P(FanoutFuzz, SegmentedKernelMatchesOraclesWithAndWithoutCauses) {
   cfg.record_spike_log = true;
   cfg.record_causes = causes;
 
-  struct Run {
-    snn::SimStats stats;
-    std::vector<std::pair<Time, NeuronId>> log;
-    std::vector<Time> first;
-    std::vector<NeuronId> cause;
-    std::vector<Voltage> potential;
-  };
-  auto drive = [&](snn::QueueKind kind, snn::FanoutKind fanout) {
-    snn::Simulator sim(compiled, kind, fanout);
-    inject_all(sim);
-    Run r;
-    r.stats = sim.run(cfg);
-    r.log = sim.spike_log();
-    r.first = sim.first_spikes();
+  snn::Simulator sim(compiled);
+  inject_all(sim);
+  const snn::SimStats stats = sim.run(cfg);
+  std::vector<Voltage> potential;
+  for (NeuronId id = 0; id < n; ++id) potential.push_back(sim.potential(id));
+
+  // Kernel counters: every walked segment is either bulk-appended or cut
+  // at the horizon, and a cut is reported.
+  EXPECT_LE(stats.bulk_appends, stats.fanout_segments) << "seed " << seed;
+  if (stats.bulk_appends < stats.fanout_segments) {
+    EXPECT_TRUE(stats.hit_time_limit) << "seed " << seed;
+  }
+  if (causes) {
+    // Causes come from the deliveries of the first spike's own step: an
+    // injected-only spike has none, and every recorded cause fired first.
     for (NeuronId id = 0; id < n; ++id) {
-      if (causes) r.cause.push_back(sim.first_spike_cause(id));
-      r.potential.push_back(sim.potential(id));
+      const NeuronId c = sim.first_spike_cause(id);
+      if (c == kNoNeuron) continue;
+      ASSERT_LT(c, n) << "seed " << seed;
+      EXPECT_LT(sim.first_spike(c), sim.first_spike(id)) << "seed " << seed;
     }
-    return r;
-  };
-  auto expect_same = [&](const Run& a, const Run& b, const char* what) {
-    EXPECT_EQ(a.log, b.log) << what << " seed " << seed;
-    EXPECT_EQ(a.first, b.first) << what << " seed " << seed;
-    EXPECT_EQ(a.cause, b.cause) << what << " seed " << seed;
-    EXPECT_EQ(a.potential, b.potential) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.spikes, b.stats.spikes) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.deliveries, b.stats.deliveries)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.event_times, b.stats.event_times)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.end_time, b.stats.end_time) << what << " seed " << seed;
-    EXPECT_EQ(a.stats.execution_time, b.stats.execution_time)
-        << what << " seed " << seed;
-    EXPECT_EQ(a.stats.hit_time_limit, b.stats.hit_time_limit)
-        << what << " seed " << seed;
-  };
-
-  const Run seg = drive(snn::QueueKind::kCalendar, snn::FanoutKind::kSegmented);
-  const Run seg_map = drive(snn::QueueKind::kMap, snn::FanoutKind::kSegmented);
-  const Run per_syn =
-      drive(snn::QueueKind::kCalendar, snn::FanoutKind::kPerSynapse);
-  expect_same(seg, seg_map, "segmented calendar vs map");
-  expect_same(seg, per_syn, "segmented vs per-synapse");
-
-  // Kernel counters: both segmented runs walk the same segments and issue
-  // the same bulk appends regardless of queue kind; the per-synapse kernel
-  // never touches them. Queue-level peaks must also survive bulk appends.
-  EXPECT_EQ(seg.stats.fanout_segments, seg_map.stats.fanout_segments)
-      << "seed " << seed;
-  EXPECT_EQ(seg.stats.bulk_appends, seg_map.stats.bulk_appends)
-      << "seed " << seed;
-  EXPECT_EQ(per_syn.stats.fanout_segments, 0u) << "seed " << seed;
-  EXPECT_EQ(per_syn.stats.bulk_appends, 0u) << "seed " << seed;
-  EXPECT_EQ(seg.stats.peak_queue_events, per_syn.stats.peak_queue_events)
-      << "seed " << seed;
-  EXPECT_EQ(seg.stats.max_bucket_occupancy,
-            per_syn.stats.max_bucket_occupancy)
-      << "seed " << seed;
+  }
 
   // The reference interpreter refuses record_causes (it never grew the
   // feature); cause recording must not perturb the run, so its causes-off
@@ -339,31 +291,36 @@ TEST_P(FanoutFuzz, SegmentedKernelMatchesOraclesWithAndWithoutCauses) {
   snn::ReferenceSimulator ref(net);
   inject_all(ref);
   const snn::SimStats rs = ref.run(ref_cfg);
-  EXPECT_EQ(ref.spike_log(), seg.log) << "seed " << seed;
-  EXPECT_EQ(ref.first_spikes(), seg.first) << "seed " << seed;
-  EXPECT_EQ(rs.spikes, seg.stats.spikes) << "seed " << seed;
-  EXPECT_EQ(rs.deliveries, seg.stats.deliveries) << "seed " << seed;
-  EXPECT_EQ(rs.event_times, seg.stats.event_times) << "seed " << seed;
-  EXPECT_EQ(rs.end_time, seg.stats.end_time) << "seed " << seed;
-  EXPECT_EQ(rs.execution_time, seg.stats.execution_time) << "seed " << seed;
-  EXPECT_EQ(rs.hit_time_limit, seg.stats.hit_time_limit) << "seed " << seed;
+  EXPECT_EQ(ref.spike_log(), sim.spike_log()) << "seed " << seed;
+  EXPECT_EQ(ref.first_spikes(), sim.first_spikes()) << "seed " << seed;
+  EXPECT_EQ(ref.potentials(), potential) << "seed " << seed;
+  EXPECT_EQ(rs.spikes, stats.spikes) << "seed " << seed;
+  EXPECT_EQ(rs.deliveries, stats.deliveries) << "seed " << seed;
+  EXPECT_EQ(rs.event_times, stats.event_times) << "seed " << seed;
+  EXPECT_EQ(rs.end_time, stats.end_time) << "seed " << seed;
+  EXPECT_EQ(rs.execution_time, stats.execution_time) << "seed " << seed;
+  EXPECT_EQ(rs.hit_time_limit, stats.hit_time_limit) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsXCauses, FanoutFuzz,
                          ::testing::Combine(::testing::Range(0, 20),
                                             ::testing::Bool()));
 
+/// Whether a StorageFuzz run records first-spike causes (the kernels'
+/// optional SoA `sources` column).
+enum class Causes : std::uint8_t { kRecorded, kOff };
+
 class StorageFuzz
-    : public ::testing::TestWithParam<std::tuple<int, snn::FanoutKind>> {};
+    : public ::testing::TestWithParam<std::tuple<int, Causes>> {};
 
 TEST_P(StorageFuzz, NarrowStorageIsEventForEventInvisible) {
   // Freeze-time width narrowing (ARCHITECTURE.md §1.8) must be a pure
   // storage transformation: the same network frozen wide (the oracle
-  // layout) and narrow (kAuto) must produce identical runs under both
-  // queue kinds and the given fan-out kernel, and both must agree with the
-  // nested-vector ReferenceSimulator that never saw a CSR at all.
+  // layout) and narrow (kAuto) must produce identical runs, with and
+  // without the causes column, and both must agree with the nested-vector
+  // ReferenceSimulator that never saw a CSR at all.
   const auto seed = static_cast<std::uint64_t>(std::get<0>(GetParam()));
-  const snn::FanoutKind fanout = std::get<1>(GetParam());
+  const bool record_causes = std::get<1>(GetParam()) == Causes::kRecorded;
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork wide = net.compile(snn::StoragePolicy::kWide);
   const snn::CompiledNetwork narrow = net.compile(snn::StoragePolicy::kAuto);
@@ -397,11 +354,10 @@ TEST_P(StorageFuzz, NarrowStorageIsEventForEventInvisible) {
   snn::SimConfig cfg;
   cfg.max_time = 500;
   cfg.record_spike_log = true;
-  cfg.record_causes = true;
+  cfg.record_causes = record_causes;
 
-  auto drive = [&](const snn::CompiledNetwork& compiled,
-                   snn::QueueKind kind) {
-    snn::Simulator sim(compiled, kind, fanout);
+  auto drive = [&](const snn::CompiledNetwork& compiled) {
+    snn::Simulator sim(compiled);
     inject_all(sim);
     const snn::SimStats stats = sim.run(cfg);
     std::vector<NeuronId> causes;
@@ -411,38 +367,39 @@ TEST_P(StorageFuzz, NarrowStorageIsEventForEventInvisible) {
     return std::tuple(stats, sim.spike_log(), sim.first_spikes(), causes);
   };
 
-  for (const auto queue : {snn::QueueKind::kCalendar, snn::QueueKind::kMap}) {
-    const auto [ws, wlog, wfirst, wcause] = drive(wide, queue);
-    const auto [ns, nlog, nfirst, ncause] = drive(narrow, queue);
-    EXPECT_EQ(nlog, wlog) << "seed " << seed;
-    EXPECT_EQ(nfirst, wfirst) << "seed " << seed;
-    EXPECT_EQ(ncause, wcause) << "seed " << seed;
-    EXPECT_EQ(ns.spikes, ws.spikes) << "seed " << seed;
-    EXPECT_EQ(ns.deliveries, ws.deliveries) << "seed " << seed;
-    EXPECT_EQ(ns.event_times, ws.event_times) << "seed " << seed;
-    EXPECT_EQ(ns.end_time, ws.end_time) << "seed " << seed;
-    EXPECT_EQ(ns.execution_time, ws.execution_time) << "seed " << seed;
-    EXPECT_EQ(ns.hit_time_limit, ws.hit_time_limit) << "seed " << seed;
-    EXPECT_EQ(ns.fanout_segments, ws.fanout_segments) << "seed " << seed;
-    EXPECT_EQ(ns.bulk_appends, ws.bulk_appends) << "seed " << seed;
-    EXPECT_EQ(ns.peak_queue_events, ws.peak_queue_events) << "seed " << seed;
+  const auto [ws, wlog, wfirst, wcause] = drive(wide);
+  const auto [ns, nlog, nfirst, ncause] = drive(narrow);
+  EXPECT_EQ(nlog, wlog) << "seed " << seed;
+  EXPECT_EQ(nfirst, wfirst) << "seed " << seed;
+  EXPECT_EQ(ncause, wcause) << "seed " << seed;
+  EXPECT_EQ(ns.spikes, ws.spikes) << "seed " << seed;
+  EXPECT_EQ(ns.deliveries, ws.deliveries) << "seed " << seed;
+  EXPECT_EQ(ns.event_times, ws.event_times) << "seed " << seed;
+  EXPECT_EQ(ns.end_time, ws.end_time) << "seed " << seed;
+  EXPECT_EQ(ns.execution_time, ws.execution_time) << "seed " << seed;
+  EXPECT_EQ(ns.hit_time_limit, ws.hit_time_limit) << "seed " << seed;
+  EXPECT_EQ(ns.fanout_segments, ws.fanout_segments) << "seed " << seed;
+  EXPECT_EQ(ns.bulk_appends, ws.bulk_appends) << "seed " << seed;
+  EXPECT_EQ(ns.peak_queue_events, ws.peak_queue_events) << "seed " << seed;
 
-    // Cross-check against the pre-CSR execution model as well.
-    snn::SimConfig ref_cfg = cfg;
-    ref_cfg.record_causes = false;
-    snn::ReferenceSimulator ref(net);
-    inject_all(ref);
-    ref.run(ref_cfg);
-    EXPECT_EQ(ref.spike_log(), nlog) << "seed " << seed;
-    EXPECT_EQ(ref.first_spikes(), nfirst) << "seed " << seed;
-  }
+  // Cross-check against the pre-CSR execution model as well.
+  snn::SimConfig ref_cfg = cfg;
+  ref_cfg.record_causes = false;
+  snn::ReferenceSimulator ref(net);
+  inject_all(ref);
+  const snn::SimStats rs = ref.run(ref_cfg);
+  EXPECT_EQ(ref.spike_log(), nlog) << "seed " << seed;
+  EXPECT_EQ(ref.first_spikes(), nfirst) << "seed " << seed;
+  EXPECT_EQ(rs.deliveries, ns.deliveries) << "seed " << seed;
+  EXPECT_EQ(rs.hit_time_limit, ns.hit_time_limit) << "seed " << seed;
 }
 
+// The suite name predates the causes axis; it is kept so test ids stay
+// stable.
 INSTANTIATE_TEST_SUITE_P(
     SeedsXFanout, StorageFuzz,
     ::testing::Combine(::testing::Range(0, 14),
-                       ::testing::Values(snn::FanoutKind::kSegmented,
-                                         snn::FanoutKind::kPerSynapse)));
+                       ::testing::Values(Causes::kRecorded, Causes::kOff)));
 
 TEST(StorageFuzzRegression, InexactWeightKeepsDoublePayload) {
   // One weight that does not survive a double→float round trip must keep
@@ -469,8 +426,8 @@ class ProbeFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   // The obs::Probe overhead contract (docs/OBSERVABILITY.md): attaching a
   // probe must not change ANY simulation observable, and what the probe
-  // records must agree with the simulator's own log — across both queue
-  // kinds and with the nested-vector reference interpreter.
+  // records must agree with the simulator's own log and with the
+  // nested-vector reference interpreter.
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const snn::Network net = random_snn(seed);
   const snn::CompiledNetwork compiled = net.compile();
@@ -495,8 +452,8 @@ TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   po.count_deliveries = true;
   po.sample_potentials = {0, static_cast<NeuronId>(net.num_neurons() - 1)};
 
-  auto drive = [&](snn::QueueKind kind, obs::Probe* probe) {
-    snn::Simulator sim(compiled, kind);
+  auto drive = [&](obs::Probe* probe) {
+    snn::Simulator sim(compiled);
     if (probe != nullptr) sim.attach_probe(*probe);
     inject_all(sim);
     const snn::SimStats stats = sim.run(cfg);
@@ -505,10 +462,8 @@ TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
 
   // Instrumented vs uninstrumented: identical run, event for event.
   obs::Probe cal_probe(po);
-  const auto [bare_stats, bare_log] =
-      drive(snn::QueueKind::kCalendar, nullptr);
-  const auto [cal_stats, cal_log] =
-      drive(snn::QueueKind::kCalendar, &cal_probe);
+  const auto [bare_stats, bare_log] = drive(nullptr);
+  const auto [cal_stats, cal_log] = drive(&cal_probe);
   EXPECT_EQ(cal_log, bare_log) << "seed " << seed;
   EXPECT_EQ(cal_stats.spikes, bare_stats.spikes) << "seed " << seed;
   EXPECT_EQ(cal_stats.deliveries, bare_stats.deliveries) << "seed " << seed;
@@ -524,26 +479,17 @@ TEST_P(ProbeFuzz, ProbesObserveWithoutPerturbing) {
   EXPECT_EQ(cal_probe.total_deliveries(), cal_stats.deliveries)
       << "seed " << seed;
 
-  // Same observations under the map queue.
-  obs::Probe map_probe(po);
-  drive(snn::QueueKind::kMap, &map_probe);
-  EXPECT_EQ(map_probe.spike_trace(), cal_probe.spike_trace())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.fire_counts(), cal_probe.fire_counts())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.delivery_counts(), cal_probe.delivery_counts())
-      << "seed " << seed;
-  EXPECT_EQ(map_probe.potential_samples(), cal_probe.potential_samples())
-      << "seed " << seed;
-
   // Per-neuron fire counts equal the ReferenceSimulator's spike log counted
-  // by hand — the probe agrees with the pre-CSR execution model too.
+  // by hand, and the spike trace is its log — the probe agrees with the
+  // pre-CSR execution model too.
   snn::ReferenceSimulator ref(net);
   inject_all(ref);
-  ref.run(cfg);
+  const snn::SimStats rs = ref.run(cfg);
   std::vector<std::uint64_t> ref_fires(net.num_neurons(), 0);
   for (const auto& [t, id] : ref.spike_log()) ++ref_fires[id];
   EXPECT_EQ(cal_probe.fire_counts(), ref_fires) << "seed " << seed;
+  EXPECT_EQ(cal_probe.spike_trace(), ref.spike_log()) << "seed " << seed;
+  EXPECT_EQ(cal_probe.total_deliveries(), rs.deliveries) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProbeFuzz, ::testing::Range(0, 12));

@@ -1,10 +1,9 @@
 // Golden-trace determinism: one small fixed network, fixed input, and the
-// exact spike trace checked in as a literal. Every engine — serial
-// calendar queue, serial map queue, the reference interpreter, and the
-// sharded parallel simulator at several shard/thread counts — must
-// reproduce it byte for byte, run after run, machine after machine. A
-// failure here means an engine's event ORDER semantics drifted, which the
-// statistical fuzz suites could mask.
+// exact spike trace checked in as a literal. Every engine — the serial
+// simulator, the reference interpreter, and the sharded parallel simulator
+// at several shard/thread counts — must reproduce it byte for byte, run
+// after run, machine after machine. A failure here means an engine's event
+// ORDER semantics drifted, which the statistical fuzz suites could mask.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,14 +105,6 @@ TEST(GoldenTrace, SerialCalendarQueue) {
   }
 }
 
-TEST(GoldenTrace, SerialMapQueue) {
-  snn::Simulator sim(golden_network(), snn::QueueKind::kMap);
-  const snn::SimStats stats = drive(sim);
-  auto log = sim.spike_log();
-  std::sort(log.begin(), log.end());
-  expect_golden(log, sim.first_spikes(), stats);
-}
-
 TEST(GoldenTrace, ReferenceInterpreter) {
   const snn::Network net = golden_network();
   snn::ReferenceSimulator sim(net);
@@ -161,14 +152,13 @@ TEST(GoldenTrace, ParallelResetReproducesTheTrace) {
   }
 }
 
-/// Skewed 4-neuron instance for the work-stealing golden test: neuron i
+/// Skewed 4-neuron instance for the multiplexing golden test: neuron i
 /// lives on shard i under kLpt at S = 4 (equal out-degrees round-robin),
 /// each neuron carries a self-inhibition loop (delay 1) and a long-delay
 /// ring edge i → (i+1) mod 4 (delay 100, so δ = 100 windows). Injection
-/// bursts land on shards 0 and 2 — both statically owned by worker 0 of 2
-/// — so the first window sees static estimates {15, 1, 15, 1}: worker 0
-/// holds 30 against an LPT re-deal max of 16, exceeding the 1.5× skew
-/// threshold and provably triggering a steal.
+/// bursts land on shards 0 and 2 — both owned by worker 0 of 2 under the
+/// static round-robin map — so one worker runs 30 of the first window's 32
+/// events, each of its two shards in turn.
 snn::Network skewed_network() {
   snn::Network net;
   for (int i = 0; i < 4; ++i) net.add_neuron({0, 1, 0.0});
@@ -235,55 +225,23 @@ TEST(GoldenTrace, SerialReproducesTheSkewedTrace) {
   expect_skewed(log, stats);
 }
 
-TEST(GoldenTrace, WorkStealingFiresAndPreservesTheSkewedTrace) {
-  // The determinism contract for stealing (ISSUE 9): on this instance the
-  // re-deal provably triggers (worker 0's static shards {0, 2} hold 30 of
-  // 32 first-window events, LPT re-deal max is 16, 30 > 1.5 × 16), the
-  // steal count is a pure function of the run, and the trace is untouched
-  // — run after run, engine after engine, with and across reset() reuse.
-  for (const snn::EngineKind engine :
-       {snn::EngineKind::kMailbox, snn::EngineKind::kSharedAtomic}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "engine "
-                 << (engine == snn::EngineKind::kMailbox ? "mailbox"
-                                                         : "atomic"));
-    snn::ParallelConfig pcfg;
-    pcfg.num_shards = 4;
-    pcfg.num_threads = 2;
-    pcfg.partition = snn::PartitionKind::kLpt;  // pins neuron i → shard i
-    pcfg.engine = engine;
-    ASSERT_TRUE(pcfg.work_stealing);  // stealing is the default
-    snn::ParallelSimulator sim(skewed_network(), pcfg);
-
-    std::uint64_t first_steals = 0;
-    for (int round = 0; round < 3; ++round) {
-      if (round > 0) sim.reset();
-      const std::uint64_t before = sim.steals();
-      const snn::SimStats stats = drive_skewed(sim);
-      expect_skewed(sim.spike_log(), stats);
-      const std::uint64_t got = sim.steals() - before;
-      EXPECT_GT(got, 0u) << "skewed instance failed to trigger a steal";
-      EXPECT_GE(sim.max_skew(), 1.5);
-      if (round == 0) {
-        first_steals = got;
-      } else {
-        EXPECT_EQ(got, first_steals) << "steal count drifted on round "
-                                     << round;
-      }
-    }
-  }
-}
-
-TEST(GoldenTrace, StealingOffMatchesStealingOnEventForEvent) {
+TEST(GoldenTrace, RoundRobinMultiplexingPreservesTheSkewedTrace) {
+  // Four shards on two workers: each worker runs two shards per window,
+  // one after the other, with all the load on worker 0. The trace must not
+  // depend on that schedule — run after run, with and across reset() reuse.
   snn::ParallelConfig pcfg;
   pcfg.num_shards = 4;
   pcfg.num_threads = 2;
-  pcfg.partition = snn::PartitionKind::kLpt;
-  pcfg.work_stealing = false;
+  pcfg.partition = snn::PartitionKind::kLpt;  // pins neuron i → shard i
   snn::ParallelSimulator sim(skewed_network(), pcfg);
-  const snn::SimStats stats = drive_skewed(sim);
-  expect_skewed(sim.spike_log(), stats);
-  EXPECT_EQ(sim.steals(), 0u);
+  ASSERT_EQ(sim.num_threads(), 2u);
+  for (NeuronId i = 0; i < 4; ++i) ASSERT_EQ(sim.partition().shard_of[i], i);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    if (round > 0) sim.reset();
+    const snn::SimStats stats = drive_skewed(sim);
+    expect_skewed(sim.spike_log(), stats);
+  }
 }
 
 }  // namespace

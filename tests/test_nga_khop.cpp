@@ -18,6 +18,7 @@
 #include "nga/khop_ttl.h"
 #include "nga/matvec.h"
 #include "snn/parallel_sim.h"
+#include "snn/reference_sim.h"
 
 namespace sga::nga {
 namespace {
@@ -384,19 +385,16 @@ KhopEngineRun capture(const Sim& sim, const snn::SimStats& stats) {
   return r;
 }
 
-/// One request on a fresh sharded engine, launched and configured exactly
-/// as run_khop_ttl launches and configures the serial one.
-KhopEngineRun run_parallel_request(const KHopTtlCompiled& c, VertexId source,
-                                   std::uint32_t k, std::size_t shards) {
-  snn::ParallelConfig pcfg;
-  pcfg.num_shards = shards;
-  pcfg.num_threads = shards == 1 ? 1 : 2;
-  snn::ParallelSimulator psim(c.network, pcfg);
+/// Launch request (source, k) on `sim` exactly as run_khop_ttl launches
+/// the serial engine; returns the config it runs under.
+template <typename Sim>
+snn::SimConfig launch_request(Sim& sim, const KHopTtlCompiled& c,
+                              VertexId source, std::uint32_t k) {
   const KHopNodePorts& src = c.ports[source];
   for (std::size_t i = 0; i < src.out_bits.size(); ++i) {
-    if (((k - 1) >> i) & 1u) psim.inject_spike(src.out_bits[i], 0);
+    if (((k - 1) >> i) & 1u) sim.inject_spike(src.out_bits[i], 0);
   }
-  psim.inject_spike(src.out_valid, 0);
+  sim.inject_spike(src.out_valid, 0);
   snn::SimConfig cfg;
   cfg.max_time = c.scale * static_cast<Time>(k) *
                      std::max<Weight>(1, c.max_edge_length) +
@@ -406,8 +404,34 @@ KhopEngineRun run_parallel_request(const KHopTtlCompiled& c, VertexId source,
     cfg.watched_neurons.insert(cfg.watched_neurons.end(),
                                p.max_outputs.begin(), p.max_outputs.end());
   }
-  const snn::SimStats stats = psim.run(cfg);
+  return cfg;
+}
+
+/// One request on a fresh sharded engine.
+KhopEngineRun run_parallel_request(const KHopTtlCompiled& c, VertexId source,
+                                   std::uint32_t k, std::size_t shards) {
+  snn::ParallelConfig pcfg;
+  pcfg.num_shards = shards;
+  pcfg.num_threads = shards == 1 ? 1 : 2;
+  snn::ParallelSimulator psim(c.network, pcfg);
+  const snn::SimStats stats = psim.run(launch_request(psim, c, source, k));
   return capture(psim, stats);
+}
+
+/// The mutable Network the frozen fabric holds, for the reference
+/// interpreter (which runs off a Network, not a CompiledNetwork).
+snn::Network thaw(const snn::CompiledNetwork& c) {
+  snn::Network net;
+  for (NeuronId id = 0; id < c.num_neurons(); ++id) {
+    net.add_neuron(c.params(id));
+  }
+  for (NeuronId id = 0; id < c.num_neurons(); ++id) {
+    c.for_each_out_synapse(
+        id, [&](std::size_t, NeuronId target, SynWeight w, Delay d) {
+          net.add_synapse(id, target, w, d);
+        });
+  }
+  return net;
 }
 
 TEST(KhopTtlEngines, ReusedSerialMatchesFreshParallelPerRequest) {
@@ -416,43 +440,53 @@ TEST(KhopTtlEngines, ReusedSerialMatchesFreshParallelPerRequest) {
   // reset of the touched neurons) far harder than the SSSP networks. One
   // serial simulator serves a sequence of (source, k) requests through
   // run_khop_ttl with reset() in between — the service's slot reuse — and
-  // must match a fresh sharded engine on every request, neuron for neuron.
+  // must match a fresh sharded engine on every request, neuron for neuron,
+  // and the reference interpreter's trace, first spikes and potentials.
   Rng rng(0x4E61);
   const Graph g = make_random_graph(10, 30, {1, 4}, rng);
   const KHopTtlCompiled c =
       compile_khop_ttl(g, 8, circuits::MaxKind::kWiredOr);
   const std::pair<VertexId, std::uint32_t> requests[] = {
       {0, 8}, {3, 5}, {7, 6}, {0, 8}, {5, 7}};
-  for (const snn::QueueKind kind :
-       {snn::QueueKind::kCalendar, snn::QueueKind::kMap}) {
-    snn::Simulator sim(c.network, kind);
-    for (std::size_t q = 0; q < std::size(requests); ++q) {
-      const auto [source, k] = requests[q];
-      ASSERT_TRUE(c.serves(k));
-      if (q > 0) sim.reset();
-      const KHopTtlResult r = run_khop_ttl(c, sim, {source, k, std::nullopt});
-      EXPECT_EQ(r.dist, bellman_ford_khop(g, source, k).dist);
-      const KhopEngineRun serial = capture(sim, r.sim);
-      ASSERT_GT(serial.stats.spikes, 0u);
-      ASSERT_FALSE(serial.log.empty());
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "queue " << static_cast<int>(kind) << " request " << q
-                     << " (source " << source << ", k " << k << ") S "
-                     << shards);
-        const KhopEngineRun par = run_parallel_request(c, source, k, shards);
-        EXPECT_EQ(par.log, serial.log);
-        EXPECT_EQ(par.first, serial.first);
-        EXPECT_EQ(par.counts, serial.counts);
-        EXPECT_EQ(par.v, serial.v);
-        EXPECT_EQ(par.stats.spikes, serial.stats.spikes);
-        EXPECT_EQ(par.stats.deliveries, serial.stats.deliveries);
-        EXPECT_EQ(par.stats.event_times, serial.stats.event_times);
-        EXPECT_EQ(par.stats.end_time, serial.stats.end_time);
-        EXPECT_EQ(par.stats.execution_time, serial.stats.execution_time);
-        EXPECT_EQ(par.stats.hit_terminal, serial.stats.hit_terminal);
-        EXPECT_EQ(par.stats.hit_time_limit, serial.stats.hit_time_limit);
-      }
+  const snn::Network fabric = thaw(c.network);
+  snn::Simulator sim(c.network);
+  for (std::size_t q = 0; q < std::size(requests); ++q) {
+    const auto [source, k] = requests[q];
+    ASSERT_TRUE(c.serves(k));
+    if (q > 0) sim.reset();
+    const KHopTtlResult r = run_khop_ttl(c, sim, {source, k, std::nullopt});
+    EXPECT_EQ(r.dist, bellman_ford_khop(g, source, k).dist);
+    const KhopEngineRun serial = capture(sim, r.sim);
+    ASSERT_GT(serial.stats.spikes, 0u);
+    ASSERT_FALSE(serial.log.empty());
+
+    snn::ReferenceSimulator ref(fabric);
+    const snn::SimStats rs = ref.run(launch_request(ref, c, source, k));
+    auto ref_log = ref.spike_log();
+    std::sort(ref_log.begin(), ref_log.end());
+    EXPECT_EQ(ref_log, serial.log) << "request " << q;
+    EXPECT_EQ(ref.first_spikes(), serial.first) << "request " << q;
+    EXPECT_EQ(ref.potentials(), serial.v) << "request " << q;
+    EXPECT_EQ(rs.spikes, serial.stats.spikes) << "request " << q;
+    EXPECT_EQ(rs.deliveries, serial.stats.deliveries) << "request " << q;
+    EXPECT_EQ(rs.end_time, serial.stats.end_time) << "request " << q;
+
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "request " << q << " (source " << source << ", k " << k
+                   << ") S " << shards);
+      const KhopEngineRun par = run_parallel_request(c, source, k, shards);
+      EXPECT_EQ(par.log, serial.log);
+      EXPECT_EQ(par.first, serial.first);
+      EXPECT_EQ(par.counts, serial.counts);
+      EXPECT_EQ(par.v, serial.v);
+      EXPECT_EQ(par.stats.spikes, serial.stats.spikes);
+      EXPECT_EQ(par.stats.deliveries, serial.stats.deliveries);
+      EXPECT_EQ(par.stats.event_times, serial.stats.event_times);
+      EXPECT_EQ(par.stats.end_time, serial.stats.end_time);
+      EXPECT_EQ(par.stats.execution_time, serial.stats.execution_time);
+      EXPECT_EQ(par.stats.hit_terminal, serial.stats.hit_terminal);
+      EXPECT_EQ(par.stats.hit_time_limit, serial.stats.hit_time_limit);
     }
   }
 }

@@ -32,6 +32,7 @@
 #include "snn/io.h"
 #include "snn/network.h"
 #include "snn/parallel_sim.h"
+#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 #include "snn/snapshot.h"
 #include "snn/storage.h"
@@ -90,8 +91,8 @@ struct RunResult {
 };
 
 RunResult run_serial(const CompiledNetwork& net, const Workload& w,
-                     QueueKind q, FanoutKind f, bool causes) {
-  Simulator sim(net, q, f);
+                     bool causes) {
+  Simulator sim(net);
   for (const auto& [id, t] : w.injections) sim.inject_spike(id, t);
   RunResult r;
   r.stats = sim.run(recording_config(causes));
@@ -317,7 +318,7 @@ TEST(PackedStorage, AnchoredRowsFanOutTheirOwnTargets) {
   // filler row before each to reach the slot. Every source fires once;
   // thresholds are out of reach and no neuron leaks, so each target ends
   // holding exactly the sum of its in-weights — the oracle is the edge
-  // list itself, for both fan-out kernels over the anchors init() builds.
+  // list itself, for the fan-out kernel over the anchors init() builds.
   constexpr std::size_t kTargets = 97;
   std::vector<std::size_t> degrees;
   std::size_t pos = 0;
@@ -355,17 +356,14 @@ TEST(PackedStorage, AnchoredRowsFanOutTheirOwnTargets) {
   const CompiledNetwork packed(net, StoragePolicy::kPacked);
   ASSERT_TRUE(packed.storage_widths().packed);
   ASSERT_EQ(packed.num_synapses(), pos);
-  for (const FanoutKind f :
-       {FanoutKind::kSegmented, FanoutKind::kPerSynapse}) {
-    Simulator sim(packed, QueueKind::kCalendar, f);
-    for (NeuronId r = 0; r < degrees.size(); ++r) sim.inject_spike(r, 0);
-    const SimStats stats = sim.run();
-    EXPECT_EQ(stats.deliveries, pos);
-    for (std::size_t t = 0; t < kTargets; ++t) {
-      EXPECT_EQ(sim.potential(static_cast<NeuronId>(degrees.size() + t)),
-                expect[t])
-          << "fan-out " << static_cast<int>(f) << " target " << t;
-    }
+  Simulator sim(packed);
+  for (NeuronId r = 0; r < degrees.size(); ++r) sim.inject_spike(r, 0);
+  const SimStats stats = sim.run();
+  EXPECT_EQ(stats.deliveries, pos);
+  for (std::size_t t = 0; t < kTargets; ++t) {
+    EXPECT_EQ(sim.potential(static_cast<NeuronId>(degrees.size() + t)),
+              expect[t])
+        << "target " << t;
   }
 }
 
@@ -404,25 +402,26 @@ TEST(PackedStorageFuzz, SerialEnginesAgreeEventForEvent) {
     ASSERT_TRUE(packed.storage_widths().packed);
     packed.verify_invariants();
 
+    // The reference interpreter runs off the mutable network and never
+    // records causes: both cause modes must reproduce its trace.
+    ReferenceSimulator oracle(w.net);
+    for (const auto& [id, t] : w.injections) oracle.inject_spike(id, t);
+    RunResult oref;
+    oref.stats = oracle.run(recording_config(false));
+    oref.log = oracle.spike_log();
+    oref.first = oracle.first_spikes();
+
     for (const bool causes : {false, true}) {
-      const RunResult ref = run_serial(narrow, w, QueueKind::kCalendar,
-                                       FanoutKind::kSegmented, causes);
-      const RunResult wref = run_serial(wide, w, QueueKind::kCalendar,
-                                        FanoutKind::kSegmented, causes);
-      expect_runs_eq(wref, ref, "wide oracle seed " + std::to_string(seed));
-      for (const QueueKind q : {QueueKind::kCalendar, QueueKind::kMap}) {
-        for (const FanoutKind f :
-             {FanoutKind::kSegmented, FanoutKind::kPerSynapse}) {
-          const RunResult p = run_serial(packed, w, q, f, causes);
-          expect_runs_eq(p, ref,
-                         "packed seed " + std::to_string(seed) + " q" +
-                             std::to_string(static_cast<int>(q)) + " f" +
-                             std::to_string(static_cast<int>(f)) +
-                             (causes ? " causes" : ""));
-          EXPECT_EQ(p.stats.storage_encoding, 2);
-          EXPECT_GT(p.stats.decode_blocks, 0u);
-        }
-      }
+      const std::string what =
+          "seed " + std::to_string(seed) + (causes ? " causes" : "");
+      const RunResult ref = run_serial(narrow, w, causes);
+      const RunResult wref = run_serial(wide, w, causes);
+      const RunResult p = run_serial(packed, w, causes);
+      expect_runs_eq(ref, oref, "narrow vs reference " + what);
+      expect_runs_eq(wref, ref, "wide " + what);
+      expect_runs_eq(p, ref, "packed " + what);
+      EXPECT_EQ(p.stats.storage_encoding, 2);
+      EXPECT_GT(p.stats.decode_blocks, 0u);
       EXPECT_EQ(ref.stats.decode_blocks, 0u);
     }
   }
@@ -432,8 +431,7 @@ TEST(PackedStorageFuzz, ParallelEngineAgrees) {
   Workload w = make_workload(0xAB, 220, 2000, 9);
   const CompiledNetwork packed(w.net, StoragePolicy::kPacked);
   const CompiledNetwork narrow(w.net, StoragePolicy::kNarrow);
-  const RunResult ref = run_serial(narrow, w, QueueKind::kCalendar,
-                                   FanoutKind::kSegmented, true);
+  const RunResult ref = run_serial(narrow, w, true);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{8}}) {
@@ -493,10 +491,8 @@ TEST(PackedStorage, PatchWeightsWorksPatchDelaysRefuses) {
     EXPECT_EQ(packed.syn_weight(k), v);
     EXPECT_EQ(narrow.syn_weight(k), v);
   }
-  const RunResult p = run_serial(packed, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
-  const RunResult n = run_serial(narrow, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult p = run_serial(packed, w, false);
+  const RunResult n = run_serial(narrow, w, false);
   expect_runs_eq(p, n, "after patch_weights");
 
   // Delay patching would have to re-run the delta packer (runs can merge or
@@ -598,10 +594,8 @@ TEST(PackedIo, V3RoundTripKeepsTheEncodingAndTheEvents) {
   EXPECT_EQ(back.num_synapses(), packed.num_synapses());
   EXPECT_EQ(back.csr_storage_bytes(), packed.csr_storage_bytes());
   EXPECT_EQ(back.group("inputs"), packed.group("inputs"));
-  const RunResult a = run_serial(packed, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
-  const RunResult b = run_serial(back, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult a = run_serial(packed, w, false);
+  const RunResult b = run_serial(back, w, false);
   expect_runs_eq(a, b, "io v3 round trip");
 
   // read_network (builder form) decodes through the verified compiled
@@ -610,8 +604,7 @@ TEST(PackedIo, V3RoundTripKeepsTheEncodingAndTheEvents) {
   Network builder = read_network(is);
   const CompiledNetwork flat(builder, StoragePolicy::kNarrow);
   EXPECT_FALSE(flat.storage_widths().packed);
-  const RunResult c = run_serial(flat, w, QueueKind::kCalendar,
-                                 FanoutKind::kSegmented, false);
+  const RunResult c = run_serial(flat, w, false);
   expect_runs_eq(a, c, "io v3 via builder");
 
   // Non-packed artifacts keep writing version 2 byte-for-byte.

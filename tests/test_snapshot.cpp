@@ -2,9 +2,9 @@
 // docs/PERSISTENCE.md).
 //
 // The load-bearing tests are DIFFERENTIAL: a run that pauses, snapshots,
-// restores into a fresh simulator (same engine, the other queue kind, the
-// other fan-out kind, the sharded engine, a different shard count) and
-// resumes must be event-for-event identical to the uninterrupted run —
+// restores into a fresh simulator (same engine, the sharded engine, a
+// different shard count) and resumes must be event-for-event identical to
+// the uninterrupted run —
 // same spike log, same per-neuron state, same semantic SimStats. The
 // malformed-stream tests pin the all-or-nothing failure contract: every
 // corrupt byte stream throws SnapshotError naming the failing section and
@@ -20,6 +20,7 @@
 #include "snn/compiled_network.h"
 #include "snn/network.h"
 #include "snn/parallel_sim.h"
+#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 #include "snn/snapshot.h"
 
@@ -229,9 +230,13 @@ TEST(Snapshot, InjectWhilePausedRespectsTheResumeFloor) {
 
 // ---- The serial differential matrix -------------------------------------
 
+/// One cell of the serial matrix. `spill` adds injections past the ring
+/// window, so pauses leave pending events parked in the overflow spill;
+/// `causes_off` drops the kernels' sources column. The workload seed is
+/// derived from both flags.
 struct SerialVariant {
-  QueueKind queue;
-  FanoutKind fanout;
+  bool spill;
+  bool causes_off;
   StoragePolicy policy;
 };
 
@@ -239,26 +244,46 @@ class SnapshotSerialMatrix : public ::testing::TestWithParam<SerialVariant> {};
 
 TEST_P(SnapshotSerialMatrix, RestoreThenResumeEqualsStraightThrough) {
   const SerialVariant v = GetParam();
-  Workload w = make_workload(0xB0 + static_cast<int>(v.queue) * 7 +
-                                 static_cast<int>(v.fanout) * 3,
+  Workload w = make_workload(0xB0 + (v.spill ? 7 : 0) + (v.causes_off ? 3 : 0),
                              48, 260, 7);
+  if (v.spill) {
+    // Max delay 7 ⇒ a 64-slot ring: injections from t = 100 on spill and
+    // migrate back as the window slides.
+    for (Time t = 100; t < 400; t += 60) w.injections.emplace_back(0, t);
+  }
   const CompiledNetwork net(w.net, v.policy);
-  const SimConfig cfg = recording_config();
+  SimConfig cfg = recording_config();
+  cfg.record_causes = !v.causes_off;
 
-  Simulator ref(net, v.queue, v.fanout);
+  Simulator ref(net);
   for (const auto& [id, t] : w.injections) ref.inject_spike(id, t);
   const SimStats sref = ref.run(cfg);
   ASSERT_GE(sref.end_time, 2);
+  EXPECT_EQ(sref.overflow_spills > 0, v.spill);
+
+  // The straight-through run itself matches the reference interpreter.
+  ReferenceSimulator oracle(w.net);
+  for (const auto& [id, t] : w.injections) oracle.inject_spike(id, t);
+  SimConfig oracle_cfg = cfg;
+  oracle_cfg.record_causes = false;
+  const SimStats so = oracle.run(oracle_cfg);
+  EXPECT_EQ(oracle.spike_log(), ref.spike_log());
+  EXPECT_EQ(oracle.potentials().size(), net.num_neurons());
+  for (NeuronId i = 0; i < net.num_neurons(); ++i) {
+    EXPECT_EQ(oracle.potentials()[i], ref.potential(i)) << "neuron " << i;
+  }
+  EXPECT_EQ(so.deliveries, sref.deliveries);
+  EXPECT_EQ(so.end_time, sref.end_time);
 
   for (const Time frac : {4L, 2L, 1L}) {
-    Simulator run_a(net, v.queue, v.fanout);
+    Simulator run_a(net);
     for (const auto& [id, t] : w.injections) run_a.inject_spike(id, t);
     SimConfig pc = cfg;
     pc.pause_time = sref.end_time * (4 - frac + 1) / 5;
     run_a.run(pc);
     if (!run_a.paused()) continue;  // paused past the last event: nothing new
 
-    Simulator run_b(net, v.queue, v.fanout);
+    Simulator run_b(net);
     run_b.restore(run_a.snapshot());
     ASSERT_TRUE(run_b.paused());
     EXPECT_EQ(run_a.resume_floor(), run_b.resume_floor());
@@ -278,44 +303,11 @@ TEST_P(SnapshotSerialMatrix, RestoreThenResumeEqualsStraightThrough) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, SnapshotSerialMatrix,
-    ::testing::Values(
-        SerialVariant{QueueKind::kCalendar, FanoutKind::kSegmented,
-                      StoragePolicy::kAuto},
-        SerialVariant{QueueKind::kCalendar, FanoutKind::kSegmented,
-                      StoragePolicy::kWide},
-        SerialVariant{QueueKind::kCalendar, FanoutKind::kPerSynapse,
-                      StoragePolicy::kAuto},
-        SerialVariant{QueueKind::kMap, FanoutKind::kSegmented,
-                      StoragePolicy::kAuto},
-        SerialVariant{QueueKind::kMap, FanoutKind::kPerSynapse,
-                      StoragePolicy::kWide}));
-
-TEST(Snapshot, CrossQueueKindRestore) {
-  Workload w = make_workload(0xC1, 36, 180, 6);
-  const CompiledNetwork net(w.net);
-  const SimConfig cfg = recording_config();
-  Simulator ref(net, QueueKind::kCalendar);
-  for (const auto& [id, t] : w.injections) ref.inject_spike(id, t);
-  const SimStats sref = ref.run(cfg);
-  ASSERT_GE(sref.end_time, 2);
-
-  for (const QueueKind src : {QueueKind::kCalendar, QueueKind::kMap}) {
-    const QueueKind dst =
-        src == QueueKind::kCalendar ? QueueKind::kMap : QueueKind::kCalendar;
-    Simulator a(net, src);
-    for (const auto& [id, t] : w.injections) a.inject_spike(id, t);
-    SimConfig pc = cfg;
-    pc.pause_time = sref.end_time / 2;
-    a.run(pc);
-    ASSERT_TRUE(a.paused());
-    Simulator b(net, dst);
-    b.restore(a.snapshot());
-    const SimStats sb = b.run(cfg);
-    expect_core_stats_eq(sref, sb);
-    EXPECT_EQ(ref.spike_log(), b.spike_log());
-    expect_state_eq(ref, b, net.num_neurons());
-  }
-}
+    ::testing::Values(SerialVariant{false, false, StoragePolicy::kAuto},
+                      SerialVariant{false, false, StoragePolicy::kWide},
+                      SerialVariant{false, true, StoragePolicy::kAuto},
+                      SerialVariant{true, false, StoragePolicy::kAuto},
+                      SerialVariant{true, true, StoragePolicy::kWide}));
 
 TEST(Snapshot, TerminalStateSurvivesRestore) {
   Workload w = make_workload(0xC2, 36, 200, 5);
@@ -440,11 +432,10 @@ TEST(Snapshot, ParallelSnapshotRestoresIntoSerialAndOtherShardCounts) {
 }
 
 TEST(Snapshot, RestoreIntoEveryEngineConfigReplaysBitIdentically) {
-  // ISSUE 9: the snapshot image is engine-agnostic, so a paused serial
-  // image must resume bit-identically under every cell of the parallel
-  // ablation matrix — {kLpt, kCutRefined} × {kMailbox, kSharedAtomic} ×
-  // stealing {off, on}. Causes stay off so kSharedAtomic really runs its
-  // atomic ring rather than the documented mailbox fallback.
+  // The snapshot image is engine-agnostic, so a paused serial image must
+  // resume bit-identically under every parallel configuration —
+  // {kLpt, kCutRefined} × S ∈ {1, 3, 8} on 2 real worker threads (S = 8
+  // multiplexes four shards per worker).
   Workload w = make_workload(0xE9, 48, 260, 6);
   const CompiledNetwork net(w.net);
   SimConfig cfg = recording_config();
@@ -464,87 +455,24 @@ TEST(Snapshot, RestoreIntoEveryEngineConfigReplaysBitIdentically) {
 
   for (const PartitionKind part :
        {PartitionKind::kLpt, PartitionKind::kCutRefined}) {
-    for (const EngineKind engine :
-         {EngineKind::kMailbox, EngineKind::kSharedAtomic}) {
-      for (const bool steal : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "partition "
-                     << (part == PartitionKind::kLpt ? "lpt" : "cut")
-                     << " engine "
-                     << (engine == EngineKind::kMailbox ? "mailbox" : "atomic")
-                     << " steal " << steal);
-        ParallelConfig pcfg;
-        pcfg.num_shards = 3;
-        pcfg.num_threads = 2;
-        pcfg.partition = part;
-        pcfg.engine = engine;
-        pcfg.work_stealing = steal;
-        ParallelSimulator par(net, pcfg);
-        par.restore(bytes);
-        ASSERT_TRUE(par.paused());
-        const SimStats sp = par.run(cfg);
-        expect_core_stats_eq(sref, sp);
-        EXPECT_EQ(sorted_log(ref.spike_log()), par.spike_log());
-        expect_state_eq(ref, par, net.num_neurons());
-      }
+    for (const std::size_t shards : {1u, 3u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "partition "
+                   << (part == PartitionKind::kLpt ? "lpt" : "cut") << " S "
+                   << shards);
+      ParallelConfig pcfg;
+      pcfg.num_shards = shards;
+      pcfg.num_threads = 2;
+      pcfg.partition = part;
+      ParallelSimulator par(net, pcfg);
+      par.restore(bytes);
+      ASSERT_TRUE(par.paused());
+      const SimStats sp = par.run(cfg);
+      expect_core_stats_eq(sref, sp);
+      EXPECT_EQ(sorted_log(ref.spike_log()), par.spike_log());
+      expect_state_eq(ref, par, net.num_neurons());
     }
   }
-}
-
-TEST(Snapshot, SharedAtomicPauseSnapshotRoundTrips) {
-  // Pausing the shared-atomic engine folds the whole in-flight ring back
-  // into the shard queues before the image is taken; the image must then
-  // restore into the serial engine, a differently-sharded atomic engine,
-  // and the mailbox engine, all replaying the straight-through run.
-  Workload w = make_workload(0xEA, 48, 260, 6);
-  const CompiledNetwork net(w.net);
-  SimConfig cfg = recording_config();
-  cfg.record_causes = false;
-  Simulator ref(net);
-  for (const auto& [id, t] : w.injections) ref.inject_spike(id, t);
-  const SimStats sref = ref.run(cfg);
-  ASSERT_GE(sref.end_time, 2);
-
-  ParallelConfig pcfg;
-  pcfg.num_shards = 3;
-  pcfg.num_threads = 2;
-  pcfg.engine = EngineKind::kSharedAtomic;
-  ParallelSimulator a(net, pcfg);
-  for (const auto& [id, t] : w.injections) a.inject_spike(id, t);
-  SimConfig pc = cfg;
-  pc.pause_time = sref.end_time / 2;
-  a.run(pc);
-  ASSERT_TRUE(a.paused());
-  const std::vector<std::uint8_t> bytes = a.snapshot();
-
-  Simulator b(net);
-  b.restore(bytes);
-  const SimStats sb = b.run(cfg);
-  expect_core_stats_eq(sref, sb);
-  EXPECT_EQ(sorted_log(ref.spike_log()), sorted_log(b.spike_log()));
-  expect_state_eq(ref, b, net.num_neurons());
-
-  ParallelConfig pcfg2 = pcfg;
-  pcfg2.num_shards = 2;
-  ParallelSimulator c(net, pcfg2);
-  c.restore(bytes);
-  const SimStats sc = c.run(cfg);
-  expect_core_stats_eq(sref, sc);
-  EXPECT_EQ(sorted_log(ref.spike_log()), c.spike_log());
-  expect_state_eq(ref, c, net.num_neurons());
-
-  ParallelConfig pcfg3 = pcfg;
-  pcfg3.engine = EngineKind::kMailbox;
-  ParallelSimulator d(net, pcfg3);
-  d.restore(bytes);
-  const SimStats sd = d.run(cfg);
-  expect_core_stats_eq(sref, sd);
-  EXPECT_EQ(sorted_log(ref.spike_log()), d.spike_log());
-
-  // In-place resume of the paused atomic run still works afterwards.
-  const SimStats sa = a.run(cfg);
-  expect_core_stats_eq(sref, sa);
-  EXPECT_EQ(sorted_log(ref.spike_log()), a.spike_log());
 }
 
 // ---- Journal -------------------------------------------------------------
@@ -778,19 +706,15 @@ TEST(SnapshotFuzz, RandomConfigsResumeExactly) {
     const StoragePolicy policy =
         rng.bernoulli(0.5) ? StoragePolicy::kAuto : StoragePolicy::kWide;
     const CompiledNetwork net(w.net, policy);
-    const QueueKind queue =
-        rng.bernoulli(0.5) ? QueueKind::kCalendar : QueueKind::kMap;
-    const FanoutKind fanout =
-        rng.bernoulli(0.5) ? FanoutKind::kSegmented : FanoutKind::kPerSynapse;
 
     SimConfig cfg = recording_config();
     cfg.record_causes = rng.bernoulli(0.7);
-    Simulator ref(net, queue, fanout);
+    Simulator ref(net);
     for (const auto& [id, t] : w.injections) ref.inject_spike(id, t);
     const SimStats sref = ref.run(cfg);
     if (sref.end_time < 2) continue;
 
-    Simulator a(net, queue, fanout);
+    Simulator a(net);
     for (const auto& [id, t] : w.injections) a.inject_spike(id, t);
     SimConfig pc = cfg;
     pc.pause_time = rng.uniform_int(0, sref.end_time - 1);
@@ -812,15 +736,21 @@ TEST(SnapshotFuzz, RandomConfigsResumeExactly) {
       got = b.run(cfg);
       got_log = b.spike_log();
     } else {
-      Simulator b(net,
-                  rng.bernoulli(0.5) ? QueueKind::kCalendar : QueueKind::kMap,
-                  fanout);
+      Simulator b(net);
       b.restore(bytes);
       got = b.run(cfg);
       got_log = sorted_log(b.spike_log());
     }
     expect_core_stats_eq(sref, got);
     EXPECT_EQ(sorted_log(ref.spike_log()), got_log) << "iter " << iter;
+
+    // The straight-through run matches the reference interpreter.
+    ReferenceSimulator oracle(w.net);
+    for (const auto& [id, t] : w.injections) oracle.inject_spike(id, t);
+    SimConfig oracle_cfg = cfg;
+    oracle_cfg.record_causes = false;
+    oracle.run(oracle_cfg);
+    EXPECT_EQ(oracle.spike_log(), ref.spike_log()) << "iter " << iter;
   }
   // The harness must actually exercise the restore path, not skip it all.
   EXPECT_GE(paused_cases, 12);

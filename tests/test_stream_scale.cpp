@@ -82,7 +82,9 @@ TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
   for (VertexId v = 0; v < kN; ++v) {
     ASSERT_NE(nfirst[v], kNever) << "vertex " << v << " unreached";
     ASSERT_LE(nfirst[v], backbone_prefix[v]) << "vertex " << v;
-    if (v > 0) ASSERT_GT(nfirst[v], 0) << "vertex " << v;
+    if (v > 0) {
+      ASSERT_GT(nfirst[v], 0) << "vertex " << v;
+    }
   }
 
   // Narrow and wide agree event-for-event at this scale too.
