@@ -87,10 +87,10 @@ MaxFlowResult spiking_max_flow(const Graph& g, const MaxFlowOptions& opt) {
       sopt.source = opt.source;
       sopt.target = opt.sink;
       sopt.record_parents = true;
-      // Each augmenting phase re-freezes the (small) residual graph; pin
-      // the wide oracle layout so no phase pays the narrowing scan — see
-      // DESIGN.md (width narrowing earns its keep on freeze-once workloads,
-      // not freeze-per-phase ones).
+      // Each augmenting phase re-freezes the (small) residual graph for one
+      // run; pin the wide oracle layout for these throwaway artifacts — see
+      // DESIGN.md (width narrowing earns its keep on freeze-once workloads;
+      // the freeze's range scan runs under every policy).
       sopt.storage = snn::StoragePolicy::kWide;
       const auto run = spiking_sssp(residual, sopt);
       out.total_spikes += run.sim.spikes;

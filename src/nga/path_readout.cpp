@@ -50,8 +50,8 @@ SpikingSsspPathResult spiking_sssp_with_paths(
     }
   }
 
-  // Wide freeze: this instrumented fabric is rebuilt per phase by the
-  // max-flow driver (gate_level_paths mode), so skip the narrowing scan for
+  // Wide freeze: max-flow (gate_level_paths mode) rebuilds this
+  // instrumented fabric every phase, so it stays on the oracle layout for
   // the same reason spiking_sssp's max-flow call path does — see DESIGN.md.
   const snn::CompiledNetwork compiled = net.compile(snn::StoragePolicy::kWide);
   snn::Simulator sim(compiled);

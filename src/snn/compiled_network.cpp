@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
-#include <span>
 #include <tuple>
 #include <utility>
-
-#include "snn/network.h"
 
 namespace sga::snn {
 
@@ -30,162 +25,6 @@ void narrow_into(std::vector<T>& dst, std::vector<U>&& src) {
 }
 
 }  // namespace
-
-void CompiledNetwork::adopt_payload(StoragePolicy policy, WideSynStore&& wide) {
-  const std::size_t m = wide.targets.size();
-  bool f32 = true;
-  for (const SynWeight w : wide.weights) {
-    if (!round_trips_f32(w)) {
-      f32 = false;
-      break;
-    }
-  }
-  widths_ = choose_widths(policy, num_neurons(), m, max_delay_, f32);
-  store_ = make_synapse_store(widths_);
-  std::visit(
-      [&wide, m](auto& st) {
-        using Store = std::decay_t<decltype(st)>;
-        if constexpr (Store::kPackedLayout) {
-          st.pack_targets(wide.targets);
-          wide.targets.clear();
-          wide.targets.shrink_to_fit();
-          // The per-synapse delay column is dropped: the segment CSR IS its
-          // run-length encoding. The begin column gains the m sentinel so
-          // seg_syn_end_at(s) reads seg_syn_begin[s + 1].
-          wide.delays.clear();
-          wide.delays.shrink_to_fit();
-          narrow_into(st.weights, std::move(wide.weights));
-          narrow_into(st.seg_delays, std::move(wide.seg_delays));
-          st.seg_syn_begin.reserve(wide.seg_syn_begin.size() + 1);
-          for (const std::size_t b : wide.seg_syn_begin) {
-            st.seg_syn_begin.push_back(static_cast<std::uint32_t>(b));
-          }
-          st.seg_syn_begin.push_back(static_cast<std::uint32_t>(m));
-        } else {
-          narrow_into(st.targets, std::move(wide.targets));
-          narrow_into(st.weights, std::move(wide.weights));
-          narrow_into(st.delays, std::move(wide.delays));
-          narrow_into(st.seg_delays, std::move(wide.seg_delays));
-          narrow_into(st.seg_syn_begin, std::move(wide.seg_syn_begin));
-          narrow_into(st.seg_syn_end, std::move(wide.seg_syn_end));
-        }
-      },
-      store_);
-}
-
-CompiledNetwork::CompiledNetwork(const Network& net, StoragePolicy policy) {
-  const std::size_t n = net.num_neurons();
-  v_reset_.resize(n);
-  v_threshold_.resize(n);
-  tau_.resize(n);
-  for (NeuronId i = 0; i < n; ++i) {
-    const NeuronParams& p = net.params(i);
-    SGA_REQUIRE(p.tau >= 0.0 && p.tau <= 1.0,
-                "compile: neuron " << i << " has decay τ = " << p.tau
-                                   << " outside [0, 1]");
-    SGA_REQUIRE(std::isfinite(p.v_reset) && std::isfinite(p.v_threshold),
-                "compile: neuron " << i << " has non-finite parameters "
-                                   << "(v_reset = " << p.v_reset
-                                   << ", v_threshold = " << p.v_threshold
-                                   << ")");
-    v_reset_[i] = p.v_reset;
-    v_threshold_[i] = p.v_threshold;
-    tau_[i] = p.tau;
-  }
-
-  // CSR pack in source-id order. Each row is stably sorted by delay so the
-  // fan-out kernel can walk one contiguous delay run per queue lookup;
-  // stability keeps equal-delay synapses in builder insertion order, which
-  // the cause tie-break relies on being order-free anyway but which keeps
-  // per-bucket delivery order (and hence FP summation order) bit-identical
-  // to the unsorted layout.
-  offsets_.resize(n + 1);
-  offsets_[0] = 0;
-  for (NeuronId i = 0; i < n; ++i) {
-    offsets_[i + 1] = offsets_[i] + net.out_synapses(i).size();
-  }
-  const std::size_t m = offsets_[n];
-  WideSynStore wide;
-  wide.targets.resize(m);
-  wide.weights.resize(m);
-  wide.delays.resize(m);
-  pos_in_weight_.assign(n, 0);
-
-  Delay max_delay = 0;
-  std::vector<std::size_t> order;  // per-row stable sort permutation
-  for (NeuronId i = 0; i < n; ++i) {
-    const std::span<const Synapse> row = net.out_synapses(i);
-    order.resize(row.size());
-    for (std::size_t j = 0; j < row.size(); ++j) order[j] = j;
-    std::stable_sort(order.begin(), order.end(),
-                     [&row](std::size_t a, std::size_t b) {
-                       return row[a].delay < row[b].delay;
-                     });
-    std::size_t k = offsets_[i];
-    for (const std::size_t j : order) {
-      const Synapse& s = row[j];
-      SGA_REQUIRE(s.target < n, "compile: synapse "
-                                    << k << " (from neuron " << i
-                                    << ") targets out-of-range neuron "
-                                    << s.target);
-      SGA_REQUIRE(s.delay >= kMinDelay,
-                  "compile: synapse " << k << " (from neuron " << i
-                                      << ") has delay " << s.delay
-                                      << " below minimum δ = " << kMinDelay);
-      SGA_REQUIRE(std::isfinite(s.weight),
-                  "compile: synapse " << k << " (from neuron " << i
-                                      << ") has non-finite weight "
-                                      << s.weight);
-      wide.targets[k] = s.target;
-      wide.weights[k] = s.weight;
-      wide.delays[k] = s.delay;
-      if (s.weight > 0) pos_in_weight_[s.target] += s.weight;
-      max_delay = std::max(max_delay, s.delay);
-      ++k;
-    }
-  }
-  max_delay_ = max_delay;
-
-  // Segment CSR: one (delay, begin, end) triple per delay run of each row.
-  seg_offsets_.resize(n + 1);
-  seg_offsets_[0] = 0;
-  for (NeuronId i = 0; i < n; ++i) {
-    std::size_t k = offsets_[i];
-    const std::size_t row_end = offsets_[i + 1];
-    while (k < row_end) {
-      const Delay d = wide.delays[k];
-      const std::size_t run_begin = k;
-      while (k < row_end && wide.delays[k] == d) ++k;
-      wide.seg_delays.push_back(d);
-      wide.seg_syn_begin.push_back(run_begin);
-      wide.seg_syn_end.push_back(k);
-    }
-    seg_offsets_[i + 1] = wide.seg_delays.size();
-  }
-
-  // The builder maintains these incrementally; the packed arrays are the
-  // ground truth. A mismatch means builder state was corrupted.
-  SGA_CHECK(m == net.num_synapses(),
-            "compile: packed " << m << " synapses but the builder counted "
-                               << net.num_synapses());
-  SGA_CHECK(max_delay_ == net.max_delay(),
-            "compile: packed max delay " << max_delay_
-                                         << " != builder max delay "
-                                         << net.max_delay());
-
-  adopt_payload(policy, std::move(wide));
-
-  for (const std::string& name : net.group_names()) {
-    const std::vector<NeuronId>& ids = net.group(name);
-    for (const NeuronId id : ids) {
-      SGA_REQUIRE(id < n, "compile: group '" << name
-                                             << "' contains out-of-range "
-                                                "neuron id "
-                                             << id);
-    }
-    groups_.emplace(name, ids);
-  }
-}
 
 void CompiledNetwork::verify_invariants() const {
   const std::size_t n = num_neurons();
@@ -512,148 +351,6 @@ void CompiledNetwork::patch_weights(
         }
       },
       store_);
-  recompute_pos_in_weight();
-  verify_invariants();
-}
-
-void CompiledNetwork::patch_delays(
-    const std::vector<std::pair<std::size_t, Delay>>& edits) {
-  // A delay edit re-sorts its row, which permutes the delta-packed target
-  // column — that is a re-encode, not an in-place patch. Refuse before
-  // touching anything (kNarrow freezes keep delay patching available).
-  SGA_REQUIRE(!widths_.packed,
-              "patch_delays: the packed encoding cannot be patched in "
-              "place; re-freeze the network to re-encode "
-              "(StoragePolicy::kNarrow keeps delay patching available)");
-  const std::size_t m = num_synapses();
-  const std::size_t n = num_neurons();
-  const Delay cap = !widths_.narrow
-                        ? std::numeric_limits<Delay>::max()
-                        : (widths_.delay_bytes == 1 ? 255 : 65535);
-  for (const auto& [k, d] : edits) {
-    SGA_REQUIRE(k < m, "patch_delays: synapse index "
-                           << k << " out of range (" << m << " synapses)");
-    SGA_REQUIRE(d >= kMinDelay, "patch_delays: synapse "
-                                    << k << " assigned delay " << d
-                                    << " below minimum δ = " << kMinDelay);
-    SGA_REQUIRE(d <= cap, "patch_delays: delay "
-                              << d << " for synapse " << k
-                              << " exceeds the frozen "
-                              << int{widths_.delay_bytes}
-                              << "-byte delay storage cap " << cap
-                              << "; re-freeze the network to widen");
-  }
-
-  // Rows whose delay order (and hence segments) the edits may disturb.
-  std::vector<NeuronId> rows;
-  rows.reserve(edits.size());
-  for (const auto& [k, d] : edits) {
-    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), k);
-    rows.push_back(static_cast<NeuronId>(it - offsets_.begin() - 1));
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-
-  std::visit(
-      [&](auto& st) {
-        using Store = std::decay_t<decltype(st)>;
-        if constexpr (Store::kPackedLayout) {
-          SGA_CHECK(false, "patch_delays: packed store behind a non-packed "
-                           "width tag");
-          return;
-        } else {
-        using TgtT = typename Store::Target;
-        using DlyT = typename Store::DelayT;
-        using WgtT = typename Store::WeightT;
-        using SegT = typename Store::SegIndex;
-        for (const auto& [k, d] : edits) {
-          st.delays[k] = static_cast<DlyT>(d);
-        }
-
-        // Stably re-sort each touched row by its (new) delays, carrying
-        // targets and weights along — the same per-row order a fresh
-        // freeze of the patched graph would pack.
-        std::vector<std::size_t> order;
-        std::vector<TgtT> tgt_tmp;
-        std::vector<WgtT> wgt_tmp;
-        std::vector<DlyT> dly_tmp;
-        for (const NeuronId i : rows) {
-          const std::size_t b = offsets_[i];
-          const std::size_t len = offsets_[i + 1] - b;
-          if (len < 2) continue;  // a one-synapse row is trivially sorted
-          order.resize(len);
-          std::iota(order.begin(), order.end(), std::size_t{0});
-          std::stable_sort(order.begin(), order.end(),
-                           [&st, b](std::size_t a, std::size_t c) {
-                             return st.delays[b + a] < st.delays[b + c];
-                           });
-          tgt_tmp.resize(len);
-          wgt_tmp.resize(len);
-          dly_tmp.resize(len);
-          for (std::size_t j = 0; j < len; ++j) {
-            tgt_tmp[j] = st.targets[b + order[j]];
-            wgt_tmp[j] = st.weights[b + order[j]];
-            dly_tmp[j] = st.delays[b + order[j]];
-          }
-          std::copy(tgt_tmp.begin(), tgt_tmp.end(), st.targets.begin() + b);
-          std::copy(wgt_tmp.begin(), wgt_tmp.end(), st.weights.begin() + b);
-          std::copy(dly_tmp.begin(), dly_tmp.end(), st.delays.begin() + b);
-        }
-
-        // Rebuild the segment CSR: touched rows are re-scanned for delay
-        // runs, untouched rows keep their segment triples verbatim (run
-        // counts can change, so the flat arrays are re-spliced).
-        std::vector<char> touched(n, 0);
-        for (const NeuronId i : rows) touched[i] = 1;
-        std::vector<DlyT> nsd;
-        std::vector<SegT> nsb;
-        std::vector<SegT> nse;
-        nsd.reserve(st.seg_delays.size());
-        nsb.reserve(st.seg_syn_begin.size());
-        nse.reserve(st.seg_syn_end.size());
-        std::vector<std::size_t> nso(n + 1, 0);
-        for (NeuronId i = 0; i < n; ++i) {
-          if (!touched[i]) {
-            for (std::size_t s = seg_offsets_[i]; s < seg_offsets_[i + 1];
-                 ++s) {
-              nsd.push_back(st.seg_delays[s]);
-              nsb.push_back(st.seg_syn_begin[s]);
-              nse.push_back(st.seg_syn_end[s]);
-            }
-          } else {
-            std::size_t k = offsets_[i];
-            const std::size_t row_end = offsets_[i + 1];
-            while (k < row_end) {
-              const DlyT d = st.delays[k];
-              const std::size_t run_begin = k;
-              while (k < row_end && st.delays[k] == d) ++k;
-              nsd.push_back(d);
-              nsb.push_back(static_cast<SegT>(run_begin));
-              nse.push_back(static_cast<SegT>(k));
-            }
-          }
-          nso[i + 1] = nsd.size();
-        }
-        st.seg_delays = std::move(nsd);
-        st.seg_syn_begin = std::move(nsb);
-        st.seg_syn_end = std::move(nse);
-        seg_offsets_ = std::move(nso);
-        }
-      },
-      store_);
-
-  // max_delay may have grown or shrunk; each row's last segment is its
-  // maximum (segment delays are strictly increasing within a row).
-  Delay max_delay = 0;
-  for (NeuronId i = 0; i < n; ++i) {
-    if (seg_offsets_[i + 1] > seg_offsets_[i]) {
-      max_delay = std::max(max_delay, seg_delay(seg_offsets_[i + 1] - 1));
-    }
-  }
-  max_delay_ = max_delay;
-
-  // The row permutation can reorder same-target additions within a row, so
-  // the in-weight table is retabulated in the new synapse order.
   recompute_pos_in_weight();
   verify_invariants();
 }

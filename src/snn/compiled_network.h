@@ -16,8 +16,8 @@
 //     then a bulk append of the run — instead of doing per-synapse lookups
 //     (ARCHITECTURE.md §1.6),
 //   * the flat synapse payload WIDTH-NARROWED to the observed ranges
-//     (ARCHITECTURE.md §1.8): compile() scans n / max delay / the weight
-//     domain and freezes u16 or u32 targets, u8/u16 delays, float32 weights
+//     (ARCHITECTURE.md §1.8): the freeze scans n / max delay / the weight
+//     domain and stores u16 or u32 targets, u8/u16 delays, float32 weights
 //     when exact — behind a SynStoreVariant dispatch, with the full-width
 //     layout kept as the oracle (snn/storage.h). At scale kAuto upgrades
 //     the narrow layout to the delta-PACKED encoding (ARCHITECTURE.md
@@ -26,18 +26,19 @@
 //     in favor of the segment CSR's run-length form,
 //   * per-neuron aggregates computed once at freeze time (the positive
 //     in-weight table that previously cost a full-graph scan per query).
-// compile() also runs the validation pass that used to be scattered across
-// accessors or skipped entirely: every delay ≥ δ, every target in range,
-// every weight finite, every τ ∈ [0, 1], every group member a real neuron,
-// and the builder's max_delay / num_synapses counters consistent with the
-// packed arrays.
 //
-// Million-edge generated families skip the nested-vector builder entirely:
-// compile_streamed() freezes an edge STREAM via a two-pass counting sort —
-// pass 1 counts per-source degrees and scans the ranges that pick the
-// widths, pass 2 fills the (already narrow) CSR through a cursor array —
-// so peak resident memory is the final CSR plus O(n) scratch, never a
-// nested-vector copy of the graph.
+// ONE freeze core produces all of this (stream_compile.cpp), and two
+// sources feed it: Network::compile() emits the builder's rows in
+// insertion order, and compile_streamed() replays a caller's edge STREAM,
+// so million-edge generated families never materialize the nested-vector
+// builder. The core is a two-pass counting sort — pass 1 counts
+// per-source degrees and scans the ranges that pick the widths, pass 2
+// fills the CSR at those widths through a cursor array — so no full-width
+// copy of the payload ever exists. It is also the validation pass: every
+// delay ≥ δ, every target in range, every weight finite, every τ ∈ [0, 1];
+// the builder source adds the group-member range check and the
+// cross-check of the builder's max_delay / num_synapses counters against
+// the frozen arrays.
 //
 // CompiledNetwork is deep-value (a handful of vectors): copy to snapshot,
 // move for ownership transfer. It is immutable after construction, so one
@@ -114,13 +115,14 @@ class CompiledNetwork {
   /// Freeze an edge STREAM without materializing the nested-vector builder
   /// (ARCHITECTURE.md §1.8). `emit` is invoked EXACTLY TWICE with a sink —
   /// once to count per-source degrees and scan the width-choosing ranges,
-  /// once to fill the narrow CSR — and must produce the identical synapse
-  /// sequence both times (re-run a deterministic generator from its seed;
-  /// a mismatch between the passes throws). `params` is consulted once per
-  /// neuron. Validation matches the builder freeze: every target < n,
-  /// delay ≥ δ, weight finite, τ ∈ [0, 1], with the offending index and
-  /// value in each message. Groups are not representable in a stream;
-  /// define them on a builder if you need ports.
+  /// once to fill the CSR at the chosen widths — and must produce the
+  /// identical synapse sequence both times (re-run a deterministic
+  /// generator from its seed; a mismatch between the passes throws).
+  /// `params` is consulted once per neuron. Validation is the builder
+  /// freeze's (one core): every target < n, delay ≥ δ, weight finite,
+  /// τ ∈ [0, 1], with the offending index and value in each message.
+  /// Groups are not representable in a stream; define them on a builder
+  /// if you need ports.
   static CompiledNetwork compile_streamed(
       std::size_t num_neurons,
       const std::function<NeuronParams(NeuronId)>& params,
@@ -321,9 +323,17 @@ class CompiledNetwork {
   std::vector<std::string> group_names() const;
 
  private:
-  /// Choose widths for the already-validated wide payload and move it into
-  /// the variant (narrowing element-wise when a narrow layout was chosen).
-  void adopt_payload(StoragePolicy policy, WideSynStore&& wide);
+  /// The one freeze core behind both public entry points
+  /// (stream_compile.cpp): validate the `n` neuron parameters, run
+  /// `source(sink)` twice (pass 1 counts degrees and scans the ranges that
+  /// choose the widths, pass 2 scatters into those widths), then sort each
+  /// row by delay, cut the segment CSR, tabulate positive in-weights and,
+  /// for the packed encoding, re-encode the target column. `who` prefixes
+  /// every message. Returns the bytes of the flat transient a packed freeze
+  /// re-encodes from (0 for the flat layouts).
+  template <typename Params, typename Source>
+  std::size_t freeze(const char* who, std::size_t n, const Params& params,
+                     const Source& source, StoragePolicy policy);
   /// One chunk of for_each_out_synapse: synapses [k, ce) of a row ending
   /// at `row_end`, where ce is the next block boundary or the row end.
   /// Fills tgt/wgt/dly[0 .. ce − k), advances the segment cursor `seg` to

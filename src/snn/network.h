@@ -74,9 +74,12 @@ class Network {
   /// weights, τ ∈ [0, 1], group ids valid, counter consistency) and pack it
   /// into the immutable CSR form the simulator consumes — width-narrowed to
   /// the observed ranges under the default StoragePolicy::kAuto, or at full
-  /// width under kWide (snn/storage.h; ARCHITECTURE.md §1.8). The Network
-  /// remains usable afterwards — compile again after further mutation for a
-  /// new snapshot.
+  /// width under kWide (snn/storage.h; ARCHITECTURE.md §1.8). The rows are
+  /// the synapse source, emitted in insertion order, of the same freeze
+  /// core that CompiledNetwork::compile_streamed() feeds from an edge
+  /// stream: a builder and a stream carrying the same synapse sequence
+  /// freeze to the same artifact, bit for bit. The Network remains usable
+  /// afterwards — compile again after further mutation for a new snapshot.
   CompiledNetwork compile(StoragePolicy policy = StoragePolicy::kAuto) const;
 
   // ---- Named groups (ports) -------------------------------------------

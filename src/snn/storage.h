@@ -1,9 +1,10 @@
 // Width-narrowed and delta-packed synapse storage for the frozen CSR
 // (ARCHITECTURE.md §1.8, §1.11).
 //
-// Network::compile() scans the observed ranges of the construction — neuron
-// count, maximum delay, the weight domain — and freezes the synapse payload
-// into the narrowest layout that represents it exactly:
+// The freeze (Network::compile() and compile_streamed(), one core) scans the
+// observed ranges of the construction — neuron count, maximum delay, the
+// weight domain — and stores the synapse payload in the narrowest layout
+// that represents it exactly:
 //   * target ids    u16 when n ≤ 2^16, else u32 (NeuronId's full width),
 //   * delays        u8 when max_delay ≤ 255, u16 when ≤ 65535,
 //   * weights       float32 when EVERY weight round-trips double→float→double
@@ -325,8 +326,9 @@ struct PackedSynStore {
   }
 
   /// Build the block tables from a flat (already delay-sorted) target
-  /// column. The only encoder — compile(), compile_streamed(), and the io
-  /// reader's re-pack all funnel through here.
+  /// column. The only encoder: the freeze core behind compile() and
+  /// compile_streamed() calls it; the io reader takes encoded blocks as
+  /// read (CompiledNetwork::from_packed_parts).
   template <typename SrcT>
   void pack_targets(const std::vector<SrcT>& flat) {
     num_targets = flat.size();

@@ -1,79 +1,169 @@
-// Streaming generator-to-CSR freeze (ARCHITECTURE.md §1.8).
-//
-// compile_streamed() builds a CompiledNetwork from an edge stream with a
-// two-pass counting sort, never materializing the nested-vector builder:
+// The freeze (ARCHITECTURE.md §1.3, §1.8): one core turns a synapse source
+// into the immutable CompiledNetwork, and two thin sources feed it.
+//   * CompiledNetwork(const Network&), and so Network::compile(), emits
+//     each builder row in insertion order, then adds the builder's groups;
+//   * compile_streamed() wraps a caller's deterministic edge emitter, so a
+//     generated family never materializes the nested-vector builder.
+// The core (CompiledNetwork::freeze) is a two-pass counting sort:
 //   pass 1  count per-source degrees; scan the ranges that choose the
-//           storage widths (max delay, target range, whether every weight
-//           round-trips through float32); validate each synapse with its
-//           ordinal and value in the message;
+//           storage widths (max delay, whether every weight round-trips
+//           through float32); validate each synapse with its ordinal and
+//           value in the message;
 //   freeze  exclusive-scan the degree counts into the CSR row pointers,
-//           choose widths, allocate the narrow payload ONCE;
-//   pass 2  re-run the emitter and scatter each synapse through a cursor
+//           choose widths, allocate the payload ONCE at those widths;
+//   pass 2  re-run the source and scatter each synapse through a cursor
 //           array (the degree counts, reused); cross-check every value
 //           against pass 1's ranges so a non-deterministic emitter fails
 //           loudly instead of corrupting the CSR;
-//   finish  stable-sort each row by delay (permutation gather through
-//           small scratch buffers), build the delay-segment CSR, and
-//           tabulate positive in-weights.
-// Peak resident memory is the final CSR plus O(n) scratch — the builder
-// path would hold the nested vectors AND the packed copy simultaneously.
+//   finish  stable-sort each row by delay, cut the delay-segment CSR,
+//           tabulate positive in-weights, and (packed) re-encode the
+//           target column.
+// No full-width copy of the payload exists at any point: peak resident
+// memory is the final CSR plus O(n) scratch, plus one narrow flat column
+// set when the packed encoding re-encodes from it. patch_delays() lives
+// here too, so a patched row is re-sorted and re-cut by the same helper.
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "snn/compiled_network.h"
+#include "snn/network.h"
 
 namespace sga::snn {
 
 namespace {
 
 /// Ranges observed by pass 1, cross-checked in pass 2.
-struct StreamScan {
+struct FreezeScan {
   std::size_t count = 0;
   Delay max_delay = 0;
   bool weights_fit_f32 = true;
 };
 
+/// Rows up to this degree are delay-sorted in place by insertion; longer
+/// rows go through a permutation sort (O(d log d), no quadratic hub rows).
+constexpr std::size_t kInsertionSortMaxRow = 32;
+
+/// The rows' finish, shared by the freeze and patch_delays(): stably sort
+/// the rows `touched` marks (every row when null) by delay, then cut every
+/// row's delay runs into the store's segment CSR, one (delay, begin, end)
+/// triple per run. A row left unsorted must already be delay-sorted. Both
+/// sorts are stable: equal-delay synapses keep their emission order, which
+/// fixes per-bucket delivery order and hence FP summation order.
 template <typename Store>
-void fill_streamed(Store& st, const std::vector<std::size_t>& offsets,
-                   std::vector<std::size_t>& cursor,
-                   std::vector<std::size_t>& seg_offsets,
-                   std::vector<SynWeight>& pos_in_weight,
-                   const std::function<void(const SynapseSink&)>& emit,
-                   const StreamScan& scan, std::size_t n) {
+void sort_and_segment(Store& st, const std::vector<std::size_t>& offsets,
+                      std::vector<std::size_t>& seg_offsets,
+                      const std::vector<char>* touched) {
+  using TgtT = typename Store::Target;
+  using WgtT = typename Store::WeightT;
+  using DlyT = typename Store::DelayT;
+  using SegT = typename Store::SegIndex;
+  const std::size_t n = offsets.size() - 1;
+  std::vector<std::size_t> order;
+  std::vector<TgtT> tgt;
+  std::vector<WgtT> wgt;
+  std::vector<DlyT> dly;
+  st.seg_delays.clear();
+  st.seg_syn_begin.clear();
+  st.seg_syn_end.clear();
+  seg_offsets.assign(n + 1, 0);
+  for (NeuronId i = 0; i < n; ++i) {
+    const std::size_t b = offsets[i];
+    const std::size_t e = offsets[i + 1];
+    const DlyT* row = st.delays.data() + b;
+    const bool sort = touched == nullptr || (*touched)[i] != 0;
+    if (sort && e - b <= kInsertionSortMaxRow) {
+      // A synapse moves only past strictly larger delays.
+      for (std::size_t j = b + 1; j < e; ++j) {
+        const DlyT d = st.delays[j];
+        if (!(d < st.delays[j - 1])) continue;
+        const TgtT t = st.targets[j];
+        const WgtT w = st.weights[j];
+        std::size_t h = j;
+        for (; h > b && d < st.delays[h - 1]; --h) {
+          st.targets[h] = st.targets[h - 1];
+          st.weights[h] = st.weights[h - 1];
+          st.delays[h] = st.delays[h - 1];
+        }
+        st.targets[h] = t;
+        st.weights[h] = w;
+        st.delays[h] = d;
+      }
+    } else if (sort && !std::is_sorted(row, row + (e - b))) {
+      // Gather through the stable permutation into row-sized scratch
+      // (grown once to the largest degree), then copy back.
+      order.resize(e - b);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [row](std::size_t x, std::size_t y) {
+                         return row[x] < row[y];
+                       });
+      tgt.resize(e - b);
+      wgt.resize(e - b);
+      dly.resize(e - b);
+      for (std::size_t j = 0; j < e - b; ++j) {
+        tgt[j] = st.targets[b + order[j]];
+        wgt[j] = st.weights[b + order[j]];
+        dly[j] = st.delays[b + order[j]];
+      }
+      std::copy(tgt.begin(), tgt.end(), st.targets.begin() + b);
+      std::copy(wgt.begin(), wgt.end(), st.weights.begin() + b);
+      std::copy(dly.begin(), dly.end(), st.delays.begin() + b);
+    }
+    for (std::size_t k = b; k < e;) {
+      const DlyT d = st.delays[k];
+      const std::size_t run_begin = k;
+      while (k < e && st.delays[k] == d) ++k;
+      st.seg_delays.push_back(d);
+      st.seg_syn_begin.push_back(static_cast<SegT>(run_begin));
+      st.seg_syn_end.push_back(static_cast<SegT>(k));
+    }
+    seg_offsets[i + 1] = st.seg_delays.size();
+  }
+}
+
+/// Pass 2 and the finish into a flat store (the payload itself, or a
+/// packed freeze's flat transient).
+template <typename Store, typename Source>
+void fill_rows(Store& st, const std::vector<std::size_t>& offsets,
+               std::vector<std::size_t>& cursor,
+               std::vector<std::size_t>& seg_offsets,
+               std::vector<SynWeight>& pos_in_weight, const Source& source,
+               const FreezeScan& scan, const char* who) {
   using TgtT = typename Store::Target;
   using DlyT = typename Store::DelayT;
   using WgtT = typename Store::WeightT;
-  using SegT = typename Store::SegIndex;
 
+  const std::size_t n = cursor.size();
   const std::size_t m = offsets[n];
   st.targets.resize(m);
   st.weights.resize(m);
   st.delays.resize(m);
 
   // Pass 2: scatter through the cursor array. Values are re-validated
-  // against pass 1's scan so an emitter that is not deterministic between
+  // against pass 1's scan so a source that is not deterministic between
   // the two passes cannot overflow the chosen widths or mis-place a row.
   std::size_t k = 0;
-  const SynapseSink sink = [&](NeuronId from, NeuronId to, SynWeight weight,
-                               Delay delay) {
-    SGA_REQUIRE(k < m, "compile_streamed: pass 2 emitted synapse "
-                           << k << " beyond pass 1's count " << m
+  const auto scatter = [&](NeuronId from, NeuronId to, SynWeight weight,
+                           Delay delay) {
+    SGA_REQUIRE(k < m, who << ": pass 2 emitted synapse " << k
+                           << " beyond pass 1's count " << m
                            << " — the emitter must be deterministic");
     SGA_REQUIRE(from < n && to < n && delay <= scan.max_delay &&
                     delay >= kMinDelay && std::isfinite(weight) &&
                     (!scan.weights_fit_f32 || round_trips_f32(weight)),
-                "compile_streamed: pass 2 synapse "
-                    << k << " (" << from << " -> " << to << ", weight "
-                    << weight << ", delay " << delay
+                who << ": pass 2 synapse " << k << " (" << from << " -> "
+                    << to << ", weight " << weight << ", delay " << delay
                     << ") out of pass 1's observed ranges — the emitter "
                        "must be deterministic");
     const std::size_t slot = cursor[from]++;
     SGA_REQUIRE(slot < offsets[from + 1],
-                "compile_streamed: pass 2 emitted more synapses from neuron "
-                    << from << " than pass 1's degree "
+                who << ": pass 2 emitted more synapses from neuron " << from
+                    << " than pass 1's degree "
                     << offsets[from + 1] - offsets[from]
                     << " — the emitter must be deterministic");
     st.targets[slot] = static_cast<TgtT>(to);
@@ -81,157 +171,103 @@ void fill_streamed(Store& st, const std::vector<std::size_t>& offsets,
     st.delays[slot] = static_cast<DlyT>(delay);
     ++k;
   };
-  emit(sink);
-  SGA_REQUIRE(k == m, "compile_streamed: pass 2 emitted "
-                          << k << " synapses, pass 1 counted " << m
+  source(scatter);
+  SGA_REQUIRE(k == m, who << ": pass 2 emitted " << k
+                          << " synapses, pass 1 counted " << m
                           << " — the emitter must be deterministic");
 
-  // Per-row stable delay sort: gather through the permutation into small
-  // scratch buffers (row-sized, grown once to the max degree), then copy
-  // back. Keeps equal-delay synapses in emission order, matching the
-  // builder freeze bit-for-bit.
-  std::vector<std::size_t> order;
-  std::vector<TgtT> tgt_scratch;
-  std::vector<WgtT> wgt_scratch;
-  std::vector<DlyT> dly_scratch;
-  for (NeuronId i = 0; i < n; ++i) {
-    const std::size_t b = offsets[i];
-    const std::size_t e = offsets[i + 1];
-    const std::size_t deg = e - b;
-    const DlyT* dly = st.delays.data() + b;
-    // Rows emitted delay-sorted (a shard split's) need no permutation.
-    if (deg <= 1 || std::is_sorted(dly, dly + deg)) continue;
-    order.resize(deg);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [dly](std::size_t a, std::size_t c) {
-                       return dly[a] < dly[c];
-                     });
-    tgt_scratch.resize(deg);
-    wgt_scratch.resize(deg);
-    dly_scratch.resize(deg);
-    for (std::size_t j = 0; j < deg; ++j) {
-      tgt_scratch[j] = st.targets[b + order[j]];
-      wgt_scratch[j] = st.weights[b + order[j]];
-      dly_scratch[j] = st.delays[b + order[j]];
-    }
-    std::copy(tgt_scratch.begin(), tgt_scratch.end(), st.targets.begin() + b);
-    std::copy(wgt_scratch.begin(), wgt_scratch.end(), st.weights.begin() + b);
-    std::copy(dly_scratch.begin(), dly_scratch.end(), st.delays.begin() + b);
-  }
-
-  // Delay-segment CSR + the positive in-weight table, off the sorted rows.
-  seg_offsets.resize(n + 1);
-  seg_offsets[0] = 0;
-  for (NeuronId i = 0; i < n; ++i) {
-    std::size_t j = offsets[i];
-    const std::size_t row_end = offsets[i + 1];
-    while (j < row_end) {
-      const DlyT d = st.delays[j];
-      const std::size_t run_begin = j;
-      while (j < row_end && st.delays[j] == d) ++j;
-      st.seg_delays.push_back(d);
-      st.seg_syn_begin.push_back(static_cast<SegT>(run_begin));
-      st.seg_syn_end.push_back(static_cast<SegT>(j));
-    }
-    seg_offsets[i + 1] = st.seg_delays.size();
-  }
+  // Delay-sorted rows, their segment CSR, then the positive in-weight table
+  // in flat synapse order.
+  sort_and_segment(st, offsets, seg_offsets, nullptr);
   for (std::size_t j = 0; j < m; ++j) {
-    const SynWeight w = static_cast<SynWeight>(st.weights[j]);
+    const auto w = static_cast<SynWeight>(st.weights[j]);
     if (w > 0) pos_in_weight[st.targets[j]] += w;
   }
 }
 
 }  // namespace
 
-CompiledNetwork CompiledNetwork::compile_streamed(
-    std::size_t num_neurons,
-    const std::function<NeuronParams(NeuronId)>& params,
-    const std::function<void(const SynapseSink&)>& emit,
-    StoragePolicy policy, StreamBuildStats* build_stats) {
-  SGA_REQUIRE(num_neurons <= static_cast<std::size_t>(kNoNeuron),
-              "compile_streamed: " << num_neurons
-                                   << " neurons exceed the NeuronId range");
-  CompiledNetwork net;
-  const std::size_t n = num_neurons;
-  net.v_reset_.resize(n);
-  net.v_threshold_.resize(n);
-  net.tau_.resize(n);
+template <typename Params, typename Source>
+std::size_t CompiledNetwork::freeze(const char* who, std::size_t n,
+                                    const Params& params,
+                                    const Source& source,
+                                    StoragePolicy policy) {
+  SGA_REQUIRE(n <= static_cast<std::size_t>(kNoNeuron),
+              who << ": " << n << " neurons exceed the NeuronId range");
+  v_reset_.resize(n);
+  v_threshold_.resize(n);
+  tau_.resize(n);
   for (NeuronId i = 0; i < n; ++i) {
     const NeuronParams p = params(i);
     SGA_REQUIRE(p.tau >= 0.0 && p.tau <= 1.0,
-                "compile_streamed: neuron " << i << " has decay τ = " << p.tau
-                                            << " outside [0, 1]");
+                who << ": neuron " << i << " has decay τ = " << p.tau
+                    << " outside [0, 1]");
     SGA_REQUIRE(std::isfinite(p.v_reset) && std::isfinite(p.v_threshold),
-                "compile_streamed: neuron "
-                    << i << " has non-finite parameters (v_reset = "
-                    << p.v_reset << ", v_threshold = " << p.v_threshold
-                    << ")");
-    net.v_reset_[i] = p.v_reset;
-    net.v_threshold_[i] = p.v_threshold;
-    net.tau_[i] = p.tau;
+                who << ": neuron " << i
+                    << " has non-finite parameters (v_reset = " << p.v_reset
+                    << ", v_threshold = " << p.v_threshold << ")");
+    v_reset_[i] = p.v_reset;
+    v_threshold_[i] = p.v_threshold;
+    tau_[i] = p.tau;
   }
 
   // Pass 1: per-source degree counts + the width-choosing range scan.
   std::vector<std::size_t> degree(n, 0);
-  StreamScan scan;
-  const SynapseSink counter = [&](NeuronId from, NeuronId to,
-                                  SynWeight weight, Delay delay) {
+  FreezeScan scan;
+  const auto count = [&](NeuronId from, NeuronId to, SynWeight weight,
+                         Delay delay) {
     const std::size_t k = scan.count;
-    SGA_REQUIRE(from < n, "compile_streamed: synapse "
-                              << k << " emitted from out-of-range neuron "
+    SGA_REQUIRE(from < n, who << ": synapse " << k
+                              << " emitted from out-of-range neuron "
                               << from);
-    SGA_REQUIRE(to < n, "compile_streamed: synapse "
-                            << k << " (from neuron " << from
+    SGA_REQUIRE(to < n, who << ": synapse " << k << " (from neuron " << from
                             << ") targets out-of-range neuron " << to);
     SGA_REQUIRE(delay >= kMinDelay,
-                "compile_streamed: synapse "
-                    << k << " (from neuron " << from << ") has delay "
-                    << delay << " below minimum δ = " << kMinDelay);
+                who << ": synapse " << k << " (from neuron " << from
+                    << ") has delay " << delay << " below minimum δ = "
+                    << kMinDelay);
     SGA_REQUIRE(std::isfinite(weight),
-                "compile_streamed: synapse " << k << " (from neuron " << from
-                                             << ") has non-finite weight "
-                                             << weight);
+                who << ": synapse " << k << " (from neuron " << from
+                    << ") has non-finite weight " << weight);
     ++degree[from];
     scan.max_delay = std::max(scan.max_delay, delay);
     scan.weights_fit_f32 = scan.weights_fit_f32 && round_trips_f32(weight);
     ++scan.count;
   };
-  emit(counter);
+  source(count);
 
   // Exclusive scan into row pointers; the degree array becomes the pass-2
   // fill cursor (counting sort's standard trick — no second O(n) buffer).
-  net.offsets_.resize(n + 1);
-  net.offsets_[0] = 0;
+  offsets_.resize(n + 1);
+  offsets_[0] = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    net.offsets_[i + 1] = net.offsets_[i] + degree[i];
-    degree[i] = net.offsets_[i];
+    offsets_[i + 1] = offsets_[i] + degree[i];
+    degree[i] = offsets_[i];
   }
-  std::vector<std::size_t>& cursor = degree;
-  net.max_delay_ = scan.max_delay;
-  net.pos_in_weight_.assign(n, 0);
+  max_delay_ = scan.max_delay;
+  pos_in_weight_.assign(n, 0);
 
-  // Choose widths from pass 1's ranges and fill the narrow payload
-  // directly — the point of the two passes: the wide intermediate arrays
-  // of the builder freeze never exist.
-  net.widths_ = choose_widths(policy, n, scan.count, scan.max_delay,
-                              scan.weights_fit_f32);
-  net.store_ = make_synapse_store(net.widths_);
+  // Choose widths from pass 1's ranges and fill the payload at those
+  // widths directly.
+  widths_ = choose_widths(policy, n, scan.count, scan.max_delay,
+                          scan.weights_fit_f32);
+  store_ = make_synapse_store(widths_);
   std::size_t transient_bytes = 0;
   std::visit(
       [&](auto& st) {
         using Store = std::decay_t<decltype(st)>;
         if constexpr (Store::kPackedLayout) {
-          // Packed freeze: scatter into a FLAT transient at the packed
-          // store's delay/weight widths (u32 targets — packed blocks decode
-          // to full width anyway), then re-encode. The transient is narrow,
-          // never wide, so packing at n=10⁶/m=10⁷ scale costs one narrow
-          // CSR of headroom instead of the builder's wide copy.
+          // Scatter into a FLAT transient at the packed store's
+          // delay/weight widths (u32 targets: packed blocks decode to full
+          // width anyway), then re-encode. The per-synapse delay column is
+          // dropped (the segment CSR is its run-length encoding), and the
+          // begin column gains the m sentinel so seg_syn_end_at(s) reads
+          // seg_syn_begin[s + 1].
           SynStore<std::uint32_t, typename Store::DelayT,
                    typename Store::WeightT, std::uint32_t>
               flat;
-          fill_streamed(flat, net.offsets_, cursor, net.seg_offsets_,
-                        net.pos_in_weight_, emit, scan, n);
+          fill_rows(flat, offsets_, degree, seg_offsets_, pos_in_weight_,
+                    source, scan, who);
           transient_bytes = flat.payload_bytes();
           st.pack_targets(flat.targets);
           flat.targets.clear();
@@ -243,24 +279,72 @@ CompiledNetwork CompiledNetwork::compile_streamed(
           st.seg_syn_begin = std::move(flat.seg_syn_begin);
           st.seg_syn_begin.push_back(static_cast<std::uint32_t>(scan.count));
         } else {
-          fill_streamed(st, net.offsets_, cursor, net.seg_offsets_,
-                        net.pos_in_weight_, emit, scan, n);
+          fill_rows(st, offsets_, degree, seg_offsets_, pos_in_weight_,
+                    source, scan, who);
         }
       },
-      net.store_);
+      store_);
+  return transient_bytes;
+}
+
+CompiledNetwork::CompiledNetwork(const Network& net, StoragePolicy policy) {
+  const std::size_t n = net.num_neurons();
+  freeze(
+      "compile", n, [&net](NeuronId i) { return net.params(i); },
+      [&net, n](const auto& sink) {
+        for (NeuronId i = 0; i < n; ++i) {
+          for (const Synapse& s : net.out_synapses(i)) {
+            sink(i, s.target, s.weight, s.delay);
+          }
+        }
+      },
+      policy);
+
+  // The builder maintains these incrementally; the frozen arrays are the
+  // ground truth. A mismatch means builder state was corrupted.
+  SGA_CHECK(num_synapses() == net.num_synapses(),
+            "compile: packed " << num_synapses()
+                               << " synapses but the builder counted "
+                               << net.num_synapses());
+  SGA_CHECK(max_delay_ == net.max_delay(),
+            "compile: packed max delay " << max_delay_
+                                         << " != builder max delay "
+                                         << net.max_delay());
+
+  for (const std::string& name : net.group_names()) {
+    const std::vector<NeuronId>& ids = net.group(name);
+    for (const NeuronId id : ids) {
+      SGA_REQUIRE(id < n, "compile: group '" << name
+                                             << "' contains out-of-range "
+                                                "neuron id "
+                                             << id);
+    }
+    groups_.emplace(name, ids);
+  }
+}
+
+CompiledNetwork CompiledNetwork::compile_streamed(
+    std::size_t num_neurons,
+    const std::function<NeuronParams(NeuronId)>& params,
+    const std::function<void(const SynapseSink&)>& emit,
+    StoragePolicy policy, StreamBuildStats* build_stats) {
+  CompiledNetwork net;
+  const std::size_t transient_bytes = net.freeze(
+      "compile_streamed", num_neurons, params,
+      [&emit](const auto& sink) { emit(SynapseSink(std::cref(sink))); },
+      policy);
 
   if (build_stats != nullptr) {
+    const std::size_t n = num_neurons;
     build_stats->num_neurons = n;
-    build_stats->num_synapses = scan.count;
+    build_stats->num_synapses = net.num_synapses();
     build_stats->csr_bytes = net.csr_storage_bytes();
     // High-water mark: the finished CSR coexists with the O(n) cursor
     // array and the positive in-weight table during pass 2 — plus, for a
     // packed freeze, the flat transient it re-encodes from.
     build_stats->peak_resident_bytes =
-        build_stats->csr_bytes + transient_bytes +
-        cursor.size() * sizeof(std::size_t) +
-        net.pos_in_weight_.size() * sizeof(SynWeight) +
-        3 * n * sizeof(Voltage);
+        build_stats->csr_bytes + transient_bytes + n * sizeof(std::size_t) +
+        n * sizeof(SynWeight) + 3 * n * sizeof(Voltage);
   }
   if (obs::MetricsRegistry* mr = obs::thread_metrics()) {
     mr->add("snn.stream_freezes");
@@ -269,6 +353,75 @@ CompiledNetwork CompiledNetwork::compile_streamed(
     mr->gauge("snn.stream_bytes_per_synapse", net.bytes_per_synapse());
   }
   return net;
+}
+
+void CompiledNetwork::patch_delays(
+    const std::vector<std::pair<std::size_t, Delay>>& edits) {
+  // A delay edit re-sorts its row, which permutes the delta-packed target
+  // column — that is a re-encode, not an in-place patch. Refuse before
+  // touching anything (kNarrow freezes keep delay patching available).
+  SGA_REQUIRE(!widths_.packed,
+              "patch_delays: the packed encoding cannot be patched in "
+              "place; re-freeze the network to re-encode "
+              "(StoragePolicy::kNarrow keeps delay patching available)");
+  const std::size_t m = num_synapses();
+  const std::size_t n = num_neurons();
+  const Delay cap = !widths_.narrow
+                        ? std::numeric_limits<Delay>::max()
+                        : (widths_.delay_bytes == 1 ? 255 : 65535);
+  for (const auto& [k, d] : edits) {
+    SGA_REQUIRE(k < m, "patch_delays: synapse index "
+                           << k << " out of range (" << m << " synapses)");
+    SGA_REQUIRE(d >= kMinDelay, "patch_delays: synapse "
+                                    << k << " assigned delay " << d
+                                    << " below minimum δ = " << kMinDelay);
+    SGA_REQUIRE(d <= cap, "patch_delays: delay "
+                              << d << " for synapse " << k
+                              << " exceeds the frozen "
+                              << int{widths_.delay_bytes}
+                              << "-byte delay storage cap " << cap
+                              << "; re-freeze the network to widen");
+  }
+
+  // Rows whose delay order (and hence segments) the edits may disturb.
+  std::vector<char> touched(n, 0);
+  for (const auto& [k, d] : edits) {
+    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), k);
+    touched[static_cast<std::size_t>(it - offsets_.begin() - 1)] = 1;
+  }
+
+  std::visit(
+      [&](auto& st) {
+        using Store = std::decay_t<decltype(st)>;
+        if constexpr (Store::kPackedLayout) {
+          SGA_CHECK(false, "patch_delays: packed store behind a non-packed "
+                           "width tag");
+        } else {
+          for (const auto& [k, d] : edits) {
+            st.delays[k] = static_cast<typename Store::DelayT>(d);
+          }
+          // Touched rows are re-sorted exactly as a fresh freeze of the
+          // patched graph would sort them; re-cutting an untouched row
+          // reproduces its segments verbatim.
+          sort_and_segment(st, offsets_, seg_offsets_, &touched);
+        }
+      },
+      store_);
+
+  // max_delay may have grown or shrunk; each row's last segment is its
+  // maximum (segment delays are strictly increasing within a row).
+  Delay max_delay = 0;
+  for (NeuronId i = 0; i < n; ++i) {
+    if (seg_offsets_[i + 1] > seg_offsets_[i]) {
+      max_delay = std::max(max_delay, seg_delay(seg_offsets_[i + 1] - 1));
+    }
+  }
+  max_delay_ = max_delay;
+
+  // The row permutation can reorder same-target additions within a row, so
+  // the in-weight table is retabulated in the new synapse order.
+  recompute_pos_in_weight();
+  verify_invariants();
 }
 
 }  // namespace sga::snn

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/error.h"
 
@@ -24,17 +26,23 @@ void write_spike_raster(std::ostream& os, const Simulator& sim,
     }
   }
 
+  // Each row's label, built once ("n<id>" when none were given).
+  std::vector<std::string> row_labels(labels);
+  if (labels.empty()) {
+    for (const NeuronId id : ids) {
+      std::string label = "n";
+      label += std::to_string(id);
+      row_labels.push_back(std::move(label));
+    }
+  }
   std::size_t label_width = 0;
-  auto label_of = [&](std::size_t row) {
-    return labels.empty() ? "n" + std::to_string(ids[row]) : labels[row];
-  };
-  for (std::size_t row = 0; row < ids.size(); ++row) {
-    label_width = std::max(label_width, label_of(row).size());
+  for (const std::string& label : row_labels) {
+    label_width = std::max(label_width, label.size());
   }
 
   os << std::string(label_width, ' ') << " t=" << t0 << '\n';
   for (std::size_t row = 0; row < ids.size(); ++row) {
-    const std::string label = label_of(row);
+    const std::string& label = row_labels[row];
     os << label << std::string(label_width - label.size(), ' ') << ' ';
     for (Time t = t0; t <= t1; ++t) {
       os << (times[row].count(t) ? '|' : '.');

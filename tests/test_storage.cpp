@@ -1,9 +1,13 @@
 // Freeze-time width-narrowed CSR storage (ARCHITECTURE.md §1.8): width
 // selection rules, the kWide escape hatch, streamed generator-to-CSR
-// builds matching the builder freeze bit-for-bit, and the freeze-time
-// validation messages that name the offending neuron/synapse.
+// builds matching the builder freeze bit-for-bit, the freeze-time
+// validation messages that name the offending neuron/synapse, and a hash
+// pin of every public column for each storage layout through both freeze
+// sources.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
@@ -331,6 +335,139 @@ TEST(FreezeValidationTest, NonDeterministicEmitterFailsLoudly) {
           });
     });
     EXPECT_NE(msg.find("must be deterministic"), std::string::npos) << msg;
+  }
+}
+
+// ---- Freeze identity pin --------------------------------------------------
+
+/// FNV-1a over every public column of a frozen network: row and segment
+/// pointers, the per-synapse and per-segment columns, the positive
+/// in-weight table, the widths and the resident byte count.
+std::uint64_t freeze_hash(const CompiledNetwork& c) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_double = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  const std::size_t n = c.num_neurons();
+  mix(n);
+  for (NeuronId i = 0; i <= n; ++i) {
+    mix(i < n ? c.out_begin(i) : c.num_synapses());
+    mix(i < n ? c.seg_begin(i) : c.num_delay_segments());
+  }
+  for (std::size_t k = 0; k < c.num_synapses(); ++k) {
+    mix(c.syn_target(k));
+    mix_double(c.syn_weight(k));
+    mix(static_cast<std::uint64_t>(c.syn_delay(k)));
+  }
+  for (std::size_t s = 0; s < c.num_delay_segments(); ++s) {
+    mix(static_cast<std::uint64_t>(c.seg_delay(s)));
+    mix(c.seg_syn_begin(s));
+    mix(c.seg_syn_end(s));
+  }
+  for (NeuronId i = 0; i < n; ++i) mix_double(c.positive_in_weight(i));
+  const StorageWidths& w = c.storage_widths();
+  mix(w.narrow);
+  mix(w.packed);
+  mix(w.target_bytes);
+  mix(w.delay_bytes);
+  mix(w.weight_bytes);
+  mix(w.seg_index_bytes);
+  mix(c.csr_storage_bytes());
+  return h;
+}
+
+struct PinCase {
+  std::size_t n;
+  Delay max_delay;  ///< 9 keeps u8 delays, 300 forces u16
+  bool f32;         ///< weights that round-trip float32, or ones that do not
+  StoragePolicy policy;
+  std::size_t variant;  ///< the SynStoreVariant alternative it must land in
+  std::uint64_t hash;   ///< freeze_hash of the result
+};
+
+TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
+  // Fixed small networks frozen into each of the 13 SynStoreVariant
+  // alternatives, through the builder and through an edge stream carrying
+  // the same synapse sequence. Rows are emitted out of delay order with
+  // repeated delays, so the stable per-row sort and the delay runs are
+  // exercised; the hashes pin every public column, so any change to what a
+  // freeze produces shows here.
+  const PinCase cases[] = {
+      {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673},
+      {40, 9, true, StoragePolicy::kNarrow, 1, 0x5f8dd9ff69a5c127},
+      {40, 9, false, StoragePolicy::kNarrow, 2, 0x89c790b77a3ef7e7},
+      {40, 300, true, StoragePolicy::kNarrow, 3, 0x86266af8339e7f07},
+      {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64},
+      {70000, 9, true, StoragePolicy::kNarrow, 5, 0x90ee67038352b852},
+      {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545},
+      {70000, 300, true, StoragePolicy::kNarrow, 7, 0x11065d8c8bb0bee0},
+      {70000, 300, false, StoragePolicy::kNarrow, 8, 0x3400c4d1a97a1f8b},
+      {40, 9, true, StoragePolicy::kPacked, 9, 0x957655c013ced657},
+      {70000, 9, false, StoragePolicy::kPacked, 10, 0x4869fdf27fe7ddad},
+      {40, 300, true, StoragePolicy::kPacked, 11, 0x66d6d3d885b80304},
+      {40, 300, false, StoragePolicy::kPacked, 12, 0xb360cfbef4e27b66},
+  };
+  std::vector<bool> seen(std::variant_size_v<snn::SynStoreVariant>, false);
+  for (const PinCase& pc : cases) {
+    SCOPED_TRACE(testing::Message() << "n " << pc.n << ", max delay "
+                                    << pc.max_delay << ", f32 " << pc.f32
+                                    << ", variant " << pc.variant);
+    struct Syn {
+      NeuronId from, to;
+      SynWeight w;
+      Delay d;
+    };
+    // Deterministic synapse list: a quarter of the synapses land on 8 dense
+    // rows, the rest spread over all neurons; the first synapse carries
+    // max_delay so the delay width is decided by the case.
+    std::vector<Syn> syns;
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL ^ pc.n ^ (pc.max_delay << 20);
+    auto next = [&x] {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      return x >> 33;
+    };
+    for (std::size_t k = 0; k < 600; ++k) {
+      const NeuronId from = static_cast<NeuronId>(
+          next() % 4 == 0 ? next() % 8 : next() % pc.n);
+      const auto to = static_cast<NeuronId>(next() % pc.n);
+      const auto step = static_cast<SynWeight>(static_cast<int>(next() % 9) - 4);
+      const SynWeight w = pc.f32 ? step * 0.5 : step * 0.1 + 0.05;
+      const Delay d = k == 0 ? pc.max_delay
+                             : 1 + static_cast<Delay>(next() % 5) *
+                                       (pc.max_delay / 5);
+      syns.push_back({from, to, w, d});
+    }
+    auto params = [](NeuronId i) {
+      return snn::NeuronParams{0.25 * (i % 3), 1.0 + i % 7, 0.25 * (i % 5)};
+    };
+
+    Network net;
+    for (NeuronId i = 0; i < pc.n; ++i) net.add_neuron(params(i));
+    for (const Syn& s : syns) net.add_synapse(s.from, s.to, s.w, s.d);
+    net.define_group("out", {0, 1, 2});
+    const CompiledNetwork built = net.compile(pc.policy);
+    const CompiledNetwork streamed = CompiledNetwork::compile_streamed(
+        pc.n, params,
+        [&syns](const snn::SynapseSink& sink) {
+          for (const Syn& s : syns) sink(s.from, s.to, s.w, s.d);
+        },
+        pc.policy);
+
+    EXPECT_EQ(built.synapse_store().index(), pc.variant);
+    EXPECT_EQ(streamed.synapse_store().index(), pc.variant);
+    seen[built.synapse_store().index()] = true;
+    EXPECT_EQ(freeze_hash(built), pc.hash)
+        << std::hex << "0x" << freeze_hash(built);
+    EXPECT_EQ(freeze_hash(streamed), pc.hash)
+        << std::hex << "0x" << freeze_hash(streamed);
+    EXPECT_EQ(built.group("out"), (std::vector<NeuronId>{0, 1, 2}));
+  }
+  for (std::size_t v = 0; v < seen.size(); ++v) {
+    EXPECT_TRUE(seen[v]) << "no case lands in variant alternative " << v;
   }
 }
 
