@@ -1,9 +1,10 @@
 // Million-neuron streamed-build scale lane (ARCHITECTURE.md §1.8, §1.11;
 // ISSUE 7 + ISSUE 10 acceptance workloads): two n ≈ 10^6, m ≈ 10^7
 // instances — a relay chain and an R-MAT (Graph500-style skewed) graph —
-// are frozen straight from their generators into the narrow (kNarrow),
-// wide (kWide), and delta-packed (kAuto, which selects packed at this
-// scale) CSR layouts, then SSSP runs to completion on each.
+// are frozen straight from their generators into the narrow (kAuto, which
+// selects flat narrow at this scale too), wide (kWide), and delta-packed
+// (kPacked, the explicit memory opt-in) CSR layouts, then SSSP runs to
+// completion on each.
 //
 // Emitted to BENCH_scale.json for the bench_compare trajectory. Semantic
 // keys — n, m, csr_bytes, bytes_per_synapse, peak_resident_bytes,
@@ -17,11 +18,11 @@
 // packed ÷ narrow rate ratio is repeatable; the wide oracle runs once.
 //
 // Hard gates (exit 1):
-//   * kAuto must select the packed encoding at this scale; kNarrow / kWide
-//     must stay what they claim (the oracles stay oracles);
+//   * kAuto selects narrow at this scale (it never packs); kPacked / kWide
+//     must stay what they claim;
 //   * the narrow freeze must be ≥ 30% smaller than the wide one;
 //   * the packed freeze must be ≥ 25% smaller than the NARROW one, on BOTH
-//     instances (the ISSUE 10 compression floor);
+//     instances (the packed encoding's compression floor);
 //   * every relay vertex fires exactly once (SSSP completed);
 //   * packed, narrow, and wide runs agree event-for-event on both
 //     instances, and every repeated narrow / packed run agrees with its
@@ -192,9 +193,9 @@ int main() {
                  "m=1e7 (a,b,c)=(0.57,0.19,0.19) lengths=[1,16] "
                  "seed=0x5CA1E2");
   report.context("paths", "generator -> compile_streamed; no Graph, no "
-                          "nested-vector Network ever materialized; packed "
-                          "lane freezes under kAuto (selects delta-packed "
-                          "blocks at this scale)");
+                          "nested-vector Network ever materialized; narrow "
+                          "lane freezes under kAuto (selects narrow at this "
+                          "scale), packed lane under kPacked");
 
   Instance relay{"", kN, relay_edges, {}, {}, {}, {}, {}, {}};
   Instance rmat{"rmat/", std::size_t{1} << kRmatScale, rmat_edges,
@@ -202,12 +203,12 @@ int main() {
 
   bool ok = true;
   for (Instance* inst : {&relay, &rmat}) {
-    inst->narrow = freeze(inst->n, inst->edges, snn::StoragePolicy::kNarrow);
+    inst->narrow = freeze(inst->n, inst->edges, snn::StoragePolicy::kAuto);
     inst->wide = freeze(inst->n, inst->edges, snn::StoragePolicy::kWide);
-    inst->packed = freeze(inst->n, inst->edges, snn::StoragePolicy::kAuto);
-    ok = expect_encoding("kNarrow", inst->narrow, 1) && ok;
+    inst->packed = freeze(inst->n, inst->edges, snn::StoragePolicy::kPacked);
+    ok = expect_encoding("kAuto-at-scale", inst->narrow, 1) && ok;
     ok = expect_encoding("kWide", inst->wide, 0) && ok;
-    ok = expect_encoding("kAuto-at-scale", inst->packed, 2) && ok;
+    ok = expect_encoding("kPacked", inst->packed, 2) && ok;
   }
   if (!ok) return 1;
 
@@ -224,7 +225,7 @@ int main() {
               << relay.wide.build.csr_bytes << " B\n";
     return 1;
   }
-  // ISSUE 10 compression floor: packed >= 25% under NARROW, per instance.
+  // Compression floor: packed >= 25% under NARROW, per instance.
   for (const Instance* inst : {&relay, &rmat}) {
     const auto pn = static_cast<double>(inst->packed.build.csr_bytes);
     const auto nn = static_cast<double>(inst->narrow.build.csr_bytes);

@@ -343,6 +343,7 @@ void CompiledNetwork::patch_weights(
                     << " does not round-trip the frozen float32 storage; "
                        "re-freeze the network to widen");
   }
+  ++generation_;
   std::visit(
       [&edits](auto& st) {
         using WgtT = typename std::decay_t<decltype(st)>::WeightT;

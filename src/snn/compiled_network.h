@@ -13,17 +13,18 @@
 //     insertion order; a second CSR (seg_offsets_ + flat segment arrays)
 //     records one (delay, begin, end) segment per run. The simulator's
 //     fan-out kernel walks segments — one queue lookup per distinct delay,
-//     then a bulk append of the run — instead of doing per-synapse lookups
+//     then one append per run — instead of doing per-synapse lookups
 //     (ARCHITECTURE.md §1.6),
 //   * the flat synapse payload WIDTH-NARROWED to the observed ranges
 //     (ARCHITECTURE.md §1.8): the freeze scans n / max delay / the weight
 //     domain and stores u16 or u32 targets, u8/u16 delays, float32 weights
 //     when exact — behind a SynStoreVariant dispatch, with the full-width
-//     layout kept as the oracle (snn/storage.h). At scale kAuto upgrades
-//     the narrow layout to the delta-PACKED encoding (ARCHITECTURE.md
-//     §1.11): the delay-sorted target column becomes base + bit-packed
-//     deltas in 64-entry blocks and the per-synapse delay column is dropped
-//     in favor of the segment CSR's run-length form,
+//     layout kept as the oracle (snn/storage.h). On explicit request
+//     (kPacked, a memory opt-in) the narrow layout is upgraded to the
+//     delta-PACKED encoding (ARCHITECTURE.md §1.11): the delay-sorted
+//     target column becomes base + bit-packed deltas in 64-entry blocks
+//     and the per-synapse delay column is dropped in favor of the segment
+//     CSR's run-length form,
 //   * per-neuron aggregates computed once at freeze time (the positive
 //     in-weight table that previously cost a full-graph scan per query).
 //
@@ -229,6 +230,11 @@ class CompiledNetwork {
   }
   std::size_t num_delay_segments() const { return seg_offsets_.back(); }
 
+  /// Bumped by every patch_weights / patch_delays. An engine whose queued
+  /// deliveries reference this network's segments refuses to run or
+  /// snapshot once it moves (EventCore::check_generation).
+  std::uint64_t generation() const { return generation_; }
+
   /// Row walk: call f(k, target, weight, delay) for every out-synapse k of
   /// `id`, in flat order. The row is read in block-aligned chunks of at
   /// most kPackedBlockSize synapses with one variant visit each
@@ -287,8 +293,13 @@ class CompiledNetwork {
   // verify_invariants() on the patched artifact before returning, so a
   // patched network is exactly as trustworthy as a fresh freeze. They are
   // NOT thread-safe: no Simulator may be mid-run on this network while a
-  // patch executes (between runs is fine — engines re-read the store each
-  // run; a ring sized for the old max_delay stays correct via spill).
+  // patch executes. Patch only after reset() or a finished run (one that
+  // left nothing queued): a paused or stopped run keeps its queued flat-
+  // store deliveries as references to the frozen segments, so each patch
+  // bumps generation() and such an engine's next run() or snapshot()
+  // throws InvalidArgument instead of delivering patched values. Engines
+  // re-read the store each run; a ring sized for the old max_delay stays
+  // correct via spill.
   /// Reassign weights by flat synapse index (see out_begin/out_end for the
   /// row ranges). Later duplicates win. Each weight must be finite and,
   /// when the freeze chose float32 storage, round-trip it bit-exactly —
@@ -310,9 +321,10 @@ class CompiledNetwork {
   // ---- Sharding (snn/partition.h; ARCHITECTURE.md §1.5) ----------------
   /// Split the CSR under `partition` into per-shard intra/cross synapse
   /// families for the conservative-parallel simulator: each shard's intra
-  /// family is frozen through compile_streamed() under kAuto at the
-  /// shard's own size, its cross family is a full-width (shard, delay)
-  /// CSR. Pure derivation: this network stays untouched (and shareable).
+  /// family is frozen through compile_streamed() at the shard's own size —
+  /// under kPacked when this store is packed, under kAuto otherwise — and
+  /// its cross family is a full-width (shard, delay) CSR. Pure derivation:
+  /// this network stays untouched (and shareable).
   ShardSplit shard_split(Partition partition) const;
 
   // ---- Named groups (ports), carried over from the builder -------------
@@ -355,6 +367,7 @@ class CompiledNetwork {
 
   std::vector<SynWeight> pos_in_weight_;
   Delay max_delay_ = 0;
+  std::uint64_t generation_ = 0;
   std::unordered_map<std::string, std::vector<NeuronId>> groups_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <tuple>
 #include <variant>
 
 #include "core/error.h"
@@ -22,8 +23,8 @@ std::size_t ring_size_for(Delay max_delay) {
 }
 
 /// Append [b, e) to `dst`, widening element-wise when the storage type is
-/// narrower than the bucket's. Matching types keep the memcpy-grade range
-/// insert of the wide layout.
+/// narrower than the bucket's (the packed kernel's weight copy). Matching
+/// types keep the memcpy-grade range insert.
 template <typename T, typename U>
 void append_widened(std::vector<T>& dst, const U* b, const U* e) {
   if constexpr (std::is_same_v<T, U>) {
@@ -59,6 +60,12 @@ void EventCore::init(Delay ring_delay) {
   ring_.resize(w);
   ring_occupied_.assign(w / 64, 0);
   ring_mask_ = static_cast<Time>(w - 1);
+  // Bucket references are u32 segment ids, below the raw-run tag.
+  SGA_REQUIRE(net_->num_delay_segments() < kRawRun,
+              "event core: " << net_->num_delay_segments()
+                             << " delay segments exceed the u32 segment "
+                                "references of the delivery buckets");
+  generation_ = net_->generation();
   std::visit(
       [&](const auto& st) {
         using Store = std::decay_t<decltype(st)>;
@@ -128,17 +135,17 @@ void EventCore::decode_row(const Store& st, NeuronId id, std::size_t b,
 
 template <typename Store>
 void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
-  // One queue lookup per delay run, then a bulk append of the run's
-  // (target, weight) pairs; sources only when a cause is being recorded.
+  // One queue lookup per delay run, then one append of the run to the
+  // bucket; sources only when a cause is being recorded.
   const bool causes = run_.record_causes;
   const NeuronId src = global_id(id);
   if constexpr (Store::kPackedLayout) {
     // Block-decode path (ARCHITECTURE.md §1.11): the whole row's targets
     // are decoded ONCE into the persistent scratch buffer — lazily, so a
     // row entirely past the horizon decodes nothing — then each delay run
-    // bulk-appends its slice exactly like the flat branch below. Weights
-    // stay a flat column; delays come from the segment CSR, which is their
-    // run-length encoding.
+    // appends its slice as a raw run (a decoded row cannot be referenced).
+    // Weights stay a flat column; delays come from the segment CSR, which
+    // is their run-length encoding.
     const std::size_t rb = net_->out_begin(id);
     const auto* wgt = st.weights.data();
     const std::size_t se = net_->seg_end(id);
@@ -159,6 +166,7 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
       const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
       const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
       Bucket& bucket = bucket_for(t + d, e - b);
+      bucket.open_raw(e - b);
       if (e - b == 1) {
         bucket.targets.push_back(decode_scratch_[b - rb]);
         bucket.weights.push_back(static_cast<SynWeight>(wgt[b]));
@@ -174,8 +182,9 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
     }
     return;
   } else {
-    const auto* tgt = st.targets.data();
-    const auto* wgt = st.weights.data();
+    // Reference path: one u32 segment id per delay run (plus the firing id
+    // when causes are recorded); the drain reads the run's targets and
+    // weights straight from the frozen store. No synapse data is copied.
     const std::size_t se = net_->seg_end(id);
     for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
       ++stats_.fanout_segments;
@@ -186,21 +195,11 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
         stats_.hit_time_limit = true;
         break;
       }
-      const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
-      const auto e = static_cast<std::size_t>(st.seg_syn_end[s]);
-      Bucket& bucket = bucket_for(t + d, e - b);
-      if (e - b == 1) {
-        // Singleton run (every delay in the row distinct): push_back beats
-        // the range-insert machinery, and rows like this are common in
-        // SSSP instances with wide length ranges.
-        bucket.targets.push_back(static_cast<NeuronId>(tgt[b]));
-        bucket.weights.push_back(static_cast<SynWeight>(wgt[b]));
-        if (causes) bucket.sources.push_back(src);
-      } else {
-        append_widened(bucket.targets, tgt + b, tgt + e);
-        append_widened(bucket.weights, wgt + b, wgt + e);
-        if (causes) bucket.sources.insert(bucket.sources.end(), e - b, src);
-      }
+      Bucket& bucket = bucket_for(
+          t + d, static_cast<std::size_t>(st.seg_syn_end[s]) -
+                     static_cast<std::size_t>(st.seg_syn_begin[s]));
+      bucket.runs.push_back(static_cast<std::uint32_t>(s));
+      if (causes) bucket.sources.push_back(src);
       ++stats_.bulk_appends;
     }
   }
@@ -226,11 +225,13 @@ EventCore::Bucket& EventCore::bucket_for(Time t, std::uint64_t count) {
       activate(ring_[slot]);
     }
     ring_events_ += count;
+    ring_[slot].events += count;
     return ring_[slot];
   }
   stats_.overflow_spills += count;
   const auto [it, inserted] = spill_.try_emplace(t);
   if (inserted) activate(it->second);
+  it->second.events += count;
   return it->second;
 }
 
@@ -249,8 +250,10 @@ void EventCore::migrate_spill() {
       dst = std::move(it->second);
     } else {
       // Same residue inside one window ⇒ same time: merge, then return the
-      // spill node's storage to the pool instead of freeing it.
+      // spill node's storage to the pool instead of freeing it. The ring's
+      // runs stay ahead of the spill's, whatever their kinds.
       Bucket& src = it->second;
+      dst.runs.insert(dst.runs.end(), src.runs.begin(), src.runs.end());
       dst.targets.insert(dst.targets.end(), src.targets.begin(),
                          src.targets.end());
       dst.weights.insert(dst.weights.end(), src.weights.begin(),
@@ -259,6 +262,7 @@ void EventCore::migrate_spill() {
                          src.sources.end());
       dst.forced.insert(dst.forced.end(), src.forced.begin(),
                         src.forced.end());
+      dst.events += src.events;
       recycle(src);
     }
     spill_.erase(it);
@@ -332,11 +336,78 @@ void EventCore::fire(const Store& st, NeuronRecord& rec, NeuronId id,
   if (remote_ != nullptr) remote_->fan_out(id, t, stats_);
 }
 
+void EventCore::check_generation() const {
+  if (net_->generation() == generation_) return;
+  const auto references = [](const Bucket& b) {
+    for (std::size_t i = 0; i < b.runs.size(); ++i) {
+      if (b.runs[i] != kRawRun) return true;
+      ++i;  // skip the raw run's length
+    }
+    return false;
+  };
+  bool stale = false;
+  for (std::size_t w = 0; w < ring_occupied_.size() && !stale; ++w) {
+    for (std::uint64_t word = ring_occupied_[w]; word != 0 && !stale;
+         word &= word - 1) {
+      stale = references(
+          ring_[(w << 6) + static_cast<std::size_t>(std::countr_zero(word))]);
+    }
+  }
+  for (const auto& [t, bucket] : spill_) stale = stale || references(bucket);
+  SGA_REQUIRE(!stale,
+              "the network was patched while this engine held queued "
+              "deliveries that reference its delay segments; patch only "
+              "after reset() or a finished run");
+}
+
 void EventCore::run_until(Time bound) {
+  check_generation();
+  generation_ = net_->generation();
   if (run_.record_causes) ensure_causes();
   // Resolve the storage layout ONCE per call: the drain below is the fully
   // typed event loop for the frozen store.
   std::visit([&](const auto& st) { drain(st, bound); }, net_->synapse_store());
+}
+
+template <typename Store, typename F>
+void EventCore::for_each_delivery(const Store& st, const Bucket& b,
+                                  F&& f) const {
+  const bool causes = run_.record_causes;
+  const NeuronId* rt = b.targets.data();
+  const SynWeight* rw = b.weights.data();
+  const NeuronId* src = b.sources.data();
+  // The store's columns, held in locals: the callers' byte-sized record
+  // stores may alias any member, which would reload them per reference.
+  [[maybe_unused]] const auto columns = [&] {
+    if constexpr (Store::kPackedLayout) {
+      return 0;
+    } else {
+      return std::tuple{st.seg_syn_begin.data(), st.seg_syn_end.data(),
+                        st.targets.data(), st.weights.data()};
+    }
+  }();
+  const std::uint32_t* const end = b.runs.data() + b.runs.size();
+  for (const std::uint32_t* run = b.runs.data(); run != end; ++run) {
+    if (*run == kRawRun) {
+      const std::uint32_t len = *++run;
+      for (std::uint32_t i = 0; i < len; ++i) {
+        f(rt[i], rw[i], causes ? src[i] : kNoNeuron);
+      }
+      rt += len;
+      rw += len;
+      if (causes) src += len;
+    } else if constexpr (!Store::kPackedLayout) {
+      // A reference (only flat stores hand them out): the run is the
+      // segment's slice of the frozen target and weight columns.
+      const NeuronId source = causes ? *src++ : kNoNeuron;
+      const auto [seg_b, seg_e, tgt, wgt] = columns;
+      const auto e = static_cast<std::size_t>(seg_e[*run]);
+      for (auto k = static_cast<std::size_t>(seg_b[*run]); k < e; ++k) {
+        f(static_cast<NeuronId>(tgt[k]), static_cast<SynWeight>(wgt[k]),
+          source);
+      }
+    }
+  }
 }
 
 template <typename Store>
@@ -382,20 +453,15 @@ void EventCore::drain(const Store& st, Time bound) {
     // iteration is duplicated only when a probe is counting, so the
     // uninstrumented hot loop stays untouched (overhead contract).
     if (probe_ != nullptr && probe_->counts_deliveries()) {
-      for (const NeuronId target : bucket->targets) {
+      for_each_delivery(st, *bucket, [&](NeuronId target, SynWeight, NeuronId) {
         probe_->on_delivery(global_id(target));
-      }
+      });
     }
 
     targets.clear();
-    const std::size_t nd = bucket->targets.size();
-    const NeuronId* const tgt = bucket->targets.data();
-    const SynWeight* const wgt = bucket->weights.data();
-    const NeuronId* const src = bucket->sources.data();
-    stats_.deliveries += nd;
-    for (std::size_t i = 0; i < nd; ++i) {
-      const NeuronId target = tgt[i];
-      const SynWeight weight = wgt[i];
+    stats_.deliveries += bucket->events - bucket->forced.size();
+    for_each_delivery(st, *bucket, [&](NeuronId target, SynWeight weight,
+                                       NeuronId source) {
       NeuronRecord& rec = recs[target];
       if (!rec.touched) {
         rec.touched = 1;
@@ -408,9 +474,7 @@ void EventCore::drain(const Store& st, Time bound) {
         // Deterministic selection: largest weight, ties broken by smallest
         // source id. Sources are global ids, so the rule is independent of
         // delivery order and of sharding: the serial and the sharded engine
-        // report the same cause. sources is populated
-        // exactly when record_causes is set.
-        const NeuronId source = src[i];
+        // report the same cause.
         CauseScratch& best = accum_cause_[target];
         if (weight > best.weight ||
             (best.source != kNoNeuron && weight == best.weight &&
@@ -419,7 +483,7 @@ void EventCore::drain(const Store& st, Time bound) {
           best.weight = weight;
         }
       }
-    }
+    });
 
     // Forced (injected) spikes fire unconditionally; synaptic input arriving
     // at the same step is consumed by the fire (the neuron resets). A neuron
@@ -565,20 +629,22 @@ void EventCore::export_neurons(std::vector<SnapshotNeuron>* out) const {
 }
 
 void EventCore::export_pending(std::map<Time, SnapshotBucket>* out) const {
+  check_generation();
   // VERBATIM in-bucket order: delivery order is observable through FP
-  // summation and serial log order, so a same-engine restore must
-  // reproduce it exactly.
+  // summation and serial log order, so a same-engine restore (which queues
+  // the image as raw runs) must reproduce the drain order exactly.
   const auto add = [&](Time t, const Bucket& bucket) {
     SnapshotBucket& b = (*out)[t];
     b.time = t;
     for (const NeuronId f : bucket.forced) b.forced.push_back(global_id(f));
-    for (std::size_t i = 0; i < bucket.targets.size(); ++i) {
-      SnapshotDelivery d;
-      d.target = global_id(bucket.targets[i]);
-      d.weight = bucket.weights[i];
-      if (run_.record_causes) d.source = bucket.sources[i];
-      b.deliveries.push_back(d);
-    }
+    std::visit(
+        [&](const auto& st) {
+          for_each_delivery(st, bucket, [&](NeuronId target, SynWeight weight,
+                                            NeuronId source) {
+            b.deliveries.push_back({global_id(target), weight, source});
+          });
+        },
+        net_->synapse_store());
   };
   for (std::size_t w = 0; w < ring_occupied_.size(); ++w) {
     std::uint64_t word = ring_occupied_[w];

@@ -1,10 +1,11 @@
 // The one event core both engines run (ARCHITECTURE.md §1.5, §1.12).
 //
 // EventCore is the discrete-time event loop over one frozen store: the
-// calendar ring and its sorted spill, the pooled SoA delivery buckets with
-// their high-watermark trim, one 64-byte NeuronRecord per neuron with
-// 16-bit reset stamps, and drain<Store> with fire() and the segmented
-// fan-out kernel, instantiated once per storage layout. snn::Simulator
+// calendar ring and its sorted spill, the pooled delivery buckets (runs
+// that reference the store's delay segments, or raw copies) with their
+// high-watermark trim, one 64-byte NeuronRecord per neuron with 16-bit
+// reset stamps, and drain<Store> with fire() and the segmented fan-out
+// kernel, instantiated once per storage layout. snn::Simulator
 // runs one core over the whole network. Each shard of
 // snn::ParallelSimulator runs one over its shard-local store
 // (CompiledNetwork::shard_split), so both engines execute the same
@@ -113,23 +114,56 @@ class EventCore {
   /// A run_until() bound that never binds (the serial engine's).
   static constexpr Time kNoBound = std::numeric_limits<Time>::max();
 
-  /// One time step's pending work, deliveries in structure-of-arrays form:
-  /// targets/weights always populated in lock-step; sources only when the
-  /// run records causes (the only consumer), cutting delivery memory
-  /// traffic by a third on the default path.
+  /// A run-stream entry that opens a raw run; the entry after it is the
+  /// run's length. Never a segment id (see init()).
+  static constexpr std::uint32_t kRawRun = 0xFFFFFFFF;
+
+  /// One time step's pending work: a stream of delivery runs in append
+  /// order, of two kinds (ARCHITECTURE.md §1.6):
+  ///   * a REFERENCE — one delay-segment id of this core's flat store; the
+  ///     run's deliveries are that segment's targets and weights, read from
+  ///     the frozen store when the bucket drains. The flat fan-out writes
+  ///     only these;
+  ///   * a RAW run — kRawRun, its length, and that many (target, weight)
+  ///     copies in targets/weights: packed fires, cross-shard mail and
+  ///     restored images.
+  /// The drain walks the stream in order, so deliveries sum in append
+  /// order whatever mix of kinds a bucket holds.
   struct Bucket {
-    std::vector<NeuronId> targets;
+    // The fan-out's per-run writes (events, runs, sources) share the
+    // object's first cache line.
+    std::uint64_t events = 0;  ///< deliveries + forced (bucket_for)
+    std::vector<std::uint32_t> runs;
+    /// Iff record_causes: the global firing id of each reference and of
+    /// each raw delivery, in run order.
+    std::vector<NeuronId> sources;
+    std::vector<NeuronId> targets;  ///< raw deliveries, in run order
     std::vector<SynWeight> weights;
-    std::vector<NeuronId> sources;  ///< parallel to targets iff record_causes
     std::vector<NeuronId> forced;   ///< injected spikes
 
-    bool empty() const { return targets.empty() && forced.empty(); }
-    std::size_t size() const { return targets.size() + forced.size(); }
+    bool empty() const { return events == 0; }
+    std::size_t size() const { return static_cast<std::size_t>(events); }
+    /// Start a raw run of `n` deliveries, or extend the stream's last run
+    /// when it is raw; the caller appends the `n` targets and weights (and
+    /// sources).
+    void open_raw(std::size_t n) {
+      const std::size_t k = runs.size();
+      // A length entry never equals kRawRun, so the entry before the last
+      // is kRawRun exactly when the last run is raw.
+      if (k >= 2 && runs[k - 2] == kRawRun && n < kRawRun - runs[k - 1]) {
+        runs[k - 1] += static_cast<std::uint32_t>(n);
+      } else {
+        runs.push_back(kRawRun);
+        runs.push_back(static_cast<std::uint32_t>(n));
+      }
+    }
     void clear() {  // keeps capacity — cleared buckets are pooled
+      runs.clear();
       targets.clear();
       weights.clear();
       sources.clear();
       forced.clear();
+      events = 0;
     }
   };
 
@@ -192,7 +226,8 @@ class EventCore {
   /// Queue an injected spike of `id` at `t` (callers validate).
   void inject(NeuronId id, Time t) { bucket_for(t, 1).forced.push_back(id); }
   /// The bucket of time `t`, about to receive `count` events (bulk appends
-  /// update the occupancy stats once per run, not per synapse).
+  /// update the occupancy stats once per run, not per synapse). Raw
+  /// appends go through Bucket::open_raw.
   Bucket& bucket_for(Time t, std::uint64_t count);
   /// Process every pending event before `bound` in time order, through
   /// the drain loop instantiated for this core's store.
@@ -237,7 +272,8 @@ class EventCore {
   /// Append the dirty neurons' state, in global ids.
   void export_neurons(std::vector<SnapshotNeuron>* out) const;
   /// Append every pending bucket to the time-keyed map, in global ids and
-  /// verbatim in-bucket order (ring before spill at a shared time).
+  /// verbatim in-bucket order (ring before spill at a shared time), each
+  /// reference expanded into its segment's deliveries in place.
   void export_pending(std::map<Time, SnapshotBucket>* out) const;
   /// Adopt one image neuron's state for local neuron `id`.
   void restore_neuron(NeuronId id, const SnapshotNeuron& e);
@@ -245,6 +281,10 @@ class EventCore {
  private:
   template <typename Store>
   void drain(const Store& st, Time bound);
+  /// Call f(target, weight, source) for each delivery of `b` in run order
+  /// (targets local; source kNoNeuron unless causes are recorded).
+  template <typename Store, typename F>
+  void for_each_delivery(const Store& st, const Bucket& b, F&& f) const;
   template <typename Store>
   void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
   template <typename Store>
@@ -280,6 +320,10 @@ class EventCore {
   /// the ring.
   void migrate_spill();
   void ensure_causes();
+  /// Throw InvalidArgument when the store was patched (its generation
+  /// moved) while a pending bucket still references its segments: those
+  /// deliveries would silently change. Raw runs are copies and stay valid.
+  void check_generation() const;
 
   /// Bucket-storage pool (ARCHITECTURE.md §1.6). `activate` hands a newly
   /// live bucket the vectors of a previously drained one; `recycle` returns
@@ -305,6 +349,8 @@ class EventCore {
   void describe_engine();
 
   const CompiledNetwork* net_;
+  /// The store generation the pending references were cut from.
+  std::uint64_t generation_ = 0;
   const NeuronId* global_ids_ = nullptr;  ///< null: local ids are global
   Remote* remote_ = nullptr;
   obs::Probe* probe_ = nullptr;  ///< cached flag for the disabled fast path

@@ -136,7 +136,7 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
   }
 
   /// Fold the mail delivered at the previous barrier into the local queue:
-  /// one bucket_for + bulk append per (source shard, arrival time). Boxes
+  /// one bucket_for + raw-run append per (source shard, arrival time). Boxes
   /// are drained in source-shard order and each run holds its arrivals in
   /// fire order, which fixes every bucket's order deterministically (the
   /// serial bucket order differs, but bucket order is only observable
@@ -152,6 +152,7 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
         const MailBox::Run& run = box.runs[r];
         EventCore::Bucket& bucket =
             core.bucket_for(run.t, run.targets.size());
+        bucket.open_raw(run.targets.size());
         bucket.targets.insert(bucket.targets.end(), run.targets.begin(),
                               run.targets.end());
         bucket.weights.insert(bucket.weights.end(), run.weights.begin(),
@@ -700,6 +701,7 @@ void ParallelSimulator::apply_image(const SnapshotImage& img) {
     for (const SnapshotDelivery& d : b.deliveries) {
       EventCore::Bucket& bk =
           shards_[part.shard_of[d.target]]->core.bucket_for(b.time, 1);
+      bk.open_raw(1);
       bk.targets.push_back(part.local_index[d.target]);
       bk.weights.push_back(d.weight);
       if (img.record_causes) bk.sources.push_back(d.source);

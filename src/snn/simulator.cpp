@@ -198,6 +198,7 @@ void Simulator::apply_image(const SnapshotImage& img) {
     EventCore::Bucket& bk =
         core_.bucket_for(b.time, b.forced.size() + b.deliveries.size());
     bk.forced.insert(bk.forced.end(), b.forced.begin(), b.forced.end());
+    if (!b.deliveries.empty()) bk.open_raw(b.deliveries.size());
     for (const SnapshotDelivery& d : b.deliveries) {
       bk.targets.push_back(d.target);
       bk.weights.push_back(d.weight);

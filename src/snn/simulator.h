@@ -30,8 +30,9 @@
 // parameters, validated once at Network::compile() time. The fan-out of a
 // fired neuron is a contiguous slice of three flat arrays, delay-sorted at
 // freeze time; the fan-out kernel walks the per-neuron delay segments — one
-// queue lookup per distinct delay, then a bulk append of the run's (target,
-// weight) pairs into SoA bucket arrays (ARCHITECTURE.md §1.6). Drained
+// queue lookup per distinct delay, then one u32 reference to the run's
+// segment in the bucket, read from the store when the bucket drains
+// (ARCHITECTURE.md §1.6). Drained
 // bucket storage is pooled across ring slots and resets, so the steady
 // state allocates nothing. An immutable CompiledNetwork can back many
 // Simulators concurrently (one per worker in spiking_sssp_batch).

@@ -157,8 +157,7 @@ struct SnapshotNeuron {
 };
 
 /// One pending synaptic delivery. `source` is kNoNeuron unless the run
-/// records causes (matching the engines' SoA buckets, which materialize
-/// the sources array only then).
+/// records causes (the engines' buckets carry sources only then).
 struct SnapshotDelivery {
   NeuronId target = 0;
   SynWeight weight = 0;

@@ -24,9 +24,11 @@
 // the segment end column is dropped too (segments tile each row, so a
 // sentinel-terminated begin column carries both bounds). Weights stay a
 // flat narrow column — they are the values the hot loop actually sums, so
-// they are never entropy-coded. kAuto picks the packed encoding for any
-// narrow-eligible freeze with at least kPackedAutoMinSynapses synapses;
-// kNarrow and kWide keep the flat layouts available as oracles.
+// they are never entropy-coded. Packed is an explicit memory opt-in
+// (kPacked): kAuto never picks it, because only flat stores can be
+// delivered by segment reference (EventCore::Bucket) and packed costs run
+// time at every size measured (EXPERIMENTS.md). kNarrow and kWide keep the
+// flat layouts available as oracles.
 //
 // The dispatch is a std::variant over SynStore/PackedSynStore
 // instantiations: consumers off the hot path go through CompiledNetwork's
@@ -52,14 +54,15 @@ namespace sga::snn {
 
 /// Freeze-time storage selection (Network::compile's knob).
 enum class StoragePolicy : std::uint8_t {
-  kAuto,    ///< packed at scale, narrow below the auto threshold, wide when
-            ///< the observed ranges do not fit the narrow widths (default)
+  kAuto,    ///< narrow when the observed ranges fit the narrow widths,
+            ///< wide otherwise; never packed (default)
   kWide,    ///< always the full-width oracle layout (fuzz oracle; transient
             ///< single-use freezes like max-flow's per-phase residuals)
   kNarrow,  ///< flat narrow columns, never packed (the packed ablation's
-            ///< baseline; exactly kAuto's pre-§1.11 behavior)
+            ///< baseline; the same layouts kAuto picks)
   kPacked,  ///< delta-packed targets + RLE delays whenever the ranges are
-            ///< narrow-eligible (falls back to wide when they are not)
+            ///< narrow-eligible (falls back to wide when they are not): the
+            ///< memory opt-in, delivered by copy rather than by reference
 };
 
 /// The widths a freeze actually chose, for io tags / bench records / tests.
@@ -158,12 +161,6 @@ using WideSynStore = SynStore<NeuronId, Delay, SynWeight, std::size_t>;
 /// Targets per packed block. Fixed so k → block is a shift; a block's 63
 /// deltas are at most two 32-delta groups of the span decoder.
 inline constexpr std::size_t kPackedBlockSize = 64;
-
-/// Auto-selection floor: kAuto freezes with fewer synapses stay flat
-/// narrow. Below this the per-block headers and the decode scratch are not
-/// worth the bytes saved, and the small-network test/bench corpus keeps its
-/// established narrow layouts.
-inline constexpr std::size_t kPackedAutoMinSynapses = 16384;
 
 /// Zigzag of the WRAPPING u32 difference cur − prev. The wrap keeps every
 /// delta representable in 32 bits (a plain signed difference of two u32s
@@ -460,10 +457,9 @@ using SynStoreVariant =
 
 /// Pick the layout for the observed ranges (kWide always yields the
 /// oracle). `weights_fit_f32` must hold iff every weight round-trips
-/// double→float→double exactly. kAuto narrows when the ranges fit and
-/// upgrades to the packed encoding at kPackedAutoMinSynapses; kPacked packs
-/// any narrow-eligible freeze regardless of size. Ranges outside the narrow
-/// envelope fall back to wide under every policy but kWide itself.
+/// double→float→double exactly. kAuto and kNarrow narrow when the ranges
+/// fit; only kPacked packs, at any size. Ranges outside the narrow envelope
+/// fall back to wide under every policy but kWide itself.
 inline StorageWidths choose_widths(StoragePolicy policy, std::size_t n,
                                    std::size_t m, Delay max_delay,
                                    bool weights_fit_f32) {
@@ -477,8 +473,7 @@ inline StorageWidths choose_widths(StoragePolicy policy, std::size_t n,
   w.delay_bytes = max_delay <= 255 ? 1 : 2;
   w.weight_bytes = weights_fit_f32 ? 4 : 8;
   w.seg_index_bytes = 4;
-  w.packed = policy == StoragePolicy::kPacked ||
-             (policy == StoragePolicy::kAuto && m >= kPackedAutoMinSynapses);
+  w.packed = policy == StoragePolicy::kPacked;
   // Packed blocks always decode to full-width ids; the flat layouts narrow
   // the target column to u16 when the id range allows.
   w.target_bytes = !w.packed && n <= (1ULL << 16) ? 2 : 4;

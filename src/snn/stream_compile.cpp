@@ -390,6 +390,7 @@ void CompiledNetwork::patch_delays(
     touched[static_cast<std::size_t>(it - offsets_.begin() - 1)] = 1;
   }
 
+  ++generation_;
   std::visit(
       [&](auto& st) {
         using Store = std::decay_t<decltype(st)>;

@@ -535,8 +535,9 @@ TEST(ParallelRegression, MetricsMergeAcrossWorkerThreads) {
 // ---- Shard-local stores in every encoding --------------------------------
 //
 // Each shard runs the event core over the store shard_split froze from its
-// intra-shard synapses under kAuto, so a shard's encoding follows its own
-// size and ranges. These instances pin each encoding down and check the
+// intra-shard synapses — under kPacked when the source store is packed,
+// under kAuto otherwise — so a shard's encoding follows the source's and
+// its own ranges. These instances pin each encoding down and check the
 // sharded run against the serial one.
 
 /// A random DAG (edges only from lower to higher ids, so activity dies
@@ -567,7 +568,7 @@ snn::Network long_delay_dag(std::uint64_t seed) {
 
 /// A random DAG over 48 neurons plus 800 inhibitory self-loops per neuron
 /// (delays 1–9): at S ≤ 2 every shard holds ≥ 16,384 intra-shard synapses,
-/// so kAuto packs every shard-local store.
+/// so every row spans several packed blocks.
 snn::Network fanout_heavy_dag(std::uint64_t seed) {
   Rng rng(0xFA4 + seed);
   snn::Network net;
@@ -668,7 +669,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardStoreFuzz, ::testing::Range(0, 6));
 
 TEST(ParallelRegression, PackedShardStoresMatchSerial) {
   for (const std::uint64_t seed : {1u, 2u}) {
-    const snn::CompiledNetwork compiled = fanout_heavy_dag(seed).compile();
+    // A packed source store makes shard_split freeze packed shards.
+    const snn::CompiledNetwork compiled =
+        fanout_heavy_dag(seed).compile(snn::StoragePolicy::kPacked);
     snn::SimConfig cfg;
     cfg.record_spike_log = true;
     cfg.record_causes = true;

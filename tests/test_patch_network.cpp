@@ -13,10 +13,12 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/error.h"
 #include "core/random.h"
 #include "snn/compiled_network.h"
 #include "snn/network.h"
@@ -322,6 +324,111 @@ TEST(PatchDelays, RejectsBadEditsUntouched) {
   EXPECT_EQ(wide.syn_delay(wide.out_end(row) - 1), 300);
   EXPECT_EQ(wide.max_delay(), 300);
   wide.verify_invariants();
+}
+
+// ---- Patching under a paused run ----------------------------------------
+//
+// A paused flat-store run keeps its queued deliveries as references to the
+// frozen delay segments. Every patch bumps the network's generation, and an
+// engine holding references from an older generation refuses to resume or
+// snapshot rather than deliver patched (or re-cut) values. Raw runs — a
+// restored image, a packed store's fires — are copies and stay valid.
+
+/// Neuron 0 fans out to 1 and 2 at delay 2 and to 3 at delay 7; 1 relays
+/// to 3 at delay 1. Every neuron has threshold 1.
+Network guard_net() {
+  Network net;
+  for (int i = 0; i < 4; ++i) net.add_threshold_neuron(1);
+  net.add_synapse(0, 1, 1, 2);
+  net.add_synapse(0, 2, 1, 2);
+  net.add_synapse(0, 3, 1, 7);
+  net.add_synapse(1, 3, 1, 1);
+  return net;
+}
+
+struct GuardRun {
+  std::vector<std::pair<Time, NeuronId>> log;
+  std::vector<Time> first;
+};
+
+GuardRun guard_run(Simulator& sim, const SimConfig& cfg) {
+  sim.run(cfg);
+  return {sim.spike_log(), sim.first_spikes()};
+}
+
+/// Pause `sim` at t = 1, with the t = 2 and t = 7 buckets queued.
+SimConfig pause_guard_run(Simulator& sim) {
+  SimConfig cfg;
+  cfg.record_spike_log = true;
+  cfg.pause_time = 1;
+  sim.inject_spike(0, 0);
+  EXPECT_TRUE(sim.run(cfg).paused);
+  cfg.pause_time = kNever;
+  return cfg;
+}
+
+template <typename Patch>
+void expect_guarded(const Patch& patch) {
+  const Network net = guard_net();
+  const CompiledNetwork pristine(net);
+  Simulator want_sim(pristine);
+  want_sim.inject_spike(0, 0);
+  SimConfig full;
+  full.record_spike_log = true;
+  const GuardRun want = guard_run(want_sim, full);
+
+  CompiledNetwork cn(net);
+  ASSERT_TRUE(cn.storage_widths().narrow);
+  ASSERT_FALSE(cn.storage_widths().packed);
+  Simulator sim(cn);
+  const SimConfig cfg = pause_guard_run(sim);
+  const std::vector<std::uint8_t> image = sim.snapshot();
+  const std::uint64_t generation = cn.generation();
+  patch(cn);
+  EXPECT_EQ(cn.generation(), generation + 1);
+  EXPECT_THROW(sim.run(cfg), InvalidArgument);
+  EXPECT_THROW(sim.snapshot(), InvalidArgument);
+
+  // The image restores as raw copies of what was queued before the patch,
+  // so the engine resumes and finishes exactly like the unpatched run.
+  sim.restore(image);
+  const GuardRun got = guard_run(sim, cfg);
+  EXPECT_EQ(got.log, want.log);
+  EXPECT_EQ(got.first, want.first);
+
+  // A finished run holds nothing: patching again is fine, and after
+  // reset() the engine runs the patched network.
+  patch(cn);
+  sim.reset();
+  sim.inject_spike(0, 0);
+  EXPECT_NO_THROW(sim.run(cfg));
+}
+
+TEST(PatchWeights, PausedRunHoldingReferencesRefusesToResume) {
+  // Synapse 0 is 0 -> 1 (row 0 is delay-sorted and stable).
+  expect_guarded([](CompiledNetwork& cn) { cn.patch_weights({{0, 0.5}}); });
+
+  // A packed store's fires are queued as raw copies: the paused run holds
+  // no references, so it resumes after a weight patch, delivering the
+  // weights it queued before the patch.
+  const Network net = guard_net();
+  CompiledNetwork packed(net, StoragePolicy::kPacked);
+  ASSERT_TRUE(packed.storage_widths().packed);
+  Simulator sim(packed);
+  const SimConfig cfg = pause_guard_run(sim);
+  packed.patch_weights({{0, 0.5}});
+  const GuardRun got = guard_run(sim, cfg);
+  EXPECT_EQ(got.first, (std::vector<Time>{0, 2, 2, 3}));
+}
+
+TEST(PatchDelays, PausedRunHoldingReferencesRefusesToResume) {
+  // Moving 0 -> 1 to delay 3 re-cuts row 0's delay-2 segment, which the
+  // queued t = 2 bucket references; max_delay stays 7, so the pre-patch
+  // image still matches the network's fingerprint.
+  expect_guarded([](CompiledNetwork& cn) {
+    cn.patch_delays({{0, 3}});
+    ASSERT_EQ(cn.max_delay(), 7);
+  });
 }
 
 }  // namespace

@@ -351,6 +351,119 @@ TEST(Snapshot, TerminalStateSurvivesRestore) {
   expect_core_stats_eq(sref, sb);
 }
 
+// ---- Bucket run order across the spill and the ring ---------------------
+//
+// Flat-store fires queue segment references; restored images queue raw
+// copies. A bucket mixing both must drain in append order — the ring's runs
+// ahead of the spill's when the spill merges in — exactly as the
+// uninterrupted run drains it. Non-dyadic weights make the FP sum of the
+// merged bucket order-sensitive, so potentials expose any reordering.
+
+/// A (0) fires into X (2) and Z (3) at delay 70,000 — beyond the 2^16-slot
+/// ring, so into the spill — and B (1), injected at t = 10,000, fires into
+/// the same time T = 70,000 through the ring (delay 60,000). X's threshold
+/// is out of reach, so its potential is the bucket's FP sum; Z fires on a
+/// weight tie, so its cause is the smaller source.
+struct MixedBucketCase {
+  Network net;
+  static constexpr Time kB = 10000;
+  static constexpr Time kT = 70000;
+  MixedBucketCase() {
+    for (int i = 0; i < 2; ++i) net.add_threshold_neuron(1);
+    net.add_threshold_neuron(100);  // X
+    net.add_threshold_neuron(1);    // Z
+    net.add_synapse(0, 2, 0.1, kT);
+    net.add_synapse(0, 2, 0.2, kT);
+    net.add_synapse(0, 3, 0.5, kT);
+    net.add_synapse(1, 2, 0.3, kT - kB);
+    net.add_synapse(1, 2, 0.6, kT - kB);
+    net.add_synapse(1, 3, 0.5, kT - kB);
+  }
+  void inject(Simulator& sim) const {
+    sim.inject_spike(0, 0);
+    sim.inject_spike(1, kB);
+  }
+  static SimConfig config(Time pause_time) {
+    SimConfig cfg;
+    cfg.record_spike_log = true;
+    cfg.record_causes = true;
+    cfg.pause_time = pause_time;
+    return cfg;
+  }
+};
+
+TEST(Snapshot, SpilledImageBucketMergesBehindRingFiresInAppendOrder) {
+  // The merge order is observable: ring-first and spill-first sums differ.
+  ASSERT_NE((0.3 + 0.6) + 0.1 + 0.2, (0.1 + 0.2) + 0.3 + 0.6);
+  const MixedBucketCase c;
+  const CompiledNetwork net(c.net);
+  Simulator ref(net);
+  c.inject(ref);
+  const SimStats sref = ref.run(MixedBucketCase::config(kNever));
+  ASSERT_EQ(sref.ring_buckets, 1u << 16);
+  ASSERT_GT(sref.overflow_spills, 0u);
+  EXPECT_EQ(ref.potential(2), (0.3 + 0.6) + 0.1 + 0.2);
+  EXPECT_EQ(ref.first_spike(3), MixedBucketCase::kT);
+  EXPECT_EQ(ref.first_spike_cause(3), 0u);
+
+  // Pause after A's fire: the image's T bucket restores as a raw run in
+  // the spill; B's fire then reaches T through the ring as a reference.
+  Simulator a(net);
+  c.inject(a);
+  a.run(MixedBucketCase::config(5));
+  ASSERT_TRUE(a.paused());
+  Simulator b(net);
+  b.restore(a.snapshot());
+  const SimStats sb = b.run(MixedBucketCase::config(kNever));
+  expect_core_stats_eq(sref, sb);
+  EXPECT_EQ(ref.spike_log(), b.spike_log());
+  expect_state_eq(ref, b, net.num_neurons());
+}
+
+TEST(Snapshot, ResnapshotOfRestoredMixedBucketIsByteIdentical) {
+  const MixedBucketCase c;
+  const CompiledNetwork net(c.net);
+  // Straight through to just after B's fire: the T bucket holds B's
+  // reference ahead of A's (merged in from the spill).
+  Simulator ref(net);
+  c.inject(ref);
+  ref.run(MixedBucketCase::config(MixedBucketCase::kB + 1));
+  ASSERT_TRUE(ref.paused());
+  const SnapshotImage want = parse_snapshot(ref.snapshot());
+
+  // Restored at t = 5 and resumed to the same pause: the T bucket now
+  // holds B's reference ahead of A's raw run.
+  Simulator a(net);
+  c.inject(a);
+  a.run(MixedBucketCase::config(5));
+  Simulator b(net);
+  b.restore(a.snapshot());
+  b.run(MixedBucketCase::config(MixedBucketCase::kB + 1));
+  ASSERT_TRUE(b.paused());
+  const std::vector<std::uint8_t> mixed = b.snapshot();
+
+  // export_pending expands each reference where it sits in the run order,
+  // so both buckets export the same delivery sequence…
+  const SnapshotImage got = parse_snapshot(mixed);
+  ASSERT_EQ(got.queue.size(), want.queue.size());
+  for (std::size_t i = 0; i < want.queue.size(); ++i) {
+    const SnapshotBucket& g = got.queue[i];
+    const SnapshotBucket& w = want.queue[i];
+    EXPECT_EQ(g.time, w.time);
+    EXPECT_EQ(g.forced, w.forced);
+    ASSERT_EQ(g.deliveries.size(), w.deliveries.size());
+    for (std::size_t k = 0; k < w.deliveries.size(); ++k) {
+      EXPECT_EQ(g.deliveries[k].target, w.deliveries[k].target) << k;
+      EXPECT_EQ(g.deliveries[k].weight, w.deliveries[k].weight) << k;
+      EXPECT_EQ(g.deliveries[k].source, w.deliveries[k].source) << k;
+    }
+  }
+  // …and the image re-snapshots byte for byte after its own restore.
+  Simulator again(net);
+  again.restore(mixed);
+  EXPECT_EQ(again.snapshot(), mixed);
+}
+
 // ---- Cross-engine: serial <-> sharded -----------------------------------
 
 TEST(Snapshot, SerialSnapshotRestoresIntoParallel) {

@@ -3,9 +3,9 @@
 // edges is frozen straight from its generator into the narrow CSR, solves
 // SSSP to completion, and the narrow freeze is verifiably ≥ 30% smaller
 // than the wide oracle layout while running event-for-event identically to
-// it. A second test freezes the same stream under kAuto — which at this
-// scale selects the delta-packed encoding — and holds it to the ISSUE 10
-// floor: ≥ 25% smaller than NARROW, event-for-event identical.
+// it. A second test freezes the same stream under the explicit kPacked
+// opt-in (kAuto never packs) and holds it to the packed encoding's floor:
+// ≥ 25% smaller than NARROW, event-for-event identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,10 +30,9 @@ void relay_edges(const EdgeStream& emit) {
 }
 
 TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
-  // Freeze the narrow CSR directly from the stream. kAuto now selects the
-  // packed encoding at this scale, so the flat-narrow lane asks for it
-  // explicitly (it stays the compression oracle the packed test measures
-  // against).
+  // Freeze the narrow CSR directly from the stream (kAuto picks the same
+  // layout; the lane names it, since it is the compression oracle the
+  // packed test measures against).
   snn::StreamBuildStats bs;
   const snn::CompiledNetwork narrow = nga::compile_sssp_streamed(
       kN, relay_edges, snn::StoragePolicy::kNarrow, &bs);
@@ -98,13 +97,12 @@ TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
 }
 
 TEST(ScaleStreamed, MillionNeuronPackedEncodingEndToEnd) {
-  // kAuto at m ≈ 10^7 must select the delta-packed encoding, straight from
-  // the stream (the pass-1 range scan chooses it; no wide intermediate is
-  // kept resident — only the per-freeze transient counted in
-  // peak_resident_bytes).
+  // kPacked at m ≈ 10^7 freezes the delta-packed encoding straight from
+  // the stream (no wide intermediate is kept resident — only the
+  // per-freeze transient counted in peak_resident_bytes).
   snn::StreamBuildStats bs;
   const snn::CompiledNetwork packed = nga::compile_sssp_streamed(
-      kN, relay_edges, snn::StoragePolicy::kAuto, &bs);
+      kN, relay_edges, snn::StoragePolicy::kPacked, &bs);
   const snn::StorageWidths& w = packed.storage_widths();
   ASSERT_TRUE(w.packed);
   ASSERT_TRUE(w.narrow);
@@ -115,7 +113,7 @@ TEST(ScaleStreamed, MillionNeuronPackedEncodingEndToEnd) {
   ASSERT_EQ(bs.csr_bytes, packed.csr_storage_bytes());
   ASSERT_GE(bs.peak_resident_bytes, bs.csr_bytes);
 
-  // ISSUE 10 compression floor: >= 25% smaller than the flat-narrow freeze
+  // Compression floor: >= 25% smaller than the flat-narrow freeze
   // of the identical stream.
   const snn::CompiledNetwork narrow = nga::compile_sssp_streamed(
       kN, relay_edges, snn::StoragePolicy::kNarrow);
