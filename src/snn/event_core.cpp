@@ -205,29 +205,7 @@ void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
   }
 }
 
-EventCore::Bucket& EventCore::bucket_for(Time t, std::uint64_t count) {
-  pending_events_ += count;
-  if (pending_events_ > stats_.peak_queue_events) {
-    stats_.peak_queue_events = pending_events_;
-  }
-  // Strict upper bound: a slot equal to the one currently being drained
-  // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
-  // draining a bucket in place is safe.
-  if (t - cursor_ < static_cast<Time>(ring_.size())) {
-    const auto slot = static_cast<std::size_t>(t & ring_mask_);
-    std::uint64_t& word = ring_occupied_[slot >> 6];
-    const std::uint64_t bit = 1ULL << (slot & 63);
-    if ((word & bit) == 0) {
-      // First event in this slot since it was last drained: hand it pooled
-      // storage (drained buckets donate theirs, so only a cold-start
-      // activation allocates).
-      word |= bit;
-      activate(ring_[slot]);
-    }
-    ring_events_ += count;
-    ring_[slot].events += count;
-    return ring_[slot];
-  }
+EventCore::Bucket& EventCore::spill_bucket(Time t, std::uint64_t count) {
   stats_.overflow_spills += count;
   const auto [it, inserted] = spill_.try_emplace(t);
   if (inserted) activate(it->second);
@@ -304,11 +282,8 @@ bool EventCore::next_pending_time(Time* t, Time bound) {
   return true;
 }
 
-Voltage EventCore::decayed_potential(const NeuronRecord& rec, NeuronId id,
-                                     Time t) const {
-  const Time dt = t - rec.last_update;
+void EventCore::check_time_order(NeuronId id, Time dt) const {
   SGA_CHECK(dt >= 0, "time went backwards for neuron " << global_id(id));
-  return rec.decayed(dt, [&] { return net_->tau(id); });
 }
 
 template <typename Store>
@@ -463,14 +438,19 @@ void EventCore::drain(const Store& st, Time bound) {
     for_each_delivery(st, *bucket, [&](NeuronId target, SynWeight weight,
                                        NeuronId source) {
       NeuronRecord& rec = recs[target];
+      // A cause is read only at a target's first fire (cause_ is written
+      // when first_spike == kNever), and first_spike cannot change during
+      // this loop (fires come after it), so a target that has fired skips
+      // the cause bookkeeping: accum_cause_ has no other reader.
+      const bool unfired_cause = causes && rec.first_spike == kNever;
       if (!rec.touched) {
         rec.touched = 1;
         targets.push_back(target);
         rec.accum = 0;
-        if (causes) accum_cause_[target] = CauseScratch{};
+        if (unfired_cause) accum_cause_[target] = CauseScratch{};
       }
       rec.accum += weight;
-      if (causes) {
+      if (unfired_cause) {
         // Deterministic selection: largest weight, ties broken by smallest
         // source id. Sources are global ids, so the rule is independent of
         // delivery order and of sharding: the serial and the sharded engine

@@ -227,8 +227,33 @@ class EventCore {
   void inject(NeuronId id, Time t) { bucket_for(t, 1).forced.push_back(id); }
   /// The bucket of time `t`, about to receive `count` events (bulk appends
   /// update the occupancy stats once per run, not per synapse). Raw
-  /// appends go through Bucket::open_raw.
-  Bucket& bucket_for(Time t, std::uint64_t count);
+  /// appends go through Bucket::open_raw. The ring append is inline (one
+  /// per fan-out run); a time past the ring's window takes spill_bucket.
+  Bucket& bucket_for(Time t, std::uint64_t count) {
+    pending_events_ += count;
+    if (pending_events_ > stats_.peak_queue_events) {
+      stats_.peak_queue_events = pending_events_;
+    }
+    // Strict upper bound: a slot equal to the one currently being drained
+    // (t ≡ cursor_ mod W would need t = cursor_ + W) can never be hit, so
+    // draining a bucket in place is safe.
+    if (t - cursor_ >= static_cast<Time>(ring_.size())) {
+      return spill_bucket(t, count);
+    }
+    const auto slot = static_cast<std::size_t>(t & ring_mask_);
+    std::uint64_t& word = ring_occupied_[slot >> 6];
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    if ((word & bit) == 0) {
+      // First event in this slot since it was last drained: hand it pooled
+      // storage (drained buckets donate theirs, so only a cold-start
+      // activation allocates).
+      word |= bit;
+      activate(ring_[slot]);
+    }
+    ring_events_ += count;
+    ring_[slot].events += count;
+    return ring_[slot];
+  }
   /// Process every pending event before `bound` in time order, through
   /// the drain loop instantiated for this core's store.
   void run_until(Time bound);
@@ -305,10 +330,21 @@ class EventCore {
   NeuronId global_id(NeuronId id) const {
     return global_ids_ == nullptr ? id : global_ids_[id];
   }
+  /// bucket_for's slow path: the spill bucket of a time at or past the
+  /// ring's window (counted in overflow_spills).
+  Bucket& spill_bucket(Time t, std::uint64_t count);
   /// Leak `rec` (neuron `id`) from its last update to t (Eq. (1) without
-  /// the input term).
+  /// the input term). Inline, so the drain's τ ∈ {0, 1} path makes no call;
+  /// the time check's throw stays out of line.
   Voltage decayed_potential(const NeuronRecord& rec, NeuronId id,
-                            Time t) const;
+                            Time t) const {
+    const Time dt = t - rec.last_update;
+    if (dt < 0) [[unlikely]] check_time_order(id, dt);
+    return rec.decayed(dt, [&] { return net_->tau(id); });
+  }
+  /// The SGA_CHECK of decayed_potential: throws InternalError for dt < 0.
+  [[gnu::cold, gnu::noinline]] void check_time_order(NeuronId id,
+                                                     Time dt) const;
   /// Mark `id`'s record dirty for the O(events) reset().
   void touch_state(NeuronRecord& rec, NeuronId id) {
     if (rec.stamp != epoch_) {

@@ -117,7 +117,7 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
       }
       const Time at = t + d;
       const std::size_t b = csr->cross_seg_begin[s];
-      const std::size_t e = csr->cross_seg_end[s];
+      const std::size_t e = csr->cross_seg_begin[s + 1];
       MailBox::Run& run = out_[csr->cross_seg_shard[s]].run_for(at);
       if (e - b == 1) {  // singleton run: push_back, as the core kernel
         run.targets.push_back(clocal[b]);
@@ -208,6 +208,7 @@ void ParallelSimulator::configure(ParallelConfig config) {
   threads_ = static_cast<unsigned>(std::min<std::size_t>(requested, shards));
   max_window_ = config.max_window;
   split_ = net_->shard_split(make_partition(*net_, shards, config.partition));
+  split_generation_ = net_->generation();
   lookahead_ = split_.min_cross_delay == 0
                    ? max_window_
                    : std::min<Time>(split_.min_cross_delay, max_window_);
@@ -348,7 +349,15 @@ void ParallelSimulator::advance_owned_shards(unsigned worker) {
   }
 }
 
+void ParallelSimulator::check_split_generation() const {
+  SGA_REQUIRE(net_->generation() == split_generation_,
+              "ParallelSimulator: the network was patched after this engine "
+              "split it into shard stores, which still hold the old values; "
+              "build a new ParallelSimulator on the patched network");
+}
+
 SimStats ParallelSimulator::run(const SimConfig& config) {
+  check_split_generation();
   SGA_REQUIRE(!ran_ || paused_,
               "ParallelSimulator::run is one-shot (call reset() to reuse, "
               "or pause via SimConfig::pause_time to resume later)");
@@ -600,6 +609,7 @@ void ParallelSimulator::reset() {
 }
 
 std::vector<std::uint8_t> ParallelSimulator::snapshot() const {
+  check_split_generation();
   obs::ScopedTimer timer(obs::thread_metrics(), "snap.snapshot_ns");
   SnapshotImage img;
   build_image(&img);

@@ -102,7 +102,9 @@ class ParallelSimulator {
  public:
   /// Run against a frozen network (BORROWED — caller keeps it alive).
   /// Partitioning and the shard-aware CSR split are computed here, once;
-  /// reset() rewinds for another run without re-partitioning.
+  /// reset() rewinds for another run without re-partitioning. The split
+  /// is a copy: after a patch_weights/patch_delays of `net`, run() and
+  /// snapshot() throw InvalidArgument — build a new engine instead.
   explicit ParallelSimulator(const CompiledNetwork& net,
                              ParallelConfig config = {});
   /// Convenience for one-shot runs: compiles and owns the frozen copy.
@@ -203,10 +205,13 @@ class ParallelSimulator {
   void apply_image(const SnapshotImage& img);
   /// Set the SimStats fields that describe this engine, not the run.
   void describe_engine(SimStats* s) const;
+  /// Throw InvalidArgument when net_ was patched after the split.
+  void check_split_generation() const;
 
   const CompiledNetwork* net_;
   std::unique_ptr<CompiledNetwork> owned_;  ///< Network-ctor form only
   ShardSplit split_;
+  std::uint64_t split_generation_ = 0;  ///< net_->generation() at the split
   unsigned threads_ = 1;
   Time lookahead_ = 1;   ///< quiescent-mode window length
   Time max_window_ = 1;  ///< config cap

@@ -261,14 +261,12 @@ Delay partition_min_cross_delay(const CompiledNetwork& net,
 }
 
 std::size_t ShardCsr::cross_bytes() const {
-  return (cross_offsets.size() + cross_seg_offsets.size() +
-          cross_seg_begin.size() + cross_seg_end.size()) *
+  return (cross_seg_offsets.size() + cross_seg_begin.size()) *
              sizeof(std::size_t) +
-         (cross_shard.size() + cross_seg_shard.size()) *
-             sizeof(std::uint32_t) +
+         cross_seg_shard.size() * sizeof(std::uint32_t) +
          cross_local.size() * sizeof(NeuronId) +
          cross_weight.size() * sizeof(SynWeight) +
-         (cross_delay.size() + cross_seg_delay.size()) * sizeof(Delay);
+         cross_seg_delay.size() * sizeof(Delay);
 }
 
 std::size_t ShardSplit::storage_bytes() const {
@@ -307,7 +305,6 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
     const std::vector<NeuronId>& members = partition.shard_neurons[s];
     ShardCsr& shard = split.shards[s];
     shard.global_ids = members;
-    shard.cross_offsets.assign(members.size() + 1, 0);
     shard.cross_seg_offsets.assign(members.size() + 1, 0);
     intra.clear();
     for (NeuronId k = 0; k < members.size(); ++k) {
@@ -331,20 +328,18 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
         // A (shard, delay) run starts wherever the key changes.
         if (j == 0 || e.from != cross[j - 1].from ||
             e.delay != cross[j - 1].delay) {
-          if (j > 0) shard.cross_seg_end.push_back(shard.cross_local.size());
           shard.cross_seg_shard.push_back(e.from);
           shard.cross_seg_delay.push_back(e.delay);
           shard.cross_seg_begin.push_back(shard.cross_local.size());
         }
-        shard.cross_shard.push_back(e.from);
         shard.cross_local.push_back(e.to);
         shard.cross_weight.push_back(e.weight);
-        shard.cross_delay.push_back(e.delay);
       }
-      if (!cross.empty()) shard.cross_seg_end.push_back(shard.cross_local.size());
-      shard.cross_offsets[k + 1] = shard.cross_local.size();
       shard.cross_seg_offsets[k + 1] = shard.cross_seg_delay.size();
     }
+    // Segments tile the shard's cross synapses in order, so each one ends
+    // where the next begins; the sentinel ends the last.
+    shard.cross_seg_begin.push_back(shard.cross_local.size());
     split.num_cross_synapses += shard.cross_local.size();
     split.intra.push_back(compile_streamed(
         members.size(), [&](NeuronId k) { return params(members[k]); },

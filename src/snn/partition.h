@@ -99,34 +99,33 @@ Delay partition_min_cross_delay(const CompiledNetwork& net,
                                 const Partition& p);
 
 /// One shard's cross-shard out-synapses (see file comment). Neuron k of
-/// the shard is global id `global_ids[k]`; its cross-shard synapses are
-/// cross_* [cross_offsets[k], cross_offsets[k+1]). Its intra-shard
-/// synapses live in ShardSplit::intra.
+/// the shard is global id `global_ids[k]`; its intra-shard synapses live
+/// in ShardSplit::intra.
 ///
 /// Segmented layout (ARCHITECTURE.md §1.6): the cross family inherits the
 /// CompiledNetwork's delay-sorted row order, stably re-sorted by
 /// destination shard, so a neuron's cross row is one sequence of
 /// (shard, delay) runs. The cross_seg_* arrays record those runs CSR-style
 /// (offsets indexed by local neuron), letting a fire do one mailbox append
-/// per run instead of per synapse.
+/// per run instead of per synapse. A synapse's destination shard and delay
+/// are its run's, so the per-synapse payload is only target and weight.
 struct ShardCsr {
   std::vector<NeuronId> global_ids;
 
-  std::vector<std::size_t> cross_offsets;  ///< local_n + 1 entries
-  std::vector<std::uint32_t> cross_shard;  ///< destination shard
-  std::vector<NeuronId> cross_local;       ///< local index in that shard
+  std::vector<NeuronId> cross_local;  ///< local index in the dest shard
   std::vector<SynWeight> cross_weight;
-  std::vector<Delay> cross_delay;
 
-  // Cross (shard, delay) runs: segment s covers cross synapses
-  // [cross_seg_begin[s], cross_seg_end[s]), all bound for shard
-  // cross_seg_shard[s] with delay cross_seg_delay[s]; per neuron the
-  // (shard, delay) pairs are strictly increasing lexicographically.
+  // Cross (shard, delay) runs: neuron k's runs are segments
+  // [cross_seg_offsets[k], cross_seg_offsets[k+1]); segment s covers cross
+  // synapses [cross_seg_begin[s], cross_seg_begin[s+1]), all bound for
+  // shard cross_seg_shard[s] with delay cross_seg_delay[s]; per neuron the
+  // (shard, delay) pairs are strictly increasing lexicographically. So
+  // neuron k's cross synapses are [cross_seg_begin[cross_seg_offsets[k]],
+  // cross_seg_begin[cross_seg_offsets[k+1]]).
   std::vector<std::size_t> cross_seg_offsets;  ///< local_n + 1 entries
   std::vector<std::uint32_t> cross_seg_shard;
   std::vector<Delay> cross_seg_delay;
-  std::vector<std::size_t> cross_seg_begin;
-  std::vector<std::size_t> cross_seg_end;
+  std::vector<std::size_t> cross_seg_begin;  ///< segments + 1 (end sentinel)
 
   std::size_t num_neurons() const { return global_ids.size(); }
   /// Resident bytes of the cross family: row pointers, runs and payload.

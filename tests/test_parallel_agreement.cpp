@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -659,7 +660,9 @@ TEST_P(ShardStoreFuzz, WideStoresAndLongCrossDelaysMatchSerial) {
     EXPECT_GT(stats.end_time, 65536) << "seed " << seed << " S " << shards;
     Delay max_cross = 0;
     for (const snn::ShardCsr& c : split.shards) {
-      for (const Delay d : c.cross_delay) max_cross = std::max(max_cross, d);
+      for (const Delay d : c.cross_seg_delay) {
+        max_cross = std::max(max_cross, d);
+      }
     }
     EXPECT_GT(max_cross, 65536) << "seed " << seed << " S " << shards;
   }
@@ -679,6 +682,78 @@ TEST(ParallelRegression, PackedShardStoresMatchSerial) {
       const snn::SimStats stats =
           expect_shard_stores_agree(compiled, seed, shards, 2, cfg).second;
       EXPECT_GT(stats.decode_blocks, 0u) << "seed " << seed << " S " << shards;
+    }
+  }
+}
+
+// ---- First-spike causes under later inputs ------------------------------
+//
+// A neuron's cause is its FIRST spike's (the parent the SSSP readout
+// takes). Target 4 first fires at t = 1 on weights 1 (from 3) and 0.5
+// (from 2): cause 3. At t = 4 it fires again on heavier inputs from
+// smaller ids, 5 (from 1) and 3 (from 0), which the (largest weight,
+// smallest id) rule would pick; the recorded cause must stay 3.
+
+snn::Network later_heavier_inputs_net() {
+  snn::Network net;
+  for (int i = 0; i < 5; ++i) net.add_threshold_neuron(1);
+  net.add_synapse(3, 4, 1, 1);
+  net.add_synapse(2, 4, 0.5, 1);
+  net.add_synapse(1, 4, 5, 4);
+  net.add_synapse(0, 4, 3, 4);
+  return net;
+}
+
+template <typename Engine>
+void expect_first_cause_pinned(Engine& sim, const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(sim.first_spike(4), 1);
+  EXPECT_EQ(sim.spike_count(4), 2u);
+  EXPECT_EQ(sim.last_spike(4), 4);
+  EXPECT_EQ(sim.first_spike_cause(4), 3u);
+  for (NeuronId id = 0; id < 4; ++id) {
+    EXPECT_EQ(sim.first_spike_cause(id), kNoNeuron) << "injected " << id;
+  }
+}
+
+/// Inject 0..3 at t = 0 and run `sim` to completion, or pause it at t = 2
+/// (between the two fires of 4) and finish in `resumed` from a snapshot.
+template <typename Engine>
+void run_later_heavier(Engine& sim, Engine& resumed, bool pause) {
+  for (NeuronId id = 0; id < 4; ++id) sim.inject_spike(id, 0);
+  snn::SimConfig cfg;
+  cfg.record_causes = true;
+  if (!pause) {
+    sim.run(cfg);
+    return;
+  }
+  cfg.pause_time = 2;
+  ASSERT_TRUE(sim.run(cfg).paused);
+  EXPECT_EQ(sim.first_spike_cause(4), 3u);
+  resumed.restore(sim.snapshot());
+  cfg.pause_time = kNever;
+  resumed.run(cfg);
+}
+
+TEST(ParallelRegression, FirstSpikeCauseIgnoresLaterHeavierInputs) {
+  const snn::CompiledNetwork compiled = later_heavier_inputs_net().compile();
+  for (const bool pause : {false, true}) {
+    const std::string mode = pause ? " paused+restored" : " straight";
+    snn::Simulator serial(compiled);
+    snn::Simulator serial_resumed(compiled);
+    run_later_heavier(serial, serial_resumed, pause);
+    expect_first_cause_pinned(pause ? serial_resumed : serial,
+                              "serial" + mode);
+    for (const unsigned threads : {1u, 2u}) {
+      snn::ParallelConfig pcfg;
+      pcfg.num_shards = 2;
+      pcfg.num_threads = threads;
+      snn::ParallelSimulator psim(compiled, pcfg);
+      snn::ParallelSimulator psim_resumed(compiled, pcfg);
+      run_later_heavier(psim, psim_resumed, pause);
+      expect_first_cause_pinned(pause ? psim_resumed : psim,
+                                "sharded S=2 threads=" +
+                                    std::to_string(threads) + mode);
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "core/random.h"
 #include "snn/compiled_network.h"
 #include "snn/network.h"
+#include "snn/parallel_sim.h"
 #include "snn/simulator.h"
 
 namespace sga::snn {
@@ -419,6 +420,42 @@ TEST(PatchWeights, PausedRunHoldingReferencesRefusesToResume) {
   packed.patch_weights({{0, 0.5}});
   const GuardRun got = guard_run(sim, cfg);
   EXPECT_EQ(got.first, (std::vector<Time>{0, 2, 2, 3}));
+}
+
+// A sharded engine splits the network into shard stores once, when it is
+// built; a later patch never reaches them. It refuses to run or snapshot
+// on a patched network instead of running the old values, while a serial
+// engine on the same network runs the patch.
+TEST(PatchWeights, ShardedEngineBuiltBeforeThePatchRefusesToRun) {
+  Network net;
+  net.add_threshold_neuron(1);
+  net.add_threshold_neuron(1);
+  net.add_synapse(0, 1, 1, 1);
+  CompiledNetwork cn(net);
+  Simulator serial(cn);
+  ParallelConfig pcfg;
+  pcfg.num_shards = 2;
+  pcfg.num_threads = 2;
+  ParallelSimulator sharded(cn, pcfg);
+
+  cn.patch_weights({{0, 0.5}});
+  serial.inject_spike(0, 0);
+  serial.run();
+  EXPECT_EQ(serial.first_spike(1), kNever);
+
+  sharded.inject_spike(0, 0);
+  EXPECT_THROW(sharded.snapshot(), InvalidArgument);
+  EXPECT_THROW(sharded.run(), InvalidArgument);
+  sharded.reset();
+  sharded.inject_spike(0, 0);
+  EXPECT_THROW(sharded.run(), InvalidArgument);
+
+  // An engine built on the patched network runs the patch.
+  ParallelSimulator rebuilt(cn, pcfg);
+  rebuilt.inject_spike(0, 0);
+  rebuilt.run();
+  EXPECT_EQ(rebuilt.first_spike(0), 0);
+  EXPECT_EQ(rebuilt.first_spike(1), kNever);
 }
 
 TEST(PatchDelays, PausedRunHoldingReferencesRefusesToResume) {
