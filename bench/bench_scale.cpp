@@ -1,32 +1,26 @@
-// Million-neuron streamed-build scale lane (ARCHITECTURE.md §1.8, §1.11;
-// ISSUE 7 + ISSUE 10 acceptance workloads): two n ≈ 10^6, m ≈ 10^7
-// instances — a relay chain and an R-MAT (Graph500-style skewed) graph —
-// are frozen straight from their generators into the narrow (kAuto, which
-// selects flat narrow at this scale too), wide (kWide), and delta-packed
-// (kPacked, the explicit memory opt-in) CSR layouts, then SSSP runs to
+// Million-neuron streamed-build scale lane (ARCHITECTURE.md §1.8; the
+// ISSUE 7 acceptance workloads): two n ≈ 10^6, m ≈ 10^7 instances — a
+// relay chain and an R-MAT (Graph500-style skewed) graph — are frozen
+// straight from their generators into the narrow (kAuto, which selects
+// narrow at this scale) and wide (kWide) CSR layouts, then SSSP runs to
 // completion on each.
 //
 // Emitted to BENCH_scale.json for the bench_compare trajectory. Semantic
 // keys — n, m, csr_bytes, bytes_per_synapse, peak_resident_bytes,
 // storage_encoding, decode_blocks, T, spikes, events — are
-// machine-independent (the streams replay from fixed seeds, narrowing is
-// value-preserving, and block decode counts are a function of the event
-// sequence), so any change is DRIFT and blocks. Freeze/run wall time and
-// the derived deliveries_per_sec use the *_ns / *_per_sec suffixes
-// bench_compare treats as noise-tolerant. The narrow and packed SSSP runs
-// alternate kTimedRuns times each and report their median run_ns, so the
-// packed ÷ narrow rate ratio is repeatable; the wide oracle runs once.
+// machine-independent (the streams replay from fixed seeds and narrowing
+// is value-preserving), so any change is DRIFT and blocks. Freeze/run wall
+// time and the derived deliveries_per_sec use the *_ns / *_per_sec
+// suffixes bench_compare treats as noise-tolerant. The narrow SSSP run
+// repeats kTimedRuns times and reports its median run_ns; the wide oracle
+// runs once.
 //
 // Hard gates (exit 1):
-//   * kAuto selects narrow at this scale (it never packs); kPacked / kWide
-//     must stay what they claim;
+//   * kAuto selects narrow at this scale; kWide stays wide;
 //   * the narrow freeze must be ≥ 30% smaller than the wide one;
-//   * the packed freeze must be ≥ 25% smaller than the NARROW one, on BOTH
-//     instances (the packed encoding's compression floor);
 //   * every relay vertex fires exactly once (SSSP completed);
-//   * packed, narrow, and wide runs agree event-for-event on both
-//     instances, and every repeated narrow / packed run agrees with its
-//     first.
+//   * narrow and wide runs agree event-for-event on both instances, and
+//     every repeated narrow run agrees with its first.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -50,7 +44,7 @@ constexpr std::size_t kMaxSkip = 1000;
 constexpr std::uint64_t kSeed = 0x5CA1E;
 constexpr WeightRange kWeights{1, 16};
 
-constexpr int kTimedRuns = 5;  ///< alternating narrow/packed runs, odd
+constexpr int kTimedRuns = 5;  ///< repeated narrow runs, odd
 
 constexpr std::size_t kRmatScale = 20;  // n = 2^20 = 1048576
 constexpr std::size_t kRmatEdges = 10000000;
@@ -149,29 +143,21 @@ bool runs_agree(const char* what, const Solved& a, const Solved& b) {
   return false;
 }
 
-/// Solve `a` and `b` kTimedRuns times each, alternating, so a slow stretch
-/// of a shared host lands on both; each result carries the median run_ns
-/// of its runs. False when a repeat disagrees with the first run (the
-/// runs are deterministic).
-bool solve_alternating(const snn::CompiledNetwork& a,
-                       const snn::CompiledNetwork& b, Solved* sa,
-                       Solved* sb) {
-  std::vector<double> ns_a, ns_b;
+/// Solve `net` kTimedRuns times; the result carries the median run_ns.
+/// False when a repeat disagrees with the first run (the runs are
+/// deterministic).
+bool solve_median(const snn::CompiledNetwork& net, Solved* out) {
+  std::vector<double> ns;
   for (int r = 0; r < kTimedRuns; ++r) {
-    const Solved ra = solve(a);
-    const Solved rb = solve(b);
+    const Solved run = solve(net);
     if (r == 0) {
-      *sa = ra;
-      *sb = rb;
-    } else if (!runs_agree("repeated", ra, *sa) ||
-               !runs_agree("repeated", rb, *sb)) {
+      *out = run;
+    } else if (!runs_agree("repeated", run, *out)) {
       return false;
     }
-    ns_a.push_back(static_cast<double>(ra.run_ns));
-    ns_b.push_back(static_cast<double>(rb.run_ns));
+    ns.push_back(static_cast<double>(run.run_ns));
   }
-  sa->run_ns = static_cast<std::uint64_t>(median(std::move(ns_a)));
-  sb->run_ns = static_cast<std::uint64_t>(median(std::move(ns_b)));
+  out->run_ns = static_cast<std::uint64_t>(median(std::move(ns)));
   return true;
 }
 
@@ -179,8 +165,8 @@ struct Instance {
   const char* tag;           ///< record-name segment ("" for relay)
   std::size_t n;
   void (*edges)(const EdgeStream&);
-  Frozen narrow, wide, packed;
-  Solved sn, sw, sp;
+  Frozen narrow, wide;
+  Solved sn, sw;
 };
 
 }  // namespace
@@ -195,20 +181,18 @@ int main() {
   report.context("paths", "generator -> compile_streamed; no Graph, no "
                           "nested-vector Network ever materialized; narrow "
                           "lane freezes under kAuto (selects narrow at this "
-                          "scale), packed lane under kPacked");
+                          "scale)");
 
-  Instance relay{"", kN, relay_edges, {}, {}, {}, {}, {}, {}};
-  Instance rmat{"rmat/", std::size_t{1} << kRmatScale, rmat_edges,
-                {},       {}, {}, {}, {}, {}};
+  Instance relay{"", kN, relay_edges, {}, {}, {}, {}};
+  Instance rmat{"rmat/", std::size_t{1} << kRmatScale, rmat_edges, {}, {},
+                {}, {}};
 
   bool ok = true;
   for (Instance* inst : {&relay, &rmat}) {
     inst->narrow = freeze(inst->n, inst->edges, snn::StoragePolicy::kAuto);
     inst->wide = freeze(inst->n, inst->edges, snn::StoragePolicy::kWide);
-    inst->packed = freeze(inst->n, inst->edges, snn::StoragePolicy::kPacked);
     ok = expect_encoding("kAuto-at-scale", inst->narrow, 1) && ok;
     ok = expect_encoding("kWide", inst->wide, 0) && ok;
-    ok = expect_encoding("kPacked", inst->packed, 2) && ok;
   }
   if (!ok) return 1;
 
@@ -225,37 +209,18 @@ int main() {
               << relay.wide.build.csr_bytes << " B\n";
     return 1;
   }
-  // Compression floor: packed >= 25% under NARROW, per instance.
-  for (const Instance* inst : {&relay, &rmat}) {
-    const auto pn = static_cast<double>(inst->packed.build.csr_bytes);
-    const auto nn = static_cast<double>(inst->narrow.build.csr_bytes);
-    if (pn > 0.75 * nn) {
-      std::cerr << "bench_scale: " << (inst->tag[0] ? inst->tag : "relay/")
-                << "packed freeze " << inst->packed.build.csr_bytes
-                << " B is not >= 25% smaller than narrow "
-                << inst->narrow.build.csr_bytes << " B\n";
-      return 1;
-    }
-  }
-
   for (Instance* inst : {&relay, &rmat}) {
     const std::string base = std::string("scale/") + inst->tag;
     record_freeze(report, base + "freeze/narrow", inst->narrow);
     record_freeze(report, base + "freeze/wide", inst->wide);
-    record_freeze(report, base + "freeze/packed", inst->packed);
 
-    if (!solve_alternating(inst->narrow.net, inst->packed.net, &inst->sn,
-                           &inst->sp)) {
-      return 1;
-    }
+    if (!solve_median(inst->narrow.net, &inst->sn)) return 1;
     inst->sw = solve(inst->wide.net);
-    if (!runs_agree((base + "narrow-vs-wide").c_str(), inst->sn, inst->sw) ||
-        !runs_agree((base + "packed-vs-narrow").c_str(), inst->sp, inst->sn)) {
+    if (!runs_agree((base + "narrow-vs-wide").c_str(), inst->sn, inst->sw)) {
       return 1;
     }
     record_run(report, base + "sssp/narrow", inst->sn);
     record_run(report, base + "sssp/wide", inst->sw);
-    record_run(report, base + "sssp/packed", inst->sp);
   }
   if (relay.sn.stats.spikes != kN) {
     std::cerr << "bench_scale: " << relay.sn.stats.spikes
@@ -265,24 +230,18 @@ int main() {
 
   for (const Instance* inst : {&relay, &rmat}) {
     const char* tag = inst->tag[0] ? "rmat" : "relay";
-    const auto nbi = static_cast<double>(inst->narrow.build.csr_bytes);
-    const auto pbi = static_cast<double>(inst->packed.build.csr_bytes);
     std::cout << tag << ": n=" << inst->n
               << " m=" << inst->narrow.build.num_synapses << "\n  narrow "
               << inst->narrow.build.csr_bytes << " B ("
               << inst->narrow.net.bytes_per_synapse() << " B/syn), wide "
-              << inst->wide.build.csr_bytes << " B, packed "
-              << inst->packed.build.csr_bytes << " B ("
-              << inst->packed.net.bytes_per_synapse() << " B/syn) — packed "
-              << (100.0 - 100.0 * pbi / nbi) << "% under narrow\n"
+              << inst->wide.build.csr_bytes << " B\n"
               << "  sssp T=" << inst->sn.stats.end_time
               << " spikes=" << inst->sn.stats.spikes
               << " deliveries=" << inst->sn.stats.deliveries << "\n  narrow "
               << rate_per_sec(inst->sn.stats.deliveries, inst->sn.run_ns)
-              << " deliveries/sec, packed "
-              << rate_per_sec(inst->sp.stats.deliveries, inst->sp.run_ns)
-              << " deliveries/sec (decode_blocks="
-              << inst->sp.stats.decode_blocks << ")\n";
+              << " deliveries/sec, wide "
+              << rate_per_sec(inst->sw.stats.deliveries, inst->sw.run_ns)
+              << " deliveries/sec\n";
   }
   const std::string path = report.write();
   if (!path.empty()) std::cout << "wrote " << path << "\n";

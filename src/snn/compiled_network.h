@@ -5,26 +5,22 @@
 // mutate a Network, then freeze it once with Network::compile(). The frozen
 // CompiledNetwork stores
 //   * neuron parameters as structure-of-arrays (v_reset / v_threshold / τ),
-//   * out-synapses CSR-packed: one offsets array (n+1 entries) plus flat,
-//     contiguous targets / weights / delays arrays in source-id order —
-//     the fan-out of a fired neuron is one contiguous slice, no per-neuron
-//     heap pointer to chase. Each row is stably sorted by delay at freeze
-//     time, so equal-delay synapses form contiguous *delay runs* in builder
+//   * out-synapses in CSR form: one offsets array (n+1 entries) plus flat,
+//     contiguous target and weight arrays in source-id order — the fan-out
+//     of a fired neuron is one contiguous slice, no per-neuron heap pointer
+//     to chase. Each row is stably sorted by delay at freeze time, so
+//     equal-delay synapses form contiguous *delay runs* in builder
 //     insertion order; a second CSR (seg_offsets_ + flat segment arrays)
-//     records one (delay, begin, end) segment per run. The simulator's
-//     fan-out kernel walks segments — one queue lookup per distinct delay,
-//     then one append per run — instead of doing per-synapse lookups
-//     (ARCHITECTURE.md §1.6),
-//   * the flat synapse payload WIDTH-NARROWED to the observed ranges
+//     records one (delay, begin) segment per run, the begin column ending
+//     in an m sentinel so each segment ends where the next begins. Delays
+//     live only there. The simulator's fan-out kernel walks segments — one
+//     queue lookup per distinct delay, then one append per run — instead of
+//     doing per-synapse lookups (ARCHITECTURE.md §1.6),
+//   * the synapse payload WIDTH-NARROWED to the observed ranges
 //     (ARCHITECTURE.md §1.8): the freeze scans n / max delay / the weight
 //     domain and stores u16 or u32 targets, u8/u16 delays, float32 weights
 //     when exact — behind a SynStoreVariant dispatch, with the full-width
-//     layout kept as the oracle (snn/storage.h). On explicit request
-//     (kPacked, a memory opt-in) the narrow layout is upgraded to the
-//     delta-PACKED encoding (ARCHITECTURE.md §1.11): the delay-sorted
-//     target column becomes base + bit-packed deltas in 64-entry blocks
-//     and the per-synapse delay column is dropped in favor of the segment
-//     CSR's run-length form,
+//     layout kept as the oracle (snn/storage.h),
 //   * per-neuron aggregates computed once at freeze time (the positive
 //     in-weight table that previously cost a full-graph scan per query).
 //
@@ -84,23 +80,6 @@ struct StreamBuildStats {
   std::size_t peak_resident_bytes = 0;
 };
 
-/// Raw material of a packed freeze as an untrusted loader (io text v3)
-/// hands it over: wide-typed columns plus the block tables, widths still
-/// only CLAIMED. CompiledNetwork::from_packed_parts() validates the claim.
-struct PackedNetworkParts {
-  std::vector<NeuronParams> neurons;
-  std::vector<std::size_t> offsets;  ///< n+1 CSR row pointers
-  std::vector<std::size_t> seg_offsets;  ///< n+1 segment row pointers
-  StorageWidths widths;  ///< must claim packed=true (delay/weight widths)
-  std::vector<SynWeight> weights;  ///< one per synapse
-  std::vector<Delay> seg_delays;   ///< one per delay run
-  std::vector<std::uint32_t> seg_syn_begin;  ///< runs + 1 (sentinel = m)
-  std::vector<std::uint32_t> block_base;
-  std::vector<std::uint8_t> block_bits;
-  std::vector<std::uint32_t> pack_words;
-  std::vector<std::pair<std::string, std::vector<NeuronId>>> groups;
-};
-
 class CompiledNetwork {
  public:
   /// The empty network (0 neurons, 0 synapses) — a valid placeholder so
@@ -130,16 +109,6 @@ class CompiledNetwork {
       const std::function<void(const SynapseSink&)>& emit,
       StoragePolicy policy = StoragePolicy::kAuto,
       StreamBuildStats* build_stats = nullptr);
-
-  /// Reassemble a PACKED compiled form from untrusted parts (the io text v3
-  /// reader). Performs the structural block-table checks that make decoding
-  /// memory-safe (bits ≤ 32, word offsets exactly the running sum of
-  /// per-block word counts, sentinel-terminated begin column) and bounds
-  /// every decoded target BEFORE any table is indexed — then derives
-  /// block_word / max_delay / pos_in_weight. Throws InvalidArgument on the
-  /// first violation. Callers still run verify_invariants() for the full
-  /// semantic contract (tiling, delay monotonicity, finiteness).
-  static CompiledNetwork from_packed_parts(PackedNetworkParts&& parts);
 
   std::size_t num_neurons() const { return v_reset_.size(); }
   std::size_t num_synapses() const { return offsets_.back(); }
@@ -193,7 +162,7 @@ class CompiledNetwork {
   const StorageWidths& storage_widths() const { return widths_; }
 
   /// Resident bytes of the CSR: row pointers, segment row pointers, and
-  /// the six payload arrays at their frozen widths (SimStats::csr_bytes).
+  /// the four payload arrays at their frozen widths (SimStats::csr_bytes).
   std::size_t csr_storage_bytes() const {
     return (offsets_.size() + seg_offsets_.size()) * sizeof(std::size_t) +
            std::visit([](const auto& st) { return st.payload_bytes(); },
@@ -236,31 +205,27 @@ class CompiledNetwork {
   std::uint64_t generation() const { return generation_; }
 
   /// Row walk: call f(k, target, weight, delay) for every out-synapse k of
-  /// `id`, in flat order. The row is read in block-aligned chunks of at
-  /// most kPackedBlockSize synapses with one variant visit each
-  /// (out_chunk), so a packed row is decoded by
-  /// PackedSynStore::decode_range exactly once and nothing is allocated.
-  /// Delays come from the segment CSR (their run-length form). Every
-  /// whole-row loop off the simulator's hot path (partitioner,
-  /// shard_split, verify_invariants, congest, io, unroll) uses this instead
-  /// of the syn_* accessors, which pay a visit per synapse and, on a packed
-  /// store, a block decode and a segment search. Requires segments that
-  /// tile the row: every freeze guarantees it, and verify_invariants
-  /// checks it before its own walk.
+  /// `id`, in flat order, with one variant visit for the whole row. It walks
+  /// the row's segments, so each delay is read once per run. Every
+  /// whole-row loop off the simulator's hot path (partitioner, shard_split,
+  /// verify_invariants, congest, io, unroll) uses this instead of the syn_*
+  /// accessors, which pay a visit per synapse and, for the delay, a segment
+  /// search. Requires segments that tile the row: every freeze guarantees
+  /// it, and verify_invariants checks it before its own walk.
   template <typename F>
   void for_each_out_synapse(NeuronId id, F&& f) const {
-    NeuronId tgt[kPackedBlockSize];
-    SynWeight wgt[kPackedBlockSize];
-    Delay dly[kPackedBlockSize];
-    std::size_t seg = seg_offsets_[id];
-    const std::size_t e = offsets_[id + 1];
-    for (std::size_t k = offsets_[id]; k < e;) {
-      const std::size_t ce = out_chunk(k, e, seg, tgt, wgt, dly);
-      for (std::size_t j = k; j < ce; ++j) {
-        f(j, tgt[j - k], wgt[j - k], dly[j - k]);
-      }
-      k = ce;
-    }
+    std::visit(
+        [&](const auto& st) {
+          const std::size_t se = seg_offsets_[id + 1];
+          for (std::size_t s = seg_offsets_[id]; s < se; ++s) {
+            const Delay d = st.seg_delay_at(s);
+            const std::size_t e = st.seg_syn_end_at(s);
+            for (std::size_t k = st.seg_syn_begin_at(s); k < e; ++k) {
+              f(k, st.target_at(k), st.weight_at(k), d);
+            }
+          }
+        },
+        store_);
   }
   // ---- Freeze-time aggregates ------------------------------------------
   /// Total positive in-weight of `id` (Section 3's fire-once sizing bound).
@@ -313,17 +278,14 @@ class CompiledNetwork {
   /// the frozen delay width (u8/u16 when narrow — re-freeze to widen).
   /// Touched rows are stably re-sorted by delay and re-segmented (untouched
   /// rows keep their segments verbatim); max_delay() is refreshed, which
-  /// may grow or shrink it. Packed freezes reject delay patches outright:
-  /// re-sorting a row re-orders the delta-packed target column, which is a
-  /// re-encode, not a patch — re-freeze (kNarrow keeps patching available).
+  /// may grow or shrink it.
   void patch_delays(const std::vector<std::pair<std::size_t, Delay>>& edits);
 
   // ---- Sharding (snn/partition.h; ARCHITECTURE.md §1.5) ----------------
   /// Split the CSR under `partition` into per-shard intra/cross synapse
   /// families for the conservative-parallel simulator: each shard's intra
-  /// family is frozen through compile_streamed() at the shard's own size —
-  /// under kPacked when this store is packed, under kAuto otherwise — and
-  /// its cross family is a full-width (shard, delay) CSR. Pure derivation:
+  /// family is frozen through compile_streamed() under kAuto at the shard's
+  /// own size, and its cross family is a full-width (shard, delay) CSR. Pure derivation:
   /// this network stays untouched (and shareable).
   ShardSplit shard_split(Partition partition) const;
 
@@ -338,20 +300,13 @@ class CompiledNetwork {
   /// The one freeze core behind both public entry points
   /// (stream_compile.cpp): validate the `n` neuron parameters, run
   /// `source(sink)` twice (pass 1 counts degrees and scans the ranges that
-  /// choose the widths, pass 2 scatters into those widths), then sort each
-  /// row by delay, cut the segment CSR, tabulate positive in-weights and,
-  /// for the packed encoding, re-encode the target column. `who` prefixes
-  /// every message. Returns the bytes of the flat transient a packed freeze
-  /// re-encodes from (0 for the flat layouts).
+  /// choose the widths, pass 2 scatters into those widths and an m-entry
+  /// delay transient), then sort each row by delay, cut the segment CSR
+  /// and tabulate positive in-weights. `who` prefixes every message.
+  /// Returns the bytes of the delay transient, freed before it returns.
   template <typename Params, typename Source>
   std::size_t freeze(const char* who, std::size_t n, const Params& params,
                      const Source& source, StoragePolicy policy);
-  /// One chunk of for_each_out_synapse: synapses [k, ce) of a row ending
-  /// at `row_end`, where ce is the next block boundary or the row end.
-  /// Fills tgt/wgt/dly[0 .. ce − k), advances the segment cursor `seg` to
-  /// the run holding ce − 1, and returns ce.
-  std::size_t out_chunk(std::size_t k, std::size_t row_end, std::size_t& seg,
-                        NeuronId* tgt, SynWeight* wgt, Delay* dly) const;
   /// Retabulate pos_in_weight_ from the payload in flat synapse order (the
   /// same accumulation order compile() and verify_invariants() use).
   void recompute_pos_in_weight();
@@ -362,7 +317,7 @@ class CompiledNetwork {
 
   std::vector<std::size_t> offsets_;      ///< n+1 entries; CSR row pointers
   std::vector<std::size_t> seg_offsets_;  ///< n+1 entries; segment row ptrs
-  SynStoreVariant store_;                 ///< width-dispatched flat payload
+  SynStoreVariant store_;                 ///< width-dispatched payload
   StorageWidths widths_;
 
   std::vector<SynWeight> pos_in_weight_;

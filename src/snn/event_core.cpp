@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
 #include <variant>
 
 #include "core/error.h"
@@ -20,19 +19,6 @@ std::size_t ring_size_for(Delay max_delay) {
   const auto want = static_cast<std::uint64_t>(max_delay) + 1;
   return static_cast<std::size_t>(
       std::bit_ceil(std::clamp<std::uint64_t>(want, 64, 1u << 16)));
-}
-
-/// Append [b, e) to `dst`, widening element-wise when the storage type is
-/// narrower than the bucket's (the packed kernel's weight copy). Matching
-/// types keep the memcpy-grade range insert.
-template <typename T, typename U>
-void append_widened(std::vector<T>& dst, const U* b, const U* e) {
-  if constexpr (std::is_same_v<T, U>) {
-    dst.insert(dst.end(), b, e);
-  } else {
-    dst.reserve(dst.size() + static_cast<std::size_t>(e - b));
-    for (const U* p = b; p != e; ++p) dst.push_back(static_cast<T>(*p));
-  }
 }
 
 }  // namespace
@@ -66,31 +52,6 @@ void EventCore::init(Delay ring_delay) {
                              << " delay segments exceed the u32 segment "
                                 "references of the delivery buckets");
   generation_ = net_->generation();
-  std::visit(
-      [&](const auto& st) {
-        using Store = std::decay_t<decltype(st)>;
-        if constexpr (Store::kPackedLayout) {
-          // Rows are laid out in id order, so one forward sweep decodes
-          // each block holding a row start at most once.
-          row_first_.assign(n, 0);
-          std::uint32_t block[kPackedBlockSize] = {};
-          std::size_t decoded = st.num_blocks();  // none yet
-          for (NeuronId i = 0; i < n; ++i) {
-            const std::size_t b = net_->out_begin(i);
-            if (b == net_->out_end(i)) continue;
-            const std::size_t j = b / kPackedBlockSize;
-            if (j != decoded) {
-              st.decode_range(j * kPackedBlockSize,
-                              std::min(st.num_targets,
-                                       (j + 1) * kPackedBlockSize),
-                              block);
-              decoded = j;
-            }
-            row_first_[i] = block[b - j * kPackedBlockSize];
-          }
-        }
-      },
-      net_->synapse_store());
   describe_engine();
 }
 
@@ -126,82 +87,29 @@ void EventCore::ensure_causes() {
 }
 
 template <typename Store>
-void EventCore::decode_row(const Store& st, NeuronId id, std::size_t b,
-                           std::size_t e) {
-  if (decode_scratch_.size() < e - b) decode_scratch_.resize(e - b);
-  st.decode_from(b, row_first_[id], e, decode_scratch_.data());
-  stats_.decode_blocks += (e - 1) / kPackedBlockSize - b / kPackedBlockSize + 1;
-}
-
-template <typename Store>
 void EventCore::fanout_segmented(const Store& st, NeuronId id, Time t) {
-  // One queue lookup per delay run, then one append of the run to the
-  // bucket; sources only when a cause is being recorded.
+  // One queue lookup per delay run, then one u32 segment id appended to
+  // the bucket (plus the firing id when causes are recorded); the drain
+  // reads the run's targets and weights straight from the frozen store. No
+  // synapse data is copied.
   const bool causes = run_.record_causes;
   const NeuronId src = global_id(id);
-  if constexpr (Store::kPackedLayout) {
-    // Block-decode path (ARCHITECTURE.md §1.11): the whole row's targets
-    // are decoded ONCE into the persistent scratch buffer — lazily, so a
-    // row entirely past the horizon decodes nothing — then each delay run
-    // appends its slice as a raw run (a decoded row cannot be referenced).
-    // Weights stay a flat column; delays come from the segment CSR, which
-    // is their run-length encoding.
-    const std::size_t rb = net_->out_begin(id);
-    const auto* wgt = st.weights.data();
-    const std::size_t se = net_->seg_end(id);
-    bool decoded = false;
-    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
-      ++stats_.fanout_segments;
-      const auto d = static_cast<Delay>(st.seg_delays[s]);
-      if (d > run_.max_time - t) {
-        // Segment delays increase along the row, so every remaining run
-        // is past the horizon too.
-        stats_.hit_time_limit = true;
-        break;
-      }
-      if (!decoded) {
-        decode_row(st, id, rb, net_->out_end(id));
-        decoded = true;
-      }
-      const auto b = static_cast<std::size_t>(st.seg_syn_begin[s]);
-      const auto e = static_cast<std::size_t>(st.seg_syn_begin[s + 1]);
-      Bucket& bucket = bucket_for(t + d, e - b);
-      bucket.open_raw(e - b);
-      if (e - b == 1) {
-        bucket.targets.push_back(decode_scratch_[b - rb]);
-        bucket.weights.push_back(static_cast<SynWeight>(wgt[b]));
-        if (causes) bucket.sources.push_back(src);
-      } else {
-        bucket.targets.insert(bucket.targets.end(),
-                              decode_scratch_.data() + (b - rb),
-                              decode_scratch_.data() + (e - rb));
-        append_widened(bucket.weights, wgt + b, wgt + e);
-        if (causes) bucket.sources.insert(bucket.sources.end(), e - b, src);
-      }
-      ++stats_.bulk_appends;
+  const std::size_t se = net_->seg_end(id);
+  for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
+    ++stats_.fanout_segments;
+    const auto d = static_cast<Delay>(st.seg_delays[s]);
+    if (d > run_.max_time - t) {
+      // Segment delays increase along the row, so every remaining run is
+      // past the horizon too.
+      stats_.hit_time_limit = true;
+      break;
     }
-    return;
-  } else {
-    // Reference path: one u32 segment id per delay run (plus the firing id
-    // when causes are recorded); the drain reads the run's targets and
-    // weights straight from the frozen store. No synapse data is copied.
-    const std::size_t se = net_->seg_end(id);
-    for (std::size_t s = net_->seg_begin(id); s < se; ++s) {
-      ++stats_.fanout_segments;
-      const auto d = static_cast<Delay>(st.seg_delays[s]);
-      if (d > run_.max_time - t) {
-        // Segment delays increase along the row, so every remaining run is
-        // past the horizon too.
-        stats_.hit_time_limit = true;
-        break;
-      }
-      Bucket& bucket = bucket_for(
-          t + d, static_cast<std::size_t>(st.seg_syn_end[s]) -
-                     static_cast<std::size_t>(st.seg_syn_begin[s]));
-      bucket.runs.push_back(static_cast<std::uint32_t>(s));
-      if (causes) bucket.sources.push_back(src);
-      ++stats_.bulk_appends;
-    }
+    Bucket& bucket = bucket_for(
+        t + d, static_cast<std::size_t>(st.seg_syn_begin[s + 1]) -
+                   static_cast<std::size_t>(st.seg_syn_begin[s]));
+    bucket.runs.push_back(static_cast<std::uint32_t>(s));
+    if (causes) bucket.sources.push_back(src);
+    ++stats_.bulk_appends;
   }
 }
 
@@ -353,14 +261,9 @@ void EventCore::for_each_delivery(const Store& st, const Bucket& b,
   const NeuronId* src = b.sources.data();
   // The store's columns, held in locals: the callers' byte-sized record
   // stores may alias any member, which would reload them per reference.
-  [[maybe_unused]] const auto columns = [&] {
-    if constexpr (Store::kPackedLayout) {
-      return 0;
-    } else {
-      return std::tuple{st.seg_syn_begin.data(), st.seg_syn_end.data(),
-                        st.targets.data(), st.weights.data()};
-    }
-  }();
+  const auto* const seg_b = st.seg_syn_begin.data();
+  const auto* const tgt = st.targets.data();
+  const auto* const wgt = st.weights.data();
   const std::uint32_t* const end = b.runs.data() + b.runs.size();
   for (const std::uint32_t* run = b.runs.data(); run != end; ++run) {
     if (*run == kRawRun) {
@@ -371,12 +274,11 @@ void EventCore::for_each_delivery(const Store& st, const Bucket& b,
       rt += len;
       rw += len;
       if (causes) src += len;
-    } else if constexpr (!Store::kPackedLayout) {
-      // A reference (only flat stores hand them out): the run is the
-      // segment's slice of the frozen target and weight columns.
+    } else {
+      // A reference: the run is the segment's slice of the frozen target
+      // and weight columns.
       const NeuronId source = causes ? *src++ : kNoNeuron;
-      const auto [seg_b, seg_e, tgt, wgt] = columns;
-      const auto e = static_cast<std::size_t>(seg_e[*run]);
+      const auto e = static_cast<std::size_t>(seg_b[*run + 1]);
       for (auto k = static_cast<std::size_t>(seg_b[*run]); k < e; ++k) {
         f(static_cast<NeuronId>(tgt[k]), static_cast<SynWeight>(wgt[k]),
           source);

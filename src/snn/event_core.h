@@ -84,28 +84,24 @@ struct SimStats {
   /// Bucket activations whose delivery storage came from the drained-bucket
   /// pool (hit) vs. had to start from an empty vector (miss). After the
   /// first reset(), a steady-state rerun of the same workload reports
-  /// pool_misses == 0 — the allocation-free contract. The packed kernel's
-  /// row-decode scratch rides the same contract: it is a persistent
-  /// per-simulator buffer, so packed steady-state reruns also report
-  /// pool_misses == 0.
+  /// pool_misses == 0 — the allocation-free contract.
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Packed-target blocks touched by the fan-out kernel's row decodes, +1
-  /// per block a decoded row spans (0 for the flat encodings) — the packed
-  /// ablation's work counter (ARCHITECTURE.md §1.11).
+  /// Always 0: the retired packed encoding counted its block decodes here.
+  /// Kept because benchmark records still carry the field.
   std::uint64_t decode_blocks = 0;
 
-  // ---- Memory footprint (ARCHITECTURE.md §1.8, §1.11) ------------------
+  // ---- Memory footprint (ARCHITECTURE.md §1.8) -------------------------
   /// Resident bytes of the frozen CSR backing this run (row pointers +
-  /// segment CSR + the width-narrowed or delta-packed synapse payload —
-  /// always the ENCODED footprint). A property of the CompiledNetwork,
-  /// surfaced here so the bench trajectory tracks memory alongside wall
-  /// clock; a sharded run reports its shard-local stores plus the cross
-  /// CSR (ShardSplit::storage_bytes).
+  /// segment CSR + the width-narrowed synapse payload). A property of the
+  /// CompiledNetwork, surfaced here so the bench trajectory tracks memory
+  /// alongside wall clock; a sharded run reports its shard-local stores
+  /// plus the cross CSR (ShardSplit::storage_bytes).
   std::uint64_t csr_bytes = 0;
-  /// Which encoding backs this run: 0 = wide, 1 = narrow, 2 = packed
-  /// (snn::encoding_code). Lets the trajectory distinguish packed vs
-  /// narrow vs wide artifacts without re-deriving it from the widths.
+  /// Which encoding backs this run: 0 = wide, 1 = narrow
+  /// (snn::encoding_code; 2, packed, is retired). Lets the trajectory
+  /// distinguish narrow from wide artifacts without re-deriving it from
+  /// the widths.
   std::uint8_t storage_encoding = 0;
 };
 
@@ -125,8 +121,7 @@ class EventCore {
   ///     the frozen store when the bucket drains. The flat fan-out writes
   ///     only these;
   ///   * a RAW run — kRawRun, its length, and that many (target, weight)
-  ///     copies in targets/weights: packed fires, cross-shard mail and
-  ///     restored images.
+  ///     copies in targets/weights: cross-shard mail and restored images.
   /// The drain walks the stream in order, so deliveries sum in append
   /// order whatever mix of kinds a bucket holds.
   struct Bucket {
@@ -314,17 +309,6 @@ class EventCore {
   void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
   template <typename Store>
   void fanout_segmented(const Store& st, NeuronId id, Time t);
-  /// Packed-layout helper: decode the targets of neuron `id`'s non-empty
-  /// row [b, e) into decode_scratch_, counting one decode block per block
-  /// the row touches. The decode starts at the row's own slot from its
-  /// anchor (row_first_: 4 B per neuron, packed cores only), not at its
-  /// block's base, so a row that starts mid-block replays none of the
-  /// block's prefix. The scratch is a
-  /// persistent buffer grown once to the largest row, so the steady state
-  /// decodes allocation-free, matching the bucket pool's contract.
-  template <typename Store>
-  void decode_row(const Store& st, NeuronId id, std::size_t b,
-                  std::size_t e);
 
   void init(Delay ring_delay);
   NeuronId global_id(NeuronId id) const {
@@ -431,7 +415,6 @@ class EventCore {
   std::uint16_t epoch_ = 1;
 
   std::vector<NeuronId> targets_scratch_;  ///< per-step deduplicated targets
-  std::vector<NeuronId> decode_scratch_;   ///< packed row decodes
 
   std::vector<char> is_terminal_;
   std::vector<char> is_watched_;
@@ -442,11 +425,6 @@ class EventCore {
   std::vector<Time> steps_;
   std::vector<std::pair<Time, NeuronId>> spike_log_;
   SimStats stats_;
-  // Packed stores only (empty otherwise): each local row's first target,
-  // decoded once in init() — the anchor decode_row starts from. Engine
-  // state like NeuronRecord's copied threshold, 4 B per neuron; the
-  // frozen artifact does not carry it.
-  std::vector<std::uint32_t> row_first_;
 };
 
 }  // namespace sga::snn

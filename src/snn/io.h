@@ -22,10 +22,9 @@
 // Version-1 files (no storage line) remain readable under the legacy 2^30
 // count ceiling and freeze under the default kAuto policy.
 //
-// Version 3 (new with the packed encoding, ARCHITECTURE.md §1.11) is
-// emitted ONLY for packed artifacts and carries the encoded columns as
-// encoded — no per-synapse lines, so a scale network round trips without
-// a wide intermediate:
+// Version 3 is read-only: the retired packed encoding (ARCHITECTURE.md
+// §1.11) wrote it with the target column as encoded, and files written
+// then stay readable:
 //   snn 3
 //   storage packed target u32 delay <u8|u16> weight <f32|f64>
 //   neurons N  /  n <reset> <threshold> <tau>  × N
@@ -37,12 +36,12 @@
 //   words W  /  <u32>                          × W   (packed delta words)
 //   weights  /  <weight>                       × M
 //   groups G  /  g <name> <k> <id...>          × G
-// Readers reassemble through CompiledNetwork::from_packed_parts, which
-// validates every claimed table (bit widths <= 32, exact per-block word
-// sums, sentinel begin column, every decoded target < N) before anything
-// is indexed; read_compiled_network then re-runs verify_invariants on the
-// result like it does for every other version. Non-packed networks keep
-// writing version 2 byte-for-byte.
+// The reader checks the block tables before it decodes anything (bit
+// widths <= 32, exact per-block word sums, a begin column that rises from 0
+// and tiles the rows, every decoded target < N), decodes the targets in a
+// plain loop into the builder, and read_compiled_network freezes the
+// result under kAuto and re-runs verify_invariants like it does for every
+// other version. The writer emits version 2 only.
 #pragma once
 
 #include <iosfwd>

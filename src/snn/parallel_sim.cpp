@@ -547,7 +547,6 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
   stats_.bulk_appends = base_.bulk_appends;
   stats_.pool_hits = base_.pool_hits;
   stats_.pool_misses = base_.pool_misses;
-  stats_.decode_blocks = base_.decode_blocks;
   for (const auto& sh : shards_) {
     const SimStats& ss = sh->core.stats();
     stats_.spikes += ss.spikes;
@@ -562,7 +561,6 @@ void ParallelSimulator::finalize_run(bool absorb_probes) {
     stats_.bulk_appends += ss.bulk_appends;
     stats_.pool_hits += ss.pool_hits;
     stats_.pool_misses += ss.pool_misses;
-    stats_.decode_blocks += ss.decode_blocks;
   }
   describe_engine(&stats_);
 

@@ -345,8 +345,7 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
         members.size(), [&](NeuronId k) { return params(members[k]); },
         [&](const SynapseSink& sink) {
           for (const Syn& e : intra) sink(e.from, e.to, e.weight, e.delay);
-        },
-        widths_.packed ? StoragePolicy::kPacked : StoragePolicy::kAuto));
+        }));
   }
   split.min_cross_delay = min_cross;
   split.partition = std::move(partition);

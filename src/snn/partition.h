@@ -36,10 +36,9 @@
 // ShardSplit is the shard-aware split the parallel simulator runs on: for
 // each shard, every member neuron's out-synapses go to one of two families —
 //   * intra-shard: frozen as a CompiledNetwork of the shard's own (LOCAL
-//     ids, the members' parameters, at the shard's size under kPacked when
-//     the source store is packed and kAuto otherwise), which the shard's
-//     snn::EventCore runs exactly like the serial engine runs the whole
-//     network — every store encoding included;
+//     ids, the members' parameters, under kAuto at the shard's size),
+//     which the shard's snn::EventCore runs exactly like the serial engine
+//     runs the whole network — every store layout included;
 //   * cross-shard: target expressed as (destination shard, local index)
 //     (delivered through the window-barrier mailboxes).
 // The split also computes min_cross_delay, the conservative lookahead δ:

@@ -231,10 +231,8 @@ std::vector<std::uint8_t> serialize_snapshot(const SnapshotImage& img) {
   w.u8(img.widths.delay_bytes);
   w.u8(img.widths.weight_bytes);
   w.u8(img.widths.seg_index_bytes);
-  // Storage encoding flag (0 = flat, 1 = packed). Occupies the first of
-  // the three pad bytes version 1 always carried, so pre-packed streams —
-  // which wrote 0 here — parse as flat with no version bump.
-  w.u8(img.widths.packed ? 1 : 0);
+  // The retired packed-encoding flag: always 0 (docs/PERSISTENCE.md).
+  w.u8(0);
   w.u8(0);
   w.u8(0);  // pad to 32 bytes
   w.end_section(at);
@@ -371,7 +369,13 @@ SnapshotImage parse_snapshot(const std::uint8_t* data, std::size_t size) {
         img.widths.delay_bytes = body.u8();
         img.widths.weight_bytes = body.u8();
         img.widths.seg_index_bytes = body.u8();
-        img.widths.packed = body.u8() != 0;  // pad byte pre-§1.11, so 0
+        if (body.u8() != 0) {
+          // The retired packed-encoding flag: no frozen network has that
+          // encoding any more, so no restore could match this image.
+          throw SnapshotError(SnapshotError::kFingerprint,
+                              "image was taken on a packed-encoded network, "
+                              "an encoding no longer supported");
+        }
         body.u8();
         body.u8();
         break;
@@ -467,11 +471,10 @@ SnapshotImage parse_snapshot(const std::uint8_t* data, std::size_t size) {
 void validate_snapshot_for(const SnapshotImage& img,
                            const CompiledNetwork& net) {
   // Fingerprint: the image must have been taken on THIS frozen artifact —
-  // same shape, same storage widths, and same storage encoding (a kWide vs
-  // kAuto freeze of the same network is a different artifact; so is a
-  // packed vs narrow one — its simulators observe different counter
-  // baselines, so we refuse rather than half-match). Typed ctor so callers
-  // can catch SnapshotError::kFingerprint without string-matching.
+  // same shape and same storage widths (a kWide vs kAuto freeze of the
+  // same network is a different artifact, so we refuse rather than
+  // half-match). Typed ctor so callers can catch
+  // SnapshotError::kFingerprint without string-matching.
   if (img.num_neurons != net.num_neurons() ||
       img.num_synapses != net.num_synapses() ||
       img.max_delay != net.max_delay() ||

@@ -72,8 +72,8 @@ inline constexpr std::uint16_t kFlagTerminalFired = 1u << 4;
 /// stream. `section()` names the part of the format that failed ("header",
 /// "crc", "fingerprint", "config", "neuron", "queue", "log", "stats",
 /// "journal") and `typed_section()` carries the same tag as an enum — so
-/// callers can dispatch on e.g. SnapshotError::kFingerprint (a packed
-/// snapshot refusing to restore into a narrow-frozen network) without
+/// callers can dispatch on e.g. SnapshotError::kFingerprint (a narrow
+/// snapshot refusing to restore into a wide-frozen network) without
 /// string-matching. The all-or-nothing restore contract guarantees the
 /// target simulator is untouched when this escapes.
 class SnapshotError : public Error {
@@ -179,9 +179,8 @@ struct SnapshotBucket {
 struct SnapshotImage {
   // -- network fingerprint: the frozen CompiledNetwork this state belongs
   //    to. restore() refuses a mismatch (wrong network, or same network
-  //    frozen at different storage widths OR a different encoding — the
-  //    packed flag rides in `widths`, so a packed-network snapshot cannot
-  //    silently restore into a narrow/wide re-freeze).
+  //    frozen at different storage widths, so a narrow-network snapshot
+  //    cannot silently restore into a wide re-freeze).
   std::uint64_t num_neurons = 0;
   std::uint64_t num_synapses = 0;
   Delay max_delay = 0;

@@ -15,13 +15,15 @@
 //           array (the degree counts, reused); cross-check every value
 //           against pass 1's ranges so a non-deterministic emitter fails
 //           loudly instead of corrupting the CSR;
-//   finish  stable-sort each row by delay, cut the delay-segment CSR,
-//           tabulate positive in-weights, and (packed) re-encode the
-//           target column.
-// No full-width copy of the payload exists at any point: peak resident
-// memory is the final CSR plus O(n) scratch, plus one narrow flat column
-// set when the packed encoding re-encodes from it. patch_delays() lives
-// here too, so a patched row is re-sorted and re-cut by the same helper.
+//   finish  stable-sort each row by delay, cut the delay-segment CSR and
+//           tabulate positive in-weights.
+// No full-width copy of the payload exists at any point. Pass 2 scatters
+// the delays into an m-entry transient at the chosen delay width, which
+// the row sort reads and which is freed once the segments are cut, so
+// peak resident memory is the final CSR plus that column plus O(n)
+// scratch. patch_delays() lives here too: it expands the delays from the
+// segments into the same kind of transient, so a patched row is re-sorted
+// and re-cut by the same helper.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -49,13 +51,16 @@ struct FreezeScan {
 constexpr std::size_t kInsertionSortMaxRow = 32;
 
 /// The rows' finish, shared by the freeze and patch_delays(): stably sort
-/// the rows `touched` marks (every row when null) by delay, then cut every
-/// row's delay runs into the store's segment CSR, one (delay, begin, end)
-/// triple per run. A row left unsorted must already be delay-sorted. Both
-/// sorts are stable: equal-delay synapses keep their emission order, which
-/// fixes per-bucket delivery order and hence FP summation order.
+/// the rows `touched` marks (every row when null) by `delays`, the m-entry
+/// delay column, permuting targets and weights with it; then cut every
+/// row's delay runs into the store's segment CSR, one (delay, begin) pair
+/// per run, and end the begin column with the m sentinel. A row left
+/// unsorted must already be delay-sorted. Both sorts are stable:
+/// equal-delay synapses keep their emission order, which fixes per-bucket
+/// delivery order and hence FP summation order.
 template <typename Store>
-void sort_and_segment(Store& st, const std::vector<std::size_t>& offsets,
+void sort_and_segment(Store& st, std::vector<typename Store::DelayT>& delays,
+                      const std::vector<std::size_t>& offsets,
                       std::vector<std::size_t>& seg_offsets,
                       const std::vector<char>* touched) {
   using TgtT = typename Store::Target;
@@ -69,29 +74,28 @@ void sort_and_segment(Store& st, const std::vector<std::size_t>& offsets,
   std::vector<DlyT> dly;
   st.seg_delays.clear();
   st.seg_syn_begin.clear();
-  st.seg_syn_end.clear();
   seg_offsets.assign(n + 1, 0);
   for (NeuronId i = 0; i < n; ++i) {
     const std::size_t b = offsets[i];
     const std::size_t e = offsets[i + 1];
-    const DlyT* row = st.delays.data() + b;
+    const DlyT* row = delays.data() + b;
     const bool sort = touched == nullptr || (*touched)[i] != 0;
     if (sort && e - b <= kInsertionSortMaxRow) {
       // A synapse moves only past strictly larger delays.
       for (std::size_t j = b + 1; j < e; ++j) {
-        const DlyT d = st.delays[j];
-        if (!(d < st.delays[j - 1])) continue;
+        const DlyT d = delays[j];
+        if (!(d < delays[j - 1])) continue;
         const TgtT t = st.targets[j];
         const WgtT w = st.weights[j];
         std::size_t h = j;
-        for (; h > b && d < st.delays[h - 1]; --h) {
+        for (; h > b && d < delays[h - 1]; --h) {
           st.targets[h] = st.targets[h - 1];
           st.weights[h] = st.weights[h - 1];
-          st.delays[h] = st.delays[h - 1];
+          delays[h] = delays[h - 1];
         }
         st.targets[h] = t;
         st.weights[h] = w;
-        st.delays[h] = d;
+        delays[h] = d;
       }
     } else if (sort && !std::is_sorted(row, row + (e - b))) {
       // Gather through the stable permutation into row-sized scratch
@@ -108,32 +112,32 @@ void sort_and_segment(Store& st, const std::vector<std::size_t>& offsets,
       for (std::size_t j = 0; j < e - b; ++j) {
         tgt[j] = st.targets[b + order[j]];
         wgt[j] = st.weights[b + order[j]];
-        dly[j] = st.delays[b + order[j]];
+        dly[j] = delays[b + order[j]];
       }
       std::copy(tgt.begin(), tgt.end(), st.targets.begin() + b);
       std::copy(wgt.begin(), wgt.end(), st.weights.begin() + b);
-      std::copy(dly.begin(), dly.end(), st.delays.begin() + b);
+      std::copy(dly.begin(), dly.end(), delays.begin() + b);
     }
     for (std::size_t k = b; k < e;) {
-      const DlyT d = st.delays[k];
-      const std::size_t run_begin = k;
-      while (k < e && st.delays[k] == d) ++k;
+      const DlyT d = delays[k];
       st.seg_delays.push_back(d);
-      st.seg_syn_begin.push_back(static_cast<SegT>(run_begin));
-      st.seg_syn_end.push_back(static_cast<SegT>(k));
+      st.seg_syn_begin.push_back(static_cast<SegT>(k));
+      while (k < e && delays[k] == d) ++k;
     }
     seg_offsets[i + 1] = st.seg_delays.size();
   }
+  st.seg_syn_begin.push_back(static_cast<SegT>(offsets[n]));
 }
 
-/// Pass 2 and the finish into a flat store (the payload itself, or a
-/// packed freeze's flat transient).
+/// Pass 2 and the finish into the store. Returns the bytes of the delay
+/// transient, which is freed on return.
 template <typename Store, typename Source>
-void fill_rows(Store& st, const std::vector<std::size_t>& offsets,
-               std::vector<std::size_t>& cursor,
-               std::vector<std::size_t>& seg_offsets,
-               std::vector<SynWeight>& pos_in_weight, const Source& source,
-               const FreezeScan& scan, const char* who) {
+std::size_t fill_rows(Store& st, const std::vector<std::size_t>& offsets,
+                      std::vector<std::size_t>& cursor,
+                      std::vector<std::size_t>& seg_offsets,
+                      std::vector<SynWeight>& pos_in_weight,
+                      const Source& source, const FreezeScan& scan,
+                      const char* who) {
   using TgtT = typename Store::Target;
   using DlyT = typename Store::DelayT;
   using WgtT = typename Store::WeightT;
@@ -142,7 +146,7 @@ void fill_rows(Store& st, const std::vector<std::size_t>& offsets,
   const std::size_t m = offsets[n];
   st.targets.resize(m);
   st.weights.resize(m);
-  st.delays.resize(m);
+  std::vector<DlyT> delays(m);
 
   // Pass 2: scatter through the cursor array. Values are re-validated
   // against pass 1's scan so a source that is not deterministic between
@@ -168,7 +172,7 @@ void fill_rows(Store& st, const std::vector<std::size_t>& offsets,
                     << " — the emitter must be deterministic");
     st.targets[slot] = static_cast<TgtT>(to);
     st.weights[slot] = static_cast<WgtT>(weight);
-    st.delays[slot] = static_cast<DlyT>(delay);
+    delays[slot] = static_cast<DlyT>(delay);
     ++k;
   };
   source(scatter);
@@ -178,11 +182,12 @@ void fill_rows(Store& st, const std::vector<std::size_t>& offsets,
 
   // Delay-sorted rows, their segment CSR, then the positive in-weight table
   // in flat synapse order.
-  sort_and_segment(st, offsets, seg_offsets, nullptr);
+  sort_and_segment(st, delays, offsets, seg_offsets, nullptr);
   for (std::size_t j = 0; j < m; ++j) {
     const auto w = static_cast<SynWeight>(st.weights[j]);
     if (w > 0) pos_in_weight[st.targets[j]] += w;
   }
+  return m * sizeof(DlyT);
 }
 
 }  // namespace
@@ -252,39 +257,12 @@ std::size_t CompiledNetwork::freeze(const char* who, std::size_t n,
   widths_ = choose_widths(policy, n, scan.count, scan.max_delay,
                           scan.weights_fit_f32);
   store_ = make_synapse_store(widths_);
-  std::size_t transient_bytes = 0;
-  std::visit(
+  return std::visit(
       [&](auto& st) {
-        using Store = std::decay_t<decltype(st)>;
-        if constexpr (Store::kPackedLayout) {
-          // Scatter into a FLAT transient at the packed store's
-          // delay/weight widths (u32 targets: packed blocks decode to full
-          // width anyway), then re-encode. The per-synapse delay column is
-          // dropped (the segment CSR is its run-length encoding), and the
-          // begin column gains the m sentinel so seg_syn_end_at(s) reads
-          // seg_syn_begin[s + 1].
-          SynStore<std::uint32_t, typename Store::DelayT,
-                   typename Store::WeightT, std::uint32_t>
-              flat;
-          fill_rows(flat, offsets_, degree, seg_offsets_, pos_in_weight_,
-                    source, scan, who);
-          transient_bytes = flat.payload_bytes();
-          st.pack_targets(flat.targets);
-          flat.targets.clear();
-          flat.targets.shrink_to_fit();
-          flat.delays.clear();
-          flat.delays.shrink_to_fit();
-          st.weights = std::move(flat.weights);
-          st.seg_delays = std::move(flat.seg_delays);
-          st.seg_syn_begin = std::move(flat.seg_syn_begin);
-          st.seg_syn_begin.push_back(static_cast<std::uint32_t>(scan.count));
-        } else {
-          fill_rows(st, offsets_, degree, seg_offsets_, pos_in_weight_,
-                    source, scan, who);
-        }
+        return fill_rows(st, offsets_, degree, seg_offsets_, pos_in_weight_,
+                         source, scan, who);
       },
       store_);
-  return transient_bytes;
 }
 
 CompiledNetwork::CompiledNetwork(const Network& net, StoragePolicy policy) {
@@ -339,9 +317,9 @@ CompiledNetwork CompiledNetwork::compile_streamed(
     build_stats->num_neurons = n;
     build_stats->num_synapses = net.num_synapses();
     build_stats->csr_bytes = net.csr_storage_bytes();
-    // High-water mark: the finished CSR coexists with the O(n) cursor
-    // array and the positive in-weight table during pass 2 — plus, for a
-    // packed freeze, the flat transient it re-encodes from.
+    // High-water mark: the finished CSR coexists with the delay transient,
+    // the O(n) cursor array and the positive in-weight table at the end of
+    // the row sort.
     build_stats->peak_resident_bytes =
         build_stats->csr_bytes + transient_bytes + n * sizeof(std::size_t) +
         n * sizeof(SynWeight) + 3 * n * sizeof(Voltage);
@@ -357,13 +335,6 @@ CompiledNetwork CompiledNetwork::compile_streamed(
 
 void CompiledNetwork::patch_delays(
     const std::vector<std::pair<std::size_t, Delay>>& edits) {
-  // A delay edit re-sorts its row, which permutes the delta-packed target
-  // column — that is a re-encode, not an in-place patch. Refuse before
-  // touching anything (kNarrow freezes keep delay patching available).
-  SGA_REQUIRE(!widths_.packed,
-              "patch_delays: the packed encoding cannot be patched in "
-              "place; re-freeze the network to re-encode "
-              "(StoragePolicy::kNarrow keeps delay patching available)");
   const std::size_t m = num_synapses();
   const std::size_t n = num_neurons();
   const Delay cap = !widths_.narrow
@@ -393,19 +364,18 @@ void CompiledNetwork::patch_delays(
   ++generation_;
   std::visit(
       [&](auto& st) {
-        using Store = std::decay_t<decltype(st)>;
-        if constexpr (Store::kPackedLayout) {
-          SGA_CHECK(false, "patch_delays: packed store behind a non-packed "
-                           "width tag");
-        } else {
-          for (const auto& [k, d] : edits) {
-            st.delays[k] = static_cast<typename Store::DelayT>(d);
-          }
-          // Touched rows are re-sorted exactly as a fresh freeze of the
-          // patched graph would sort them; re-cutting an untouched row
-          // reproduces its segments verbatim.
-          sort_and_segment(st, offsets_, seg_offsets_, &touched);
+        using DlyT = typename std::decay_t<decltype(st)>::DelayT;
+        // Expand the delays from the segments into a transient column, apply
+        // the edits, and re-sort touched rows exactly as a fresh freeze of
+        // the patched graph would sort them; re-cutting an untouched row
+        // reproduces its segments verbatim.
+        std::vector<DlyT> delays(m);
+        for (std::size_t s = 0; s < st.seg_delays.size(); ++s) {
+          std::fill(delays.begin() + st.seg_syn_begin_at(s),
+                    delays.begin() + st.seg_syn_end_at(s), st.seg_delays[s]);
         }
+        for (const auto& [k, d] : edits) delays[k] = static_cast<DlyT>(d);
+        sort_and_segment(st, delays, offsets_, seg_offsets_, &touched);
       },
       store_);
 

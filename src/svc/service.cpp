@@ -179,7 +179,7 @@ void QueryService::serve_sssp(WorkerSlots& slots, const QueryRequest& req,
     mr->gauge("svc.artifact_csr_bytes",
               static_cast<double>(artifact->network.csr_storage_bytes()));
     // Which encoding that footprint was measured under (0 = wide,
-    // 1 = narrow, 2 = packed) — without it a csr_bytes shift between two
+    // 1 = narrow) — without it a csr_bytes shift between two
     // service runs is ambiguous between a graph change and a re-freeze
     // under a different StoragePolicy.
     mr->gauge("svc.artifact_storage_encoding",

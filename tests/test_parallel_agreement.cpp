@@ -536,10 +536,9 @@ TEST(ParallelRegression, MetricsMergeAcrossWorkerThreads) {
 // ---- Shard-local stores in every encoding --------------------------------
 //
 // Each shard runs the event core over the store shard_split froze from its
-// intra-shard synapses — under kPacked when the source store is packed,
-// under kAuto otherwise — so a shard's encoding follows the source's and
-// its own ranges. These instances pin each encoding down and check the
-// sharded run against the serial one.
+// intra-shard synapses under kAuto, so a shard's layout follows its own
+// ranges. These instances pin each encoding down and check the sharded run
+// against the serial one.
 
 /// A random DAG (edges only from lower to higher ids, so activity dies
 /// out) with ~30% of its delays in [65,537, 70,000], plus a long
@@ -567,30 +566,9 @@ snn::Network long_delay_dag(std::uint64_t seed) {
   return net;
 }
 
-/// A random DAG over 48 neurons plus 800 inhibitory self-loops per neuron
-/// (delays 1–9): at S ≤ 2 every shard holds ≥ 16,384 intra-shard synapses,
-/// so every row spans several packed blocks.
-snn::Network fanout_heavy_dag(std::uint64_t seed) {
-  Rng rng(0xFA4 + seed);
-  snn::Network net;
-  constexpr NeuronId kN = 48;
-  for (NeuronId i = 0; i < kN; ++i) net.add_threshold_neuron(1);
-  for (NeuronId i = 0; i < kN; ++i) {
-    for (int k = 0; k < 800; ++k) {
-      net.add_synapse(i, i, -1, rng.uniform_int(1, 9));
-    }
-  }
-  for (NeuronId e = 0; e < 3 * kN; ++e) {
-    const auto a = static_cast<NeuronId>(rng.uniform_int(0, kN - 2));
-    const auto b = static_cast<NeuronId>(rng.uniform_int(a + 1, kN - 1));
-    net.add_synapse(a, b, 1, rng.uniform_int(1, 9));
-  }
-  return net;
-}
-
 /// Runs `compiled` sharded at `shards` (1 and 2 threads) against the
 /// serial engine, after checking that every non-empty shard-local store
-/// froze with encoding `code` (0 wide, 1 narrow, 2 packed). Returns the
+/// froze with encoding `code` (0 wide, 1 narrow). Returns the
 /// split and the last run's stats, for instance-specific checks.
 std::pair<snn::ShardSplit, snn::SimStats> expect_shard_stores_agree(
     const snn::CompiledNetwork& compiled, std::uint64_t seed,
@@ -669,22 +647,6 @@ TEST_P(ShardStoreFuzz, WideStoresAndLongCrossDelaysMatchSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardStoreFuzz, ::testing::Range(0, 6));
-
-TEST(ParallelRegression, PackedShardStoresMatchSerial) {
-  for (const std::uint64_t seed : {1u, 2u}) {
-    // A packed source store makes shard_split freeze packed shards.
-    const snn::CompiledNetwork compiled =
-        fanout_heavy_dag(seed).compile(snn::StoragePolicy::kPacked);
-    snn::SimConfig cfg;
-    cfg.record_spike_log = true;
-    cfg.record_causes = true;
-    for (const std::size_t shards : {1u, 2u}) {
-      const snn::SimStats stats =
-          expect_shard_stores_agree(compiled, seed, shards, 2, cfg).second;
-      EXPECT_GT(stats.decode_blocks, 0u) << "seed " << seed << " S " << shards;
-    }
-  }
-}
 
 // ---- First-spike causes under later inputs ------------------------------
 //

@@ -329,11 +329,11 @@ TEST(PatchDelays, RejectsBadEditsUntouched) {
 
 // ---- Patching under a paused run ----------------------------------------
 //
-// A paused flat-store run keeps its queued deliveries as references to the
-// frozen delay segments. Every patch bumps the network's generation, and an
+// A paused run keeps its queued deliveries as references to the frozen
+// delay segments. Every patch bumps the network's generation, and an
 // engine holding references from an older generation refuses to resume or
 // snapshot rather than deliver patched (or re-cut) values. Raw runs — a
-// restored image, a packed store's fires — are copies and stay valid.
+// restored image, cross-shard mail — are copies and stay valid.
 
 /// Neuron 0 fans out to 1 and 2 at delay 2 and to 3 at delay 7; 1 relays
 /// to 3 at delay 1. Every neuron has threshold 1.
@@ -380,7 +380,6 @@ void expect_guarded(const Patch& patch) {
 
   CompiledNetwork cn(net);
   ASSERT_TRUE(cn.storage_widths().narrow);
-  ASSERT_FALSE(cn.storage_widths().packed);
   Simulator sim(cn);
   const SimConfig cfg = pause_guard_run(sim);
   const std::vector<std::uint8_t> image = sim.snapshot();
@@ -408,18 +407,6 @@ void expect_guarded(const Patch& patch) {
 TEST(PatchWeights, PausedRunHoldingReferencesRefusesToResume) {
   // Synapse 0 is 0 -> 1 (row 0 is delay-sorted and stable).
   expect_guarded([](CompiledNetwork& cn) { cn.patch_weights({{0, 0.5}}); });
-
-  // A packed store's fires are queued as raw copies: the paused run holds
-  // no references, so it resumes after a weight patch, delivering the
-  // weights it queued before the patch.
-  const Network net = guard_net();
-  CompiledNetwork packed(net, StoragePolicy::kPacked);
-  ASSERT_TRUE(packed.storage_widths().packed);
-  Simulator sim(packed);
-  const SimConfig cfg = pause_guard_run(sim);
-  packed.patch_weights({{0, 0.5}});
-  const GuardRun got = guard_run(sim, cfg);
-  EXPECT_EQ(got.first, (std::vector<Time>{0, 2, 2, 3}));
 }
 
 // A sharded engine splits the network into shard stores once, when it is

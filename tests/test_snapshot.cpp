@@ -767,6 +767,29 @@ TEST_F(SnapshotMalformed, WrongNetworkAndWidthMismatchFailTheFingerprint) {
   }
 }
 
+TEST_F(SnapshotMalformed, ForgedPackedFlagFailsTheFingerprint) {
+  // The fingerprint byte after the widths once flagged a packed-encoded
+  // network. Writers put 0 there; no network has that encoding any more,
+  // so an image that sets it is refused with the typed fingerprint tag.
+  // Header (8 bytes), section frame (12), n, m and max_delay (24), then
+  // the narrow flag and the four width bytes (5).
+  constexpr std::size_t kFlag = 8 + 12 + 24 + 5;
+  ASSERT_EQ(bytes_[8], kSecFingerprint);
+  ASSERT_EQ(bytes_[kFlag], 0);
+  std::vector<std::uint8_t> forged = bytes_;
+  forged[kFlag] = 1;
+  restamp(forged);
+  try {
+    parse_snapshot(forged);
+    FAIL() << "image with the packed flag set was parsed";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.typed_section(), SnapshotError::kFingerprint);
+    EXPECT_EQ(e.section(), "fingerprint");
+  }
+  Simulator target(*net_);
+  EXPECT_THROW(target.restore(forged), SnapshotError);
+}
+
 TEST_F(SnapshotMalformed, RestoreIsAllOrNothing) {
   // Build a structurally valid stream whose SEMANTIC validation fails, and
   // prove the target simulator is untouched: it must still be paused and

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "circuits/encoder.h"
 #include "circuits/max_circuits.h"
@@ -315,6 +317,296 @@ TEST(SnnIo, VerifyInvariantsAcceptsHealthyNetworks) {
   write_network(ss, net);
   const CompiledNetwork reloaded = read_compiled_network(ss);  // verifies too
   EXPECT_EQ(reloaded.num_synapses(), net.num_synapses());
+}
+
+// ---- io text v3 (read-only) --------------------------------------------
+//
+// Nothing writes version 3 any more; files the retired packed encoding
+// wrote must still read. The fixtures below are what its writer emitted for
+// v3_fixture_graph, captured before the writer was deleted.
+
+/// 12 neurons; rows 0, 1 and 3 hold 64, 64 and 3 synapses, so the packed
+/// target column has three blocks, at 5, 0 and 3 bits per delta. With
+/// `u16_f64`, row 0's delays reach 301 and one weight is 0.1, which
+/// float32 cannot hold.
+Network v3_fixture_graph(bool u16_f64) {
+  Network net;
+  for (NeuronId i = 0; i < 12; ++i) {
+    net.add_neuron(NeuronParams{0.25 * (i % 3), 1.0 + i % 4,
+                                i % 2 != 0 ? 1.0 : 0.0});
+  }
+  for (int k = 0; k < 64; ++k) {
+    const SynWeight w =
+        u16_f64 && k == 0 ? 0.1 : static_cast<SynWeight>(k % 5 - 2);
+    const Delay d = 1 + (k % 3) * (u16_f64 ? 150 : 2);
+    net.add_synapse(0, static_cast<NeuronId>(k * 5 % 12), w, d);
+  }
+  for (int k = 0; k < 64; ++k) net.add_synapse(1, 5, 1.0 + k % 2, 2);
+  net.add_synapse(3, 9, -1.0, 3);
+  net.add_synapse(3, 8, 2.0, 1);
+  net.add_synapse(3, 10, 0.5, 1);
+  net.define_group("io", {0, 3});
+  return net;
+}
+
+/// v3_fixture_graph(false): u8 delays, f32 weights.
+constexpr const char* kV3U8F32 = R"(snn 3
+storage packed target u32 delay u8 weight f32
+neurons 12
+n 0 1 0
+n 0.25 2 1
+n 0.5 3 0
+n 0 4 1
+n 0.25 1 0
+n 0.5 2 1
+n 0 3 0
+n 0.25 4 1
+n 0.5 1 0
+n 0 2 1
+n 0.25 3 0
+n 0.5 4 1
+synapses 131
+segments 6
+rows
+r 64 3
+r 64 1
+r 0 0
+r 3 2
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+t 1 0
+t 3 22
+t 5 43
+t 2 64
+t 1 128
+t 3 130
+blocks 3
+b 0 5
+b 5 0
+b 8 3
+words 11
+2355665094 1754842761 2563148172 3509684328 831329048 2366838993 1755894065 2563148172
+3330903144 25979032 12
+weights
+-2 1 -1 2 0 -2 1 -1
+2 0 -2 1 -1 2 0 -2
+1 -1 2 0 -2 1 -1 2
+0 -2 1 -1 2 0 -2 1
+-1 2 0 -2 1 -1 2 0
+-2 1 -1 0 -2 1 -1 2
+0 -2 1 -1 2 0 -2 1
+-1 2 0 -2 1 -1 2 0
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+2 0.5 -1
+groups 1
+g io 2 0 3
+)";
+
+/// v3_fixture_graph(true): u16 delays, f64 weights.
+constexpr const char* kV3U16F64 = R"(snn 3
+storage packed target u32 delay u16 weight f64
+neurons 12
+n 0 1 0
+n 0.25 2 1
+n 0.5 3 0
+n 0 4 1
+n 0.25 1 0
+n 0.5 2 1
+n 0 3 0
+n 0.25 4 1
+n 0.5 1 0
+n 0 2 1
+n 0.25 3 0
+n 0.5 4 1
+synapses 131
+segments 6
+rows
+r 64 3
+r 64 1
+r 0 0
+r 3 2
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+r 0 0
+t 1 0
+t 151 22
+t 301 43
+t 2 64
+t 1 128
+t 3 130
+blocks 3
+b 0 5
+b 5 0
+b 8 3
+words 11
+2355665094 1754842761 2563148172 3509684328 831329048 2366838993 1755894065 2563148172
+3330903144 25979032 12
+weights
+0.10000000000000001 1 -1 2 0 -2 1 -1
+2 0 -2 1 -1 2 0 -2
+1 -1 2 0 -2 1 -1 2
+0 -2 1 -1 2 0 -2 1
+-1 2 0 -2 1 -1 2 0
+-2 1 -1 0 -2 1 -1 2
+0 -2 1 -1 2 0 -2 1
+-1 2 0 -2 1 -1 2 0
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+1 2 1 2 1 2 1 2
+2 0.5 -1
+groups 1
+g io 2 0 3
+)";
+
+/// Every public column of `got` equals that of `want`.
+void expect_same_columns(const CompiledNetwork& got,
+                         const CompiledNetwork& want) {
+  ASSERT_EQ(got.num_neurons(), want.num_neurons());
+  ASSERT_EQ(got.num_synapses(), want.num_synapses());
+  ASSERT_EQ(got.num_delay_segments(), want.num_delay_segments());
+  EXPECT_EQ(got.storage_widths(), want.storage_widths());
+  EXPECT_EQ(got.csr_storage_bytes(), want.csr_storage_bytes());
+  EXPECT_EQ(got.max_delay(), want.max_delay());
+  for (NeuronId i = 0; i < want.num_neurons(); ++i) {
+    EXPECT_EQ(got.params(i).v_reset, want.params(i).v_reset) << i;
+    EXPECT_EQ(got.params(i).v_threshold, want.params(i).v_threshold) << i;
+    EXPECT_EQ(got.params(i).tau, want.params(i).tau) << i;
+    EXPECT_EQ(got.out_begin(i), want.out_begin(i)) << i;
+    EXPECT_EQ(got.out_end(i), want.out_end(i)) << i;
+    EXPECT_EQ(got.seg_begin(i), want.seg_begin(i)) << i;
+    EXPECT_EQ(got.seg_end(i), want.seg_end(i)) << i;
+    EXPECT_EQ(got.positive_in_weight(i), want.positive_in_weight(i)) << i;
+  }
+  for (std::size_t k = 0; k < want.num_synapses(); ++k) {
+    EXPECT_EQ(got.syn_target(k), want.syn_target(k)) << "syn " << k;
+    EXPECT_EQ(got.syn_weight(k), want.syn_weight(k)) << "syn " << k;
+    EXPECT_EQ(got.syn_delay(k), want.syn_delay(k)) << "syn " << k;
+  }
+  for (std::size_t s = 0; s < want.num_delay_segments(); ++s) {
+    EXPECT_EQ(got.seg_delay(s), want.seg_delay(s)) << "seg " << s;
+    EXPECT_EQ(got.seg_syn_begin(s), want.seg_syn_begin(s)) << "seg " << s;
+    EXPECT_EQ(got.seg_syn_end(s), want.seg_syn_end(s)) << "seg " << s;
+  }
+  ASSERT_EQ(got.group_names(), want.group_names());
+  for (const std::string& name : want.group_names()) {
+    EXPECT_EQ(got.group(name), want.group(name)) << name;
+  }
+}
+
+TEST(SnnIo, V3FixturesReadAsTheAutoFreezeOfTheirGraph) {
+  for (const bool u16_f64 : {false, true}) {
+    SCOPED_TRACE(u16_f64 ? "u16 delays, f64 weights" : "u8 delays, f32 weights");
+    const char* text = u16_f64 ? kV3U16F64 : kV3U8F32;
+    const CompiledNetwork want = v3_fixture_graph(u16_f64).compile();
+    EXPECT_EQ(want.storage_widths().delay_bytes, u16_f64 ? 2u : 1u);
+    EXPECT_EQ(want.storage_widths().weight_bytes, u16_f64 ? 8u : 4u);
+
+    std::istringstream is(text);
+    expect_same_columns(read_compiled_network(is), want);
+    // The builder form freezes to the same network.
+    std::istringstream is2(text);
+    expect_same_columns(read_network(is2).compile(), want);
+  }
+}
+
+std::vector<std::string> split_tokens(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> toks;
+  std::string t;
+  while (is >> t) toks.push_back(t);
+  return toks;
+}
+
+std::string join_tokens(const std::vector<std::string>& toks) {
+  std::string out;
+  for (const auto& t : toks) {
+    out += t;
+    out += ' ';
+  }
+  return out;
+}
+
+std::size_t find_token(const std::vector<std::string>& toks,
+                       const std::string& want, std::size_t from = 0) {
+  for (std::size_t i = from; i < toks.size(); ++i) {
+    if (toks[i] == want) return i;
+  }
+  ADD_FAILURE() << "token '" << want << "' not found";
+  return toks.size();
+}
+
+CompiledNetwork parse_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_compiled_network(is);
+}
+
+TEST(SnnIo, HostileV3InputsDieInValidation) {
+  const std::vector<std::string> good = split_tokens(kV3U8F32);
+  ASSERT_NO_THROW(parse_text(join_tokens(good)));  // surgery baseline
+
+  const std::size_t words_at = find_token(good, "words");
+  const std::size_t nwords = std::stoul(good[words_at + 1]);
+  ASSERT_GE(nwords, 1u) << "the fixture must hold at least one pack word";
+  const std::size_t blocks_at = find_token(good, "blocks");
+
+  // (1) Truncated block words: one word shaved off (header adjusted so the
+  // token stream still parses) — the exact per-block word sum catches it.
+  {
+    std::vector<std::string> t = good;
+    t[words_at + 1] = std::to_string(nwords - 1);
+    t.erase(t.begin() + static_cast<std::ptrdiff_t>(words_at + 1 + nwords));
+    EXPECT_THROW(parse_text(join_tokens(t)), InvalidArgument);
+  }
+
+  // (2) A block's bit width edited to 0: legal value, wrong word sum.
+  {
+    std::vector<std::string> t = good;
+    std::size_t b = find_token(t, "b", blocks_at);
+    while (b < t.size() && t[b + 2] == "0") b = find_token(t, "b", b + 1);
+    ASSERT_LT(b, t.size());
+    t[b + 2] = "0";
+    EXPECT_THROW(parse_text(join_tokens(t)), InvalidArgument);
+  }
+
+  // (3) Bit width above 32: rejected outright, before anything decodes.
+  {
+    std::vector<std::string> t = good;
+    const std::size_t b = find_token(t, "b", blocks_at);
+    t[b + 2] = "33";
+    EXPECT_THROW(parse_text(join_tokens(t)), InvalidArgument);
+  }
+
+  // (4) A block base pushed past the neuron count: every decoded target is
+  // range-checked before the network is handed out.
+  {
+    std::vector<std::string> t = good;
+    const std::size_t b = find_token(t, "b", blocks_at);
+    t[b + 1] = "12";
+    EXPECT_THROW(parse_text(join_tokens(t)), InvalidArgument);
+  }
 }
 
 TEST(Encoder, EncodesSingleHotLines) {

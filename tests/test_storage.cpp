@@ -109,6 +109,40 @@ TEST(StorageWidthsTest, SimStatsReportTheFrozenFootprint) {
   EXPECT_EQ(sim.run().csr_bytes, c.csr_storage_bytes());
 }
 
+TEST(StorageWidthsTest, RowWalkMatchesThePerSynapseAccessors) {
+  // for_each_out_synapse walks each row's segments, while syn_delay finds
+  // a synapse's segment by binary search over the begin column: both must
+  // give every synapse the same target, weight and delay, in flat order.
+  Rng rng(0xD7);
+  Network net;
+  for (int i = 0; i < 120; ++i) net.add_neuron(snn::NeuronParams{0, 1, 0.0});
+  for (int k = 0; k < 3000; ++k) {
+    net.add_synapse(static_cast<NeuronId>(rng.uniform_int(0, 119)),
+                    static_cast<NeuronId>(rng.uniform_int(0, 119)),
+                    static_cast<SynWeight>(rng.uniform_int(-3, 3)),
+                    rng.uniform_int(1, 12));
+  }
+  for (const StoragePolicy policy :
+       {StoragePolicy::kAuto, StoragePolicy::kWide}) {
+    const CompiledNetwork c = net.compile(policy);
+    std::size_t walked = 0;
+    for (NeuronId id = 0; id < c.num_neurons(); ++id) {
+      std::size_t expect_k = c.out_begin(id);
+      c.for_each_out_synapse(
+          id, [&](std::size_t k, NeuronId tgt, SynWeight wt, Delay d) {
+            ASSERT_EQ(k, expect_k++);
+            EXPECT_EQ(tgt, c.syn_target(k)) << "syn " << k;
+            EXPECT_EQ(wt, c.syn_weight(k)) << "syn " << k;
+            EXPECT_EQ(d, c.syn_delay(k)) << "syn " << k;
+            ++walked;
+          });
+      EXPECT_EQ(expect_k, c.out_end(id));
+    }
+    EXPECT_EQ(walked, c.num_synapses())
+        << snn::encoding_name(c.storage_widths());
+  }
+}
+
 // ---- Streamed builds ----------------------------------------------------
 
 TEST(StreamCompileTest, StreamedFreezeMatchesBuilderFreezeExactly) {
@@ -340,17 +374,22 @@ TEST(FreezeValidationTest, NonDeterministicEmitterFailsLoudly) {
 
 // ---- Freeze identity pin --------------------------------------------------
 
+/// One FNV-1a step: fold the 8 bytes of `v` into `h`.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// FNV-1a over every public column of a frozen network: row and segment
 /// pointers, the per-synapse and per-segment columns, the positive
-/// in-weight table, the widths and the resident byte count.
+/// in-weight table and the widths. A 0 stands where the retired packed
+/// flag was hashed, so the pins below keep their values.
 std::uint64_t freeze_hash(const CompiledNetwork& c) {
   std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
+  auto mix = [&h](std::uint64_t v) { h = fnv_mix(h, v); };
   auto mix_double = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
   const std::size_t n = c.num_neurons();
   mix(n);
@@ -371,12 +410,11 @@ std::uint64_t freeze_hash(const CompiledNetwork& c) {
   for (NeuronId i = 0; i < n; ++i) mix_double(c.positive_in_weight(i));
   const StorageWidths& w = c.storage_widths();
   mix(w.narrow);
-  mix(w.packed);
+  mix(0);
   mix(w.target_bytes);
   mix(w.delay_bytes);
   mix(w.weight_bytes);
   mix(w.seg_index_bytes);
-  mix(c.csr_storage_bytes());
   return h;
 }
 
@@ -386,30 +424,33 @@ struct PinCase {
   bool f32;         ///< weights that round-trip float32, or ones that do not
   StoragePolicy policy;
   std::size_t variant;  ///< the SynStoreVariant alternative it must land in
-  std::uint64_t hash;   ///< freeze_hash of the result
+  /// The pinned hash: freeze_hash continued with the resident byte count
+  /// the same freeze had while stores kept a per-synapse delay column and
+  /// a segment end column.
+  std::uint64_t hash;
+  std::size_t bytes_then;  ///< that byte count
 };
 
 TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
-  // Fixed small networks frozen into each of the 13 SynStoreVariant
+  // Fixed small networks frozen into each of the 9 SynStoreVariant
   // alternatives, through the builder and through an edge stream carrying
   // the same synapse sequence. Rows are emitted out of delay order with
   // repeated delays, so the stable per-row sort and the delay runs are
   // exercised; the hashes pin every public column, so any change to what a
-  // freeze produces shows here.
+  // freeze produces shows here. The resident bytes are pinned apart: a
+  // store dropped m delay entries and S − 1 segment bounds (S + 1 begins,
+  // the last the m sentinel, replaced S begins and S ends).
   const PinCase cases[] = {
-      {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673},
-      {40, 9, true, StoragePolicy::kNarrow, 1, 0x5f8dd9ff69a5c127},
-      {40, 9, false, StoragePolicy::kNarrow, 2, 0x89c790b77a3ef7e7},
-      {40, 300, true, StoragePolicy::kNarrow, 3, 0x86266af8339e7f07},
-      {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64},
-      {70000, 9, true, StoragePolicy::kNarrow, 5, 0x90ee67038352b852},
-      {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545},
-      {70000, 300, true, StoragePolicy::kNarrow, 7, 0x11065d8c8bb0bee0},
-      {70000, 300, false, StoragePolicy::kNarrow, 8, 0x3400c4d1a97a1f8b},
-      {40, 9, true, StoragePolicy::kPacked, 9, 0x957655c013ced657},
-      {70000, 9, false, StoragePolicy::kPacked, 10, 0x4869fdf27fe7ddad},
-      {40, 300, true, StoragePolicy::kPacked, 11, 0x66d6d3d885b80304},
-      {40, 300, false, StoragePolicy::kPacked, 12, 0xb360cfbef4e27b66},
+      {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673, 17144},
+      {40, 9, true, StoragePolicy::kAuto, 1, 0x5f8dd9ff69a5c127, 6539},
+      {40, 9, false, StoragePolicy::kAuto, 2, 0x89c790b77a3ef7e7, 8939},
+      {40, 300, true, StoragePolicy::kAuto, 3, 0x86266af8339e7f07, 7276},
+      {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64, 9676},
+      {70000, 9, true, StoragePolicy::kAuto, 5, 0x90ee67038352b852, 1129574},
+      {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545, 1131974},
+      {70000, 300, true, StoragePolicy::kAuto, 7, 0x11065d8c8bb0bee0, 1131086},
+      {70000, 300, false, StoragePolicy::kAuto, 8, 0x3400c4d1a97a1f8b,
+       1133486},
   };
   std::vector<bool> seen(std::variant_size_v<snn::SynStoreVariant>, false);
   for (const PinCase& pc : cases) {
@@ -460,10 +501,14 @@ TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
     EXPECT_EQ(built.synapse_store().index(), pc.variant);
     EXPECT_EQ(streamed.synapse_store().index(), pc.variant);
     seen[built.synapse_store().index()] = true;
-    EXPECT_EQ(freeze_hash(built), pc.hash)
-        << std::hex << "0x" << freeze_hash(built);
-    EXPECT_EQ(freeze_hash(streamed), pc.hash)
-        << std::hex << "0x" << freeze_hash(streamed);
+    for (const CompiledNetwork* c : {&built, &streamed}) {
+      const std::uint64_t h = fnv_mix(freeze_hash(*c), pc.bytes_then);
+      EXPECT_EQ(h, pc.hash) << std::hex << "0x" << h;
+      const StorageWidths& w = c->storage_widths();
+      EXPECT_EQ(c->csr_storage_bytes(),
+                pc.bytes_then - c->num_synapses() * w.delay_bytes -
+                    (c->num_delay_segments() - 1) * w.seg_index_bytes);
+    }
     EXPECT_EQ(built.group("out"), (std::vector<NeuronId>{0, 1, 2}));
   }
   for (std::size_t v = 0; v < seen.size(); ++v) {

@@ -1,11 +1,9 @@
-// Million-neuron streamed end-to-end test (ARCHITECTURE.md §1.8, §1.11;
+// Million-neuron streamed end-to-end test (ARCHITECTURE.md §1.8;
 // `ctest -L scale`): a relay chain with n = 10^6 vertices and m ≥ 8·10^6
 // edges is frozen straight from its generator into the narrow CSR, solves
 // SSSP to completion, and the narrow freeze is verifiably ≥ 30% smaller
 // than the wide oracle layout while running event-for-event identically to
-// it. A second test freezes the same stream under the explicit kPacked
-// opt-in (kAuto never packs) and holds it to the packed encoding's floor:
-// ≥ 25% smaller than NARROW, event-for-event identical.
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,12 +28,10 @@ void relay_edges(const EdgeStream& emit) {
 }
 
 TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
-  // Freeze the narrow CSR directly from the stream (kAuto picks the same
-  // layout; the lane names it, since it is the compression oracle the
-  // packed test measures against).
+  // Freeze the narrow CSR directly from the stream (kAuto picks it).
   snn::StreamBuildStats bs;
   const snn::CompiledNetwork narrow = nga::compile_sssp_streamed(
-      kN, relay_edges, snn::StoragePolicy::kNarrow, &bs);
+      kN, relay_edges, snn::StoragePolicy::kAuto, &bs);
   ASSERT_EQ(bs.num_neurons, kN);
   ASSERT_GE(bs.num_synapses, 8000000u + kN);  // m edges + n fire-once guards
   ASSERT_EQ(bs.csr_bytes, narrow.csr_storage_bytes());
@@ -45,7 +41,6 @@ TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
   // delays (max length 16), f32 weights (integers 1 and -(indeg+1)).
   const snn::StorageWidths& w = narrow.storage_widths();
   ASSERT_TRUE(w.narrow);
-  ASSERT_FALSE(w.packed);
   EXPECT_EQ(w.target_bytes, 4u);
   EXPECT_EQ(w.delay_bytes, 1u);
   EXPECT_EQ(w.weight_bytes, 4u);
@@ -94,56 +89,6 @@ TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
   EXPECT_EQ(nstats.event_times, wstats.event_times);
   EXPECT_EQ(nstats.end_time, wstats.end_time);
   EXPECT_LT(narrow.bytes_per_synapse(), wide.bytes_per_synapse());
-}
-
-TEST(ScaleStreamed, MillionNeuronPackedEncodingEndToEnd) {
-  // kPacked at m ≈ 10^7 freezes the delta-packed encoding straight from
-  // the stream (no wide intermediate is kept resident — only the
-  // per-freeze transient counted in peak_resident_bytes).
-  snn::StreamBuildStats bs;
-  const snn::CompiledNetwork packed = nga::compile_sssp_streamed(
-      kN, relay_edges, snn::StoragePolicy::kPacked, &bs);
-  const snn::StorageWidths& w = packed.storage_widths();
-  ASSERT_TRUE(w.packed);
-  ASSERT_TRUE(w.narrow);
-  EXPECT_EQ(snn::encoding_code(w), 2u);
-  EXPECT_EQ(w.target_bytes, 4u);  // decode width, not stored width
-  EXPECT_EQ(w.delay_bytes, 1u);
-  EXPECT_EQ(w.weight_bytes, 4u);
-  ASSERT_EQ(bs.csr_bytes, packed.csr_storage_bytes());
-  ASSERT_GE(bs.peak_resident_bytes, bs.csr_bytes);
-
-  // Compression floor: >= 25% smaller than the flat-narrow freeze
-  // of the identical stream.
-  const snn::CompiledNetwork narrow = nga::compile_sssp_streamed(
-      kN, relay_edges, snn::StoragePolicy::kNarrow);
-  EXPECT_LE(static_cast<double>(packed.csr_storage_bytes()),
-            0.75 * static_cast<double>(narrow.csr_storage_bytes()))
-      << "packed " << packed.csr_storage_bytes() << " narrow "
-      << narrow.csr_storage_bytes();
-
-  // Event-for-event identical to the flat-narrow oracle, and the stats
-  // surface reports what ran: encoding tag and a nonzero decoded-block
-  // count on the packed lane only.
-  auto solve = [](const snn::CompiledNetwork& net) {
-    snn::Simulator sim(net);
-    sim.inject_spike(0, 0);
-    const snn::SimStats stats = sim.run();
-    return std::pair(stats, sim.first_spikes());
-  };
-  const auto [pstats, pfirst] = solve(packed);
-  const auto [nstats, nfirst] = solve(narrow);
-  EXPECT_EQ(pstats.spikes, kN);
-  EXPECT_EQ(pfirst, nfirst);
-  EXPECT_EQ(pstats.spikes, nstats.spikes);
-  EXPECT_EQ(pstats.deliveries, nstats.deliveries);
-  EXPECT_EQ(pstats.event_times, nstats.event_times);
-  EXPECT_EQ(pstats.end_time, nstats.end_time);
-  EXPECT_EQ(pstats.csr_bytes, packed.csr_storage_bytes());
-  EXPECT_EQ(pstats.storage_encoding, 2u);
-  EXPECT_EQ(nstats.storage_encoding, 1u);
-  EXPECT_GT(pstats.decode_blocks, 0u);
-  EXPECT_EQ(nstats.decode_blocks, 0u);
 }
 
 }  // namespace
