@@ -305,10 +305,14 @@ class EventCore {
   /// (targets local; source kNoNeuron unless causes are recorded).
   template <typename Store, typename F>
   void for_each_delivery(const Store& st, const Bucket& b, F&& f) const;
+  // Forced inline: the drain's per-spike path makes no call of its own
+  // (ARCHITECTURE.md §1.12; tools/check_hot_inlining.sh guards it).
   template <typename Store>
-  void fire(const Store& st, NeuronRecord& rec, NeuronId id, Time t);
+  [[gnu::always_inline]] inline void fire(const Store& st, NeuronRecord& rec,
+                                          NeuronId id, Time t);
   template <typename Store>
-  void fanout_segmented(const Store& st, NeuronId id, Time t);
+  [[gnu::always_inline]] inline void fanout_segmented(const Store& st,
+                                                      NeuronId id, Time t);
 
   void init(Delay ring_delay);
   NeuronId global_id(NeuronId id) const {

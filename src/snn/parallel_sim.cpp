@@ -26,12 +26,34 @@ constexpr Time kNoTime = std::numeric_limits<Time>::max();
 
 struct MailBox {
   /// The deliveries of one arrival time, in fire order.
+  /// The columns are sized to their capacity and only [0, size) holds
+  /// mail, so a fan-out run appends with one capacity check (extend) and
+  /// plain element writes, never a per-element push_back.
   struct Run {
     Time t = 0;
     std::size_t slot = 0;            ///< its entry in `index`
+    std::size_t size = 0;            ///< deliveries held
     std::vector<NeuronId> targets;   ///< local index in the destination shard
     std::vector<SynWeight> weights;
-    std::vector<NeuronId> sources;   ///< GLOBAL firing ids; iff record_causes
+    std::vector<NeuronId> sources;   ///< GLOBAL firing ids; iff causes
+
+    /// Room for `n` more deliveries; returns the first new index.
+    std::size_t extend(std::size_t n, bool causes) {
+      const std::size_t at = size;
+      size += n;
+      if (size > targets.size() || (causes && size > sources.size()))
+          [[unlikely]] {
+        grow(causes);
+      }
+      return at;
+    }
+    [[gnu::noinline]] void grow(bool causes) {
+      const std::size_t cap =
+          std::max<std::size_t>({size, 2 * targets.size(), 16});
+      targets.resize(cap);
+      weights.resize(cap);
+      if (causes) sources.resize(cap);
+    }
   };
   /// runs[0, live) hold this window's mail, in order of first arrival;
   /// runs past `live` keep their capacity for later windows.
@@ -72,9 +94,7 @@ struct MailBox {
   void clear() {  // keeps capacity — boxes are reused every window
     for (std::size_t i = 0; i < live; ++i) {
       index[runs[i].slot] = 0;
-      runs[i].targets.clear();
-      runs[i].weights.clear();
-      runs[i].sources.clear();
+      runs[i].size = 0;
     }
     live = 0;
   }
@@ -104,6 +124,7 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
   /// over.
   void fan_out(NeuronId lid, Time t, SimStats& st) override {
     const EventCore::RunState& rs = core.state();
+    const bool causes = rs.record_causes;
     const NeuronId gid = csr->global_ids[lid];
     const NeuronId* clocal = csr->cross_local.data();
     const SynWeight* cwgt = csr->cross_weight.data();
@@ -117,19 +138,16 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
       }
       const Time at = t + d;
       const std::size_t b = csr->cross_seg_begin[s];
-      const std::size_t e = csr->cross_seg_begin[s + 1];
+      const std::size_t len = csr->cross_seg_begin[s + 1] - b;
       MailBox::Run& run = out_[csr->cross_seg_shard[s]].run_for(at);
-      if (e - b == 1) {  // singleton run: push_back, as the core kernel
-        run.targets.push_back(clocal[b]);
-        run.weights.push_back(cwgt[b]);
-        if (rs.record_causes) run.sources.push_back(gid);
-      } else {
-        run.targets.insert(run.targets.end(), clocal + b, clocal + e);
-        run.weights.insert(run.weights.end(), cwgt + b, cwgt + e);
-        if (rs.record_causes) {
-          run.sources.insert(run.sources.end(), e - b, gid);
-        }
+      const std::size_t k = run.extend(len, causes);
+      NeuronId* const tgt = run.targets.data() + k;
+      SynWeight* const wgt = run.weights.data() + k;
+      for (std::size_t i = 0; i < len; ++i) {
+        tgt[i] = clocal[b + i];
+        wgt[i] = cwgt[b + i];
       }
+      if (causes) std::fill_n(run.sources.data() + k, len, gid);
       ++st.bulk_appends;
       if (at < out_min_time_) out_min_time_ = at;
     }
@@ -150,16 +168,16 @@ struct ParallelSimulator::Shard final : EventCore::Remote {
       MailBox& box = in_boxes[s * stride];
       for (std::size_t r = 0; r < box.live; ++r) {
         const MailBox::Run& run = box.runs[r];
-        EventCore::Bucket& bucket =
-            core.bucket_for(run.t, run.targets.size());
-        bucket.open_raw(run.targets.size());
-        bucket.targets.insert(bucket.targets.end(), run.targets.begin(),
-                              run.targets.end());
-        bucket.weights.insert(bucket.weights.end(), run.weights.begin(),
-                              run.weights.end());
+        const std::size_t n = run.size;
+        EventCore::Bucket& bucket = core.bucket_for(run.t, n);
+        bucket.open_raw(n);
+        bucket.targets.insert(bucket.targets.end(), run.targets.data(),
+                              run.targets.data() + n);
+        bucket.weights.insert(bucket.weights.end(), run.weights.data(),
+                              run.weights.data() + n);
         if (causes) {
-          bucket.sources.insert(bucket.sources.end(), run.sources.begin(),
-                                run.sources.end());
+          bucket.sources.insert(bucket.sources.end(), run.sources.data(),
+                                run.sources.data() + n);
         }
       }
       box.clear();

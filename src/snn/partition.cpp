@@ -261,9 +261,9 @@ Delay partition_min_cross_delay(const CompiledNetwork& net,
 }
 
 std::size_t ShardCsr::cross_bytes() const {
-  return (cross_seg_offsets.size() + cross_seg_begin.size()) *
-             sizeof(std::size_t) +
-         cross_seg_shard.size() * sizeof(std::uint32_t) +
+  return (cross_seg_offsets.size() + cross_seg_begin.size() +
+          cross_seg_shard.size()) *
+             sizeof(std::uint32_t) +
          cross_local.size() * sizeof(NeuronId) +
          cross_weight.size() * sizeof(SynWeight) +
          cross_seg_delay.size() * sizeof(Delay);
@@ -330,16 +330,26 @@ ShardSplit CompiledNetwork::shard_split(Partition partition) const {
             e.delay != cross[j - 1].delay) {
           shard.cross_seg_shard.push_back(e.from);
           shard.cross_seg_delay.push_back(e.delay);
-          shard.cross_seg_begin.push_back(shard.cross_local.size());
+          shard.cross_seg_begin.push_back(
+              static_cast<std::uint32_t>(shard.cross_local.size()));
         }
         shard.cross_local.push_back(e.to);
         shard.cross_weight.push_back(e.weight);
       }
-      shard.cross_seg_offsets[k + 1] = shard.cross_seg_delay.size();
+      // The count only grows and every segment holds a synapse, so one
+      // check per row bounds every u32 index written above (a row that
+      // overflows throws before the split is returned).
+      SGA_REQUIRE(shard.cross_local.size() < (std::size_t{1} << 32),
+                  "shard_split: shard " << s << " has more than 2^32 - 1 "
+                                        << "cross synapses; the cross "
+                                           "family indexes them in u32");
+      shard.cross_seg_offsets[k + 1] =
+          static_cast<std::uint32_t>(shard.cross_seg_delay.size());
     }
     // Segments tile the shard's cross synapses in order, so each one ends
     // where the next begins; the sentinel ends the last.
-    shard.cross_seg_begin.push_back(shard.cross_local.size());
+    shard.cross_seg_begin.push_back(
+        static_cast<std::uint32_t>(shard.cross_local.size()));
     split.num_cross_synapses += shard.cross_local.size();
     split.intra.push_back(compile_streamed(
         members.size(), [&](NeuronId k) { return params(members[k]); },

@@ -120,11 +120,13 @@ struct ShardCsr {
   // shard cross_seg_shard[s] with delay cross_seg_delay[s]; per neuron the
   // (shard, delay) pairs are strictly increasing lexicographically. So
   // neuron k's cross synapses are [cross_seg_begin[cross_seg_offsets[k]],
-  // cross_seg_begin[cross_seg_offsets[k+1]]).
-  std::vector<std::size_t> cross_seg_offsets;  ///< local_n + 1 entries
+  // cross_seg_begin[cross_seg_offsets[k+1]]). Both index columns are u32,
+  // as the shard stores' segment bounds are: the split requires each
+  // shard's cross segments and cross synapses to number below 2^32.
+  std::vector<std::uint32_t> cross_seg_offsets;  ///< local_n + 1 entries
   std::vector<std::uint32_t> cross_seg_shard;
   std::vector<Delay> cross_seg_delay;
-  std::vector<std::size_t> cross_seg_begin;  ///< segments + 1 (end sentinel)
+  std::vector<std::uint32_t> cross_seg_begin;  ///< segments + 1 (sentinel)
 
   std::size_t num_neurons() const { return global_ids.size(); }
   /// Resident bytes of the cross family: row pointers, runs and payload.

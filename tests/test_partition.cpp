@@ -469,6 +469,44 @@ TEST(Partition, SingleNeuronWithSelfLoop) {
   EXPECT_EQ(split.intra[0].syn_target(0), 0u);
 }
 
+TEST(Partition, CrossBytesCountTheU32IndexColumns) {
+  // Shard 0 = {0, 1}, shard 1 = {2, 3}. Neuron 0 sends two cross runs to
+  // shard 1 ((1, 3) with 2 synapses, (1, 5) with 1), neuron 2 one run to
+  // shard 0; 1 -> 0 stays intra.
+  snn::Network net;
+  for (int i = 0; i < 4; ++i) net.add_neuron(snn::NeuronParams{0, 1, 0.0});
+  net.add_synapse(0, 2, 1, 3);
+  net.add_synapse(0, 3, 1, 3);
+  net.add_synapse(0, 3, 1, 5);
+  net.add_synapse(1, 0, 1, 1);
+  net.add_synapse(2, 0, 1, 2);
+  const snn::CompiledNetwork compiled = net.compile();
+  snn::Partition p;
+  p.num_shards = 2;
+  p.shard_of = {0, 0, 1, 1};
+  p.local_index = {0, 1, 0, 1};
+  p.shard_neurons = {{0, 1}, {2, 3}};
+  p.shard_load = {0, 0};
+  const snn::ShardSplit split = compiled.shard_split(p);
+  ASSERT_EQ(split.num_cross_synapses, 4u);
+  const snn::ShardCsr& s0 = split.shards[0];
+  const snn::ShardCsr& s1 = split.shards[1];
+  EXPECT_EQ(s0.cross_seg_offsets, (std::vector<std::uint32_t>{0, 2, 2}));
+  EXPECT_EQ(s0.cross_seg_begin, (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(s1.cross_seg_offsets, (std::vector<std::uint32_t>{0, 1, 1}));
+  EXPECT_EQ(s1.cross_seg_begin, (std::vector<std::uint32_t>{0, 1}));
+  // Per shard: 4 B per offset (n + 1), per segment begin (S + 1) and per
+  // segment shard; 4 B per cross target, 8 B per weight and per segment
+  // delay.
+  static_assert(sizeof(NeuronId) == 4 && sizeof(SynWeight) == 8 &&
+                sizeof(Delay) == 8);
+  EXPECT_EQ(s0.cross_bytes(), 4u * (3 + 3 + 2) + 4 * 3 + 8 * 3 + 8 * 2);
+  EXPECT_EQ(s1.cross_bytes(), 4u * (3 + 2 + 1) + 4 * 1 + 8 * 1 + 8 * 1);
+  EXPECT_EQ(split.storage_bytes(), split.intra[0].csr_storage_bytes() +
+                                       split.intra[1].csr_storage_bytes() +
+                                       84 + 44);
+}
+
 TEST(Partition, RejectsMismatchedPartition) {
   const snn::CompiledNetwork a = random_net(1).compile();
   const snn::CompiledNetwork b = random_net(2).compile();

@@ -1,11 +1,13 @@
 // Freeze-time width-narrowed CSR storage (ARCHITECTURE.md §1.8): width
 // selection rules, the kWide escape hatch, streamed generator-to-CSR
 // builds matching the builder freeze bit-for-bit, the freeze-time
-// validation messages that name the offending neuron/synapse, and a hash
-// pin of every public column for each storage layout through both freeze
-// sources.
+// validation messages that name the offending neuron/synapse, a hash pin
+// of every public column for each storage layout through both freeze
+// sources, and each layout's serial and sharded runs against
+// ReferenceSimulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -18,7 +20,10 @@
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "nga/sssp_event.h"
+#include "obs/probe.h"
 #include "snn/network.h"
+#include "snn/parallel_sim.h"
+#include "snn/reference_sim.h"
 #include "snn/simulator.h"
 #include "snn/storage.h"
 
@@ -431,70 +436,90 @@ struct PinCase {
   std::size_t bytes_then;  ///< that byte count
 };
 
+/// One network per SynStoreVariant alternative.
+const PinCase kPinCases[] = {
+    {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673, 17144},
+    {40, 9, true, StoragePolicy::kAuto, 1, 0x5f8dd9ff69a5c127, 6539},
+    {40, 9, false, StoragePolicy::kAuto, 2, 0x89c790b77a3ef7e7, 8939},
+    {40, 300, true, StoragePolicy::kAuto, 3, 0x86266af8339e7f07, 7276},
+    {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64, 9676},
+    {70000, 9, true, StoragePolicy::kAuto, 5, 0x90ee67038352b852, 1129574},
+    {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545, 1131974},
+    {70000, 300, true, StoragePolicy::kAuto, 7, 0x11065d8c8bb0bee0, 1131086},
+    {70000, 300, false, StoragePolicy::kAuto, 8, 0x3400c4d1a97a1f8b, 1133486},
+};
+
+struct PinSyn {
+  NeuronId from, to;
+  SynWeight w;
+  Delay d;
+};
+
+/// A case's deterministic synapse list: a quarter of the synapses land on 8
+/// dense rows, the rest spread over all neurons; the first synapse carries
+/// max_delay so the delay width is decided by the case. Rows come out of
+/// delay order with repeated delays.
+std::vector<PinSyn> pin_synapses(const PinCase& pc) {
+  std::vector<PinSyn> syns;
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL ^ pc.n ^ (pc.max_delay << 20);
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  for (std::size_t k = 0; k < 600; ++k) {
+    const NeuronId from = static_cast<NeuronId>(
+        next() % 4 == 0 ? next() % 8 : next() % pc.n);
+    const auto to = static_cast<NeuronId>(next() % pc.n);
+    const auto step = static_cast<SynWeight>(static_cast<int>(next() % 9) - 4);
+    const SynWeight w = pc.f32 ? step * 0.5 : step * 0.1 + 0.05;
+    const Delay d = k == 0 ? pc.max_delay
+                           : 1 + static_cast<Delay>(next() % 5) *
+                                     (pc.max_delay / 5);
+    syns.push_back({from, to, w, d});
+  }
+  return syns;
+}
+
+snn::NeuronParams pin_params(NeuronId i) {
+  return snn::NeuronParams{0.25 * (i % 3), 1.0 + i % 7, 0.25 * (i % 5)};
+}
+
+/// Livelier parameters for the drain test: thresholds at least 0.02 away
+/// from every sum of the inexact weights (odd multiples of 0.05), and
+/// τ ∈ {0, 1}, so no threshold test depends on summation order.
+snn::NeuronParams drain_params(NeuronId i) {
+  return snn::NeuronParams{0, 0.33 + 0.25 * (i % 3), 1.0 * (i % 2)};
+}
+
+Network pin_network(const PinCase& pc, const std::vector<PinSyn>& syns,
+                    snn::NeuronParams (*params)(NeuronId) = pin_params) {
+  Network net;
+  for (NeuronId i = 0; i < pc.n; ++i) net.add_neuron(params(i));
+  for (const PinSyn& s : syns) net.add_synapse(s.from, s.to, s.w, s.d);
+  return net;
+}
+
 TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
   // Fixed small networks frozen into each of the 9 SynStoreVariant
   // alternatives, through the builder and through an edge stream carrying
-  // the same synapse sequence. Rows are emitted out of delay order with
-  // repeated delays, so the stable per-row sort and the delay runs are
-  // exercised; the hashes pin every public column, so any change to what a
-  // freeze produces shows here. The resident bytes are pinned apart: a
-  // store dropped m delay entries and S − 1 segment bounds (S + 1 begins,
-  // the last the m sentinel, replaced S begins and S ends).
-  const PinCase cases[] = {
-      {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673, 17144},
-      {40, 9, true, StoragePolicy::kAuto, 1, 0x5f8dd9ff69a5c127, 6539},
-      {40, 9, false, StoragePolicy::kAuto, 2, 0x89c790b77a3ef7e7, 8939},
-      {40, 300, true, StoragePolicy::kAuto, 3, 0x86266af8339e7f07, 7276},
-      {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64, 9676},
-      {70000, 9, true, StoragePolicy::kAuto, 5, 0x90ee67038352b852, 1129574},
-      {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545, 1131974},
-      {70000, 300, true, StoragePolicy::kAuto, 7, 0x11065d8c8bb0bee0, 1131086},
-      {70000, 300, false, StoragePolicy::kAuto, 8, 0x3400c4d1a97a1f8b,
-       1133486},
-  };
+  // the same synapse sequence. The stable per-row sort and the delay runs
+  // are exercised; the hashes pin every public column, so any change to
+  // what a freeze produces shows here. The resident bytes are pinned
+  // apart: a store dropped m delay entries and S − 1 segment bounds (S + 1
+  // begins, the last the m sentinel, replaced S begins and S ends).
   std::vector<bool> seen(std::variant_size_v<snn::SynStoreVariant>, false);
-  for (const PinCase& pc : cases) {
+  for (const PinCase& pc : kPinCases) {
     SCOPED_TRACE(testing::Message() << "n " << pc.n << ", max delay "
                                     << pc.max_delay << ", f32 " << pc.f32
                                     << ", variant " << pc.variant);
-    struct Syn {
-      NeuronId from, to;
-      SynWeight w;
-      Delay d;
-    };
-    // Deterministic synapse list: a quarter of the synapses land on 8 dense
-    // rows, the rest spread over all neurons; the first synapse carries
-    // max_delay so the delay width is decided by the case.
-    std::vector<Syn> syns;
-    std::uint64_t x = 0x9E3779B97F4A7C15ULL ^ pc.n ^ (pc.max_delay << 20);
-    auto next = [&x] {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      return x >> 33;
-    };
-    for (std::size_t k = 0; k < 600; ++k) {
-      const NeuronId from = static_cast<NeuronId>(
-          next() % 4 == 0 ? next() % 8 : next() % pc.n);
-      const auto to = static_cast<NeuronId>(next() % pc.n);
-      const auto step = static_cast<SynWeight>(static_cast<int>(next() % 9) - 4);
-      const SynWeight w = pc.f32 ? step * 0.5 : step * 0.1 + 0.05;
-      const Delay d = k == 0 ? pc.max_delay
-                             : 1 + static_cast<Delay>(next() % 5) *
-                                       (pc.max_delay / 5);
-      syns.push_back({from, to, w, d});
-    }
-    auto params = [](NeuronId i) {
-      return snn::NeuronParams{0.25 * (i % 3), 1.0 + i % 7, 0.25 * (i % 5)};
-    };
-
-    Network net;
-    for (NeuronId i = 0; i < pc.n; ++i) net.add_neuron(params(i));
-    for (const Syn& s : syns) net.add_synapse(s.from, s.to, s.w, s.d);
+    const std::vector<PinSyn> syns = pin_synapses(pc);
+    Network net = pin_network(pc, syns);
     net.define_group("out", {0, 1, 2});
     const CompiledNetwork built = net.compile(pc.policy);
     const CompiledNetwork streamed = CompiledNetwork::compile_streamed(
-        pc.n, params,
+        pc.n, pin_params,
         [&syns](const snn::SynapseSink& sink) {
-          for (const Syn& s : syns) sink(s.from, s.to, s.w, s.d);
+          for (const PinSyn& s : syns) sink(s.from, s.to, s.w, s.d);
         },
         pc.policy);
 
@@ -513,6 +538,169 @@ TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
   }
   for (std::size_t v = 0; v < seen.size(); ++v) {
     EXPECT_TRUE(seen[v]) << "no case lands in variant alternative " << v;
+  }
+}
+
+// ---- Every layout's drain against the oracle -----------------------------
+
+/// What a run reports, in the form every engine can give it.
+struct DrainRun {
+  snn::SimStats stats;
+  std::vector<std::pair<Time, NeuronId>> log;
+  std::vector<Time> first;
+  std::vector<NeuronId> causes;
+  std::vector<std::uint64_t> deliveries;  ///< per target (probe counts)
+};
+
+/// The reference's view of the same run. ReferenceSimulator records no
+/// causes and takes no probe, so both are derived from its watch-all log:
+/// a delivery is a logged spike's synapse arriving at or before the last
+/// processed step, and a first fire's cause is the source of the largest
+/// positive weight arriving at that step (ties to the smallest source id),
+/// kNoNeuron for an injected first fire.
+DrainRun reference_run(const Network& net, const std::vector<PinSyn>& syns,
+                       const std::vector<std::pair<NeuronId, Time>>& inputs,
+                       const snn::SimConfig& cfg) {
+  auto drive = [&](snn::SimConfig c, DrainRun* r) {
+    c.record_causes = false;
+    snn::ReferenceSimulator ref(net);
+    for (const auto& [id, t] : inputs) ref.inject_spike(id, t);
+    r->stats = ref.run(c);
+    r->log = ref.spike_log();
+    r->first = ref.first_spikes();
+  };
+  DrainRun want;
+  drive(cfg, &want);
+  snn::SimConfig all = cfg;
+  all.watched_neurons.clear();
+  DrainRun full;
+  drive(all, &full);
+
+  const std::size_t n = net.num_neurons();
+  std::vector<std::vector<const PinSyn*>> out(n);
+  for (const PinSyn& s : syns) out[s.from].push_back(&s);
+  want.deliveries.assign(n, 0);
+  struct Best {
+    SynWeight w = 0;
+    NeuronId source = kNoNeuron;
+  };
+  std::vector<Best> best(n);
+  for (const auto& [t, src] : full.log) {
+    for (const PinSyn* s : out[src]) {
+      const Time at = t + s->d;
+      if (at > full.stats.end_time) continue;
+      ++want.deliveries[s->to];
+      if (at != full.first[s->to]) continue;
+      Best& b = best[s->to];
+      if (s->w > b.w || (s->w == b.w && b.source != kNoNeuron &&
+                         src < b.source)) {
+        b = Best{s->w, src};
+      }
+    }
+  }
+  for (NeuronId id = 0; id < n; ++id) {
+    const bool injected = std::any_of(
+        inputs.begin(), inputs.end(),
+        [&](const auto& in) { return in == std::pair{id, want.first[id]}; });
+    want.causes.push_back(injected ? kNoNeuron : best[id].source);
+  }
+  return want;
+}
+
+template <typename Sim>
+DrainRun engine_run(Sim& sim, std::size_t n,
+                    const std::vector<std::pair<NeuronId, Time>>& inputs,
+                    const snn::SimConfig& cfg) {
+  obs::ProbeOptions po;
+  po.count_deliveries = true;
+  obs::Probe probe(po);
+  sim.attach_probe(probe);
+  for (const auto& [id, t] : inputs) sim.inject_spike(id, t);
+  DrainRun r;
+  r.stats = sim.run(cfg);
+  r.log = sim.spike_log();
+  r.first = sim.first_spikes();
+  for (NeuronId id = 0; id < n; ++id) {
+    r.causes.push_back(sim.first_spike_cause(id));
+  }
+  r.deliveries = probe.delivery_counts();
+  return r;
+}
+
+TEST(StorageDrainTest, EveryLayoutRunsLikeTheReferenceSerialAndSharded) {
+  // The drain loop, fire and the fan-out kernel are instantiated once per
+  // store layout. Each pinned layout's network runs serially and on 2
+  // shards with causes, a watched spike log, one terminal and a
+  // delivery-counting probe, and must reproduce ReferenceSimulator's
+  // spikes, first spikes, causes, deliveries and log.
+  for (const PinCase& pc : kPinCases) {
+    SCOPED_TRACE(testing::Message() << "variant " << pc.variant);
+    const std::vector<PinSyn> syns = pin_synapses(pc);
+    const Network net = pin_network(pc, syns, drain_params);
+    const CompiledNetwork c = net.compile(pc.policy);
+    ASSERT_EQ(c.synapse_store().index(), pc.variant);
+
+    // The dense rows fire one per step, then a second volley.
+    std::vector<std::pair<NeuronId, Time>> inputs;
+    for (NeuronId i = 0; i < 8; ++i) {
+      inputs.emplace_back(i, i);
+      inputs.emplace_back(i, 2 * pc.max_delay + i);
+    }
+    snn::SimConfig cfg;
+    cfg.max_time = 20 * pc.max_delay;
+    cfg.record_spike_log = true;
+    cfg.record_causes = true;
+
+    // Terminal and watch list from a free run: the terminal is the neuron
+    // whose first fire is the upper quartile of the uninjected first fires,
+    // and every second neuron that fires is watched.
+    const DrainRun free_run = reference_run(net, syns, inputs, cfg);
+    std::vector<std::pair<Time, NeuronId>> firsts;
+    std::vector<NeuronId> fired;
+    for (NeuronId id = 0; id < pc.n; ++id) {
+      if (free_run.first[id] == kNever) continue;
+      fired.push_back(id);
+      if (id >= 8) firsts.emplace_back(free_run.first[id], id);
+    }
+    ASSERT_GE(firsts.size(), 3u);
+    std::sort(firsts.begin(), firsts.end());
+    const NeuronId terminal = firsts[3 * firsts.size() / 4].second;
+    cfg.terminal_neurons = {terminal};
+    for (std::size_t k = 0; k < fired.size(); k += 2) {
+      cfg.watched_neurons.push_back(fired[k]);
+    }
+
+    const DrainRun want = reference_run(net, syns, inputs, cfg);
+    ASSERT_TRUE(want.stats.hit_terminal);
+    std::uint64_t derived = 0;
+    for (const std::uint64_t d : want.deliveries) derived += d;
+    ASSERT_EQ(derived, want.stats.deliveries);
+    ASSERT_TRUE(std::any_of(want.causes.begin(), want.causes.end(),
+                            [](NeuronId s) { return s != kNoNeuron; }));
+
+    snn::Simulator serial(c);
+    snn::ParallelConfig pcfg;
+    pcfg.num_shards = 2;
+    pcfg.num_threads = 1;
+    snn::ParallelSimulator sharded(c, pcfg);
+    std::vector<std::pair<Time, NeuronId>> want_sorted = want.log;
+    std::sort(want_sorted.begin(), want_sorted.end());
+    for (const bool shard : {false, true}) {
+      SCOPED_TRACE(shard ? "2 shards" : "serial");
+      const DrainRun got =
+          shard ? engine_run(sharded, pc.n, inputs, cfg)
+                : engine_run(serial, pc.n, inputs, cfg);
+      // The sharded engine logs in (time, id) order.
+      EXPECT_EQ(got.log, shard ? want_sorted : want.log);
+      EXPECT_EQ(got.first, want.first);
+      EXPECT_EQ(got.causes, want.causes);
+      EXPECT_EQ(got.deliveries, want.deliveries);
+      EXPECT_EQ(got.stats.spikes, want.stats.spikes);
+      EXPECT_EQ(got.stats.deliveries, want.stats.deliveries);
+      EXPECT_EQ(got.stats.end_time, want.stats.end_time);
+      EXPECT_EQ(got.stats.execution_time, want.stats.execution_time);
+      EXPECT_EQ(got.stats.hit_terminal, want.stats.hit_terminal);
+    }
   }
 }
 
