@@ -87,11 +87,6 @@ MaxFlowResult spiking_max_flow(const Graph& g, const MaxFlowOptions& opt) {
       sopt.source = opt.source;
       sopt.target = opt.sink;
       sopt.record_parents = true;
-      // Each augmenting phase re-freezes the (small) residual graph for one
-      // run; pin the wide oracle layout for these throwaway artifacts — see
-      // DESIGN.md (width narrowing earns its keep on freeze-once workloads;
-      // the freeze's range scan runs under every policy).
-      sopt.storage = snn::StoragePolicy::kWide;
       const auto run = spiking_sssp(residual, sopt);
       out.total_spikes += run.sim.spikes;
       out.total_snn_steps += run.execution_time;

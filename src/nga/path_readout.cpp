@@ -50,10 +50,7 @@ SpikingSsspPathResult spiking_sssp_with_paths(
     }
   }
 
-  // Wide freeze: max-flow (gate_level_paths mode) rebuilds this
-  // instrumented fabric every phase, so it stays on the oracle layout for
-  // the same reason spiking_sssp's max-flow call path does — see DESIGN.md.
-  const snn::CompiledNetwork compiled = net.compile(snn::StoragePolicy::kWide);
+  const snn::CompiledNetwork compiled = net.compile();
   snn::Simulator sim(compiled);
   sim.inject_spike(opt.source, 0);
   snn::SimConfig cfg;

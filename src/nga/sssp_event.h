@@ -43,11 +43,6 @@ struct SpikingSsspOptions {
   bool record_parents = true;
   /// Safety horizon; kNever = none (the network quiesces on its own).
   Time max_time = kNever;
-  /// Freeze-time storage policy (ARCHITECTURE.md §1.8): kAuto narrows the
-  /// CSR to the observed ranges; kWide keeps the full-width oracle layout.
-  /// Drivers that re-freeze per phase on small graphs (max-flow) pin kWide
-  /// — see DESIGN.md.
-  snn::StoragePolicy storage = snn::StoragePolicy::kAuto;
 };
 
 struct SpikingSsspResult {
@@ -85,7 +80,8 @@ snn::CompiledNetwork compile_sssp_streamed(
     snn::StoragePolicy policy = snn::StoragePolicy::kAuto,
     snn::StreamBuildStats* build_stats = nullptr);
 
-/// Run the spiking SSSP algorithm.
+/// Run the spiking SSSP algorithm. The fabric freezes under the default
+/// kAuto policy.
 SpikingSsspResult spiking_sssp(const Graph& g, const SpikingSsspOptions& opt);
 
 /// Read distances (first-spike time IS the distance) and optionally

@@ -58,13 +58,11 @@ void CompiledNetwork::verify_invariants() const {
     SGA_REQUIRE(widths_.target_bytes != 2 || n <= (1ULL << 16),
                 "verify: u16 target storage cannot address " << n
                                                              << " neurons");
-    const Delay delay_cap = widths_.delay_bytes == 1 ? 255 : 65535;
-    SGA_REQUIRE(max_delay_ <= delay_cap,
+    SGA_REQUIRE(max_delay_ <= kNarrowDelayCap,
                 "verify: stored max delay " << max_delay_
-                                            << " exceeds the "
-                                            << int{widths_.delay_bytes}
-                                            << "-byte delay storage cap "
-                                            << delay_cap);
+                                            << " exceeds the u16 delay "
+                                               "storage cap "
+                                            << kNarrowDelayCap);
     SGA_REQUIRE(m < (1ULL << 32),
                 "verify: u32 segment bounds cannot index " << m
                                                            << " synapses");

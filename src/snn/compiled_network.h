@@ -18,7 +18,7 @@
 //     doing per-synapse lookups (ARCHITECTURE.md §1.6),
 //   * the synapse payload WIDTH-NARROWED to the observed ranges
 //     (ARCHITECTURE.md §1.8): the freeze scans n / max delay / the weight
-//     domain and stores u16 or u32 targets, u8/u16 delays, float32 weights
+//     domain and stores u16 or u32 targets, u16 delays, float32 weights
 //     when exact — behind a SynStoreVariant dispatch, with the full-width
 //     layout kept as the oracle (snn/storage.h),
 //   * per-neuron aggregates computed once at freeze time (the positive
@@ -275,7 +275,8 @@ class CompiledNetwork {
   void patch_weights(
       const std::vector<std::pair<std::size_t, SynWeight>>& edits);
   /// Reassign delays by flat synapse index. Each delay must be ≥ δ and fit
-  /// the frozen delay width (u8/u16 when narrow — re-freeze to widen).
+  /// the frozen delay width (at most kNarrowDelayCap when narrow —
+  /// re-freeze to widen).
   /// Touched rows are stably re-sorted by delay and re-segmented (untouched
   /// rows keep their segments verbatim); max_delay() is refreshed, which
   /// may grow or shrink it.
@@ -285,8 +286,9 @@ class CompiledNetwork {
   /// Split the CSR under `partition` into per-shard intra/cross synapse
   /// families for the conservative-parallel simulator: each shard's intra
   /// family is frozen through compile_streamed() under kAuto at the shard's
-  /// own size, and its cross family is a full-width (shard, delay) CSR. Pure derivation:
-  /// this network stays untouched (and shareable).
+  /// own size, and its cross family is a (shard, delay) CSR with u32 index
+  /// columns and full-width targets, delays and weights (snn/partition.h).
+  /// Pure derivation: this network stays untouched (and shareable).
   ShardSplit shard_split(Partition partition) const;
 
   // ---- Named groups (ports), carried over from the builder -------------

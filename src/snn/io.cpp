@@ -31,7 +31,7 @@ const char* target_tag(const StorageWidths& w) {
   return w.target_bytes == 2 ? "u16" : "u32";
 }
 const char* delay_tag(const StorageWidths& w) {
-  return w.delay_bytes == 1 ? "u8" : w.delay_bytes == 2 ? "u16" : "i64";
+  return w.narrow ? "u16" : "i64";
 }
 const char* weight_tag(const StorageWidths& w) {
   return w.weight_bytes == 4 ? "f32" : "f64";

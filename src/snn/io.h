@@ -5,7 +5,7 @@
 //
 // Format (whitespace-separated, '#' comments):
 //   snn 2                      header + version
-//   storage <narrow|wide> target <u16|u32> delay <u8|u16|i64> weight <f32|f64>
+//   storage <narrow|wide> target <u16|u32> delay <u16|i64> weight <f32|f64>
 //   neurons N
 //   n <reset> <threshold> <tau>          × N, in id order
 //   synapses M
@@ -19,6 +19,8 @@
 // untrusted file (a "target u16" file claiming 10^6 neurons is rejected as
 // a CountLimitError before any parse loop runs), and read_compiled_network
 // re-freezes under the declared policy, so a wide artifact stays wide.
+// Files from when narrow stores had u8 delays declare "delay u8"; they
+// read the same way, freeze at u16 and write back "delay u16".
 // Version-1 files (no storage line) remain readable under the legacy 2^30
 // count ceiling and freeze under the default kAuto policy.
 //

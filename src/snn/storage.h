@@ -5,7 +5,9 @@
 // weight domain — and stores the synapse payload in the narrowest layout
 // that represents it exactly:
 //   * target ids    u16 when n ≤ 2^16, else u32 (NeuronId's full width),
-//   * delays        u8 when max_delay ≤ 255, u16 when ≤ 65535,
+//   * delays        u16 when max_delay ≤ kNarrowDelayCap (65535); one
+//                   width, since a delay is stored once per segment, not
+//                   once per synapse,
 //   * weights       float32 when EVERY weight round-trips double→float→double
 //                   bit-exactly (delivery buckets accumulate in double, so a
 //                   round-trip-exact narrowing preserves runs event-for-event
@@ -44,8 +46,8 @@ namespace sga::snn {
 enum class StoragePolicy : std::uint8_t {
   kAuto,  ///< narrow when the observed ranges fit the narrow widths, wide
           ///< otherwise (default)
-  kWide,  ///< always the full-width oracle layout (fuzz oracle; transient
-          ///< single-use freezes like max-flow's per-phase residuals)
+  kWide,  ///< always the full-width oracle layout (the fuzz oracle, io's
+          ///< "storage wide" files, bench_scale's wide lane)
 };
 
 /// The widths a freeze actually chose, for io tags / bench records / tests.
@@ -141,19 +143,19 @@ struct SynStore {
 /// The full-width oracle layout (exactly the pre-§1.8 storage).
 using WideSynStore = SynStore<NeuronId, Delay, SynWeight, std::size_t>;
 
-/// Every layout a freeze can choose. Wide first: a default-constructed
+/// Every layout a freeze can choose: wide, plus {u16, u32 targets} ×
+/// {f32, f64 weights} with u16 delays. Wide first: a default-constructed
 /// variant is the wide empty store, so the empty CompiledNetwork stays a
 /// valid placeholder.
 using SynStoreVariant =
     std::variant<WideSynStore,
-                 SynStore<std::uint16_t, std::uint8_t, float, std::uint32_t>,
-                 SynStore<std::uint16_t, std::uint8_t, double, std::uint32_t>,
                  SynStore<std::uint16_t, std::uint16_t, float, std::uint32_t>,
                  SynStore<std::uint16_t, std::uint16_t, double, std::uint32_t>,
-                 SynStore<std::uint32_t, std::uint8_t, float, std::uint32_t>,
-                 SynStore<std::uint32_t, std::uint8_t, double, std::uint32_t>,
                  SynStore<std::uint32_t, std::uint16_t, float, std::uint32_t>,
                  SynStore<std::uint32_t, std::uint16_t, double, std::uint32_t>>;
+
+/// The largest delay a narrow store holds (its u16 delay column).
+inline constexpr Delay kNarrowDelayCap = 65535;
 
 /// Pick the layout for the observed ranges (kWide always yields the
 /// oracle). `weights_fit_f32` must hold iff every weight round-trips
@@ -167,10 +169,10 @@ inline StorageWidths choose_widths(StoragePolicy policy, std::size_t n,
   // Narrow eligibility: delays beyond u16 or ≥ 2^32 synapses (the u32
   // segment bounds) keep the whole payload wide rather than growing the
   // variant with rarely-hit mixed-width combinations.
-  if (max_delay > 65535 || m >= (1ULL << 32)) return w;
+  if (max_delay > kNarrowDelayCap || m >= (1ULL << 32)) return w;
   w.narrow = true;
   w.target_bytes = n <= (1ULL << 16) ? 2 : 4;
-  w.delay_bytes = max_delay <= 255 ? 1 : 2;
+  w.delay_bytes = 2;
   w.weight_bytes = weights_fit_f32 ? 4 : 8;
   w.seg_index_bytes = 4;
   return w;
@@ -180,20 +182,11 @@ inline StorageWidths choose_widths(StoragePolicy policy, std::size_t n,
 inline SynStoreVariant make_synapse_store(const StorageWidths& w) {
   if (!w.narrow) return WideSynStore{};
   const bool t16 = w.target_bytes == 2;
-  const bool d8 = w.delay_bytes == 1;
   const bool f32 = w.weight_bytes == 4;
-  if (t16 && d8 && f32)
-    return SynStore<std::uint16_t, std::uint8_t, float, std::uint32_t>{};
-  if (t16 && d8)
-    return SynStore<std::uint16_t, std::uint8_t, double, std::uint32_t>{};
   if (t16 && f32)
     return SynStore<std::uint16_t, std::uint16_t, float, std::uint32_t>{};
   if (t16)
     return SynStore<std::uint16_t, std::uint16_t, double, std::uint32_t>{};
-  if (d8 && f32)
-    return SynStore<std::uint32_t, std::uint8_t, float, std::uint32_t>{};
-  if (d8)
-    return SynStore<std::uint32_t, std::uint8_t, double, std::uint32_t>{};
   if (f32)
     return SynStore<std::uint32_t, std::uint16_t, float, std::uint32_t>{};
   return SynStore<std::uint32_t, std::uint16_t, double, std::uint32_t>{};

@@ -337,9 +337,8 @@ void CompiledNetwork::patch_delays(
     const std::vector<std::pair<std::size_t, Delay>>& edits) {
   const std::size_t m = num_synapses();
   const std::size_t n = num_neurons();
-  const Delay cap = !widths_.narrow
-                        ? std::numeric_limits<Delay>::max()
-                        : (widths_.delay_bytes == 1 ? 255 : 65535);
+  const Delay cap =
+      widths_.narrow ? kNarrowDelayCap : std::numeric_limits<Delay>::max();
   for (const auto& [k, d] : edits) {
     SGA_REQUIRE(k < m, "patch_delays: synapse index "
                            << k << " out of range (" << m << " synapses)");

@@ -414,7 +414,7 @@ TEST(StorageFuzzRegression, InexactWeightKeepsDoublePayload) {
   ASSERT_TRUE(narrow.storage_widths().narrow);
   EXPECT_EQ(narrow.storage_widths().weight_bytes, 8u);
   EXPECT_EQ(narrow.storage_widths().target_bytes, 2u);
-  EXPECT_EQ(narrow.storage_widths().delay_bytes, 1u);
+  EXPECT_EQ(narrow.storage_widths().delay_bytes, 2u);
   for (std::size_t k = 0; k < narrow.num_synapses(); ++k) {
     EXPECT_EQ(narrow.syn_weight(k), net.compile(snn::StoragePolicy::kWide)
                                         .syn_weight(k));

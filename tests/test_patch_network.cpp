@@ -306,24 +306,29 @@ TEST(PatchDelays, RejectsBadEditsUntouched) {
   Network net = random_net(0x51, 10, 40, 3);
   CompiledNetwork narrow(net, StoragePolicy::kAuto);
   ASSERT_TRUE(narrow.storage_widths().narrow);
-  ASSERT_EQ(narrow.storage_widths().delay_bytes, 1u);  // max observed ≤ 255
+  ASSERT_EQ(narrow.storage_widths().delay_bytes, 2u);
   const Delay before = narrow.syn_delay(3);
 
   EXPECT_THROW(narrow.patch_delays({{3, 0}}), Error);  // below δ
   EXPECT_EQ(narrow.syn_delay(3), before);
   EXPECT_THROW(narrow.patch_delays({{narrow.num_synapses(), 2}}), Error);
-  EXPECT_THROW(narrow.patch_delays({{3, 300}}), Error);  // u8 overflow
+  EXPECT_THROW(narrow.patch_delays({{3, 65536}}), Error);  // u16 overflow
   EXPECT_EQ(narrow.syn_delay(3), before);
   narrow.verify_invariants();
+  CompiledNetwork at_cap = narrow;  // the cap itself still fits
+  at_cap.patch_delays({{3, kNarrowDelayCap}});
+  EXPECT_TRUE(at_cap.storage_widths().narrow);
+  EXPECT_EQ(at_cap.max_delay(), kNarrowDelayCap);
+  at_cap.verify_invariants();
 
   CompiledNetwork wide(net, StoragePolicy::kWide);
   // Locate index 3's row first: the patch re-sorts that row by delay, so
   // the edited synapse lands at the row's END, not necessarily at index 3.
   NeuronId row = 0;
   while (wide.out_end(row) <= 3) ++row;
-  wide.patch_delays({{3, 300}});
-  EXPECT_EQ(wide.syn_delay(wide.out_end(row) - 1), 300);
-  EXPECT_EQ(wide.max_delay(), 300);
+  wide.patch_delays({{3, 65536}});
+  EXPECT_EQ(wide.syn_delay(wide.out_end(row) - 1), 65536);
+  EXPECT_EQ(wide.max_delay(), 65536);
   wide.verify_invariants();
 }
 

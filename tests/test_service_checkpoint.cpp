@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/random.h"
 #include "graph/generators.h"
 #include "nga/sssp_event.h"
+#include "snn/snapshot.h"
 #include "svc/checkpoint.h"
 #include "svc/service.h"
 
@@ -161,6 +164,63 @@ TEST(QueryServiceCheckpoint, WorkerCrashRecoversFromTheLastCheckpoint) {
   const QueryResult pres = service.query(std::move(plain));
   ASSERT_TRUE(pres.ok()) << pres.error;
   EXPECT_EQ(pres.dist, ref.dist);
+}
+
+TEST(QueryServiceCheckpoint, OldU8DelayCheckpointIsRefusedCleanly) {
+  // A checkpoint taken while narrow stores held u8 delays records
+  // delay_bytes 1 in its snapshot fingerprint. The u16 freeze the service
+  // runs on refuses it: the resumed request fails with the fingerprint
+  // error, and the worker serves the next request normally.
+  const Graph g = test_graph(0x65, 40, 160);
+  CheckpointStore store;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.checkpoint_interval = interval_for(g, 2);
+  opt.checkpoints = &store;
+  store.on_checkpoint = [](std::uint64_t, std::uint64_t seq) {
+    if (seq == 1) throw std::runtime_error("injected worker crash");
+  };
+  QueryService service(opt);
+  const std::uint64_t handle = service.add_graph(g);
+
+  QueryRequest req;
+  req.kind = QueryKind::kSssp;
+  req.graph = handle;
+  req.source = 2;
+  req.ticket = 77;
+  ASSERT_EQ(service.query(QueryRequest{req}).status, QueryStatus::kFailed);
+  std::optional<Checkpoint> cp = store.get(77);
+  ASSERT_TRUE(cp.has_value());
+
+  // Header (8 bytes), section frame (12), n, m and max_delay (24), the
+  // narrow flag and the target width (2), then the delay width; the CRC
+  // is re-stamped so the image fails on the fingerprint, not the CRC.
+  std::vector<std::uint8_t>& b = cp->snapshot;
+  constexpr std::size_t kDelayBytes = 8 + 12 + 24 + 2;
+  ASSERT_EQ(b[kDelayBytes], 2);
+  b[kDelayBytes] = 1;
+  const std::uint32_t crc = snn::snapshot_crc32(b.data(), b.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    b[b.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  store.put(77, *cp);
+
+  QueryRequest again = req;
+  again.resume = true;
+  const QueryResult res = service.query(std::move(again));
+  EXPECT_EQ(res.status, QueryStatus::kFailed);
+  EXPECT_NE(res.error.find("snapshot [fingerprint]"), std::string::npos)
+      << res.error;
+
+  nga::SpikingSsspOptions ref_opt;
+  ref_opt.source = 2;
+  QueryRequest plain;
+  plain.kind = QueryKind::kSssp;
+  plain.graph = handle;
+  plain.source = 2;
+  const QueryResult pres = service.query(std::move(plain));
+  ASSERT_TRUE(pres.ok()) << pres.error;
+  EXPECT_EQ(pres.dist, nga::spiking_sssp(g, ref_opt).dist);
 }
 
 TEST(QueryServiceCheckpoint, ResumeWithUnknownTicketFails) {

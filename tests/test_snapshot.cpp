@@ -790,6 +790,39 @@ TEST_F(SnapshotMalformed, ForgedPackedFlagFailsTheFingerprint) {
   EXPECT_THROW(target.restore(forged), SnapshotError);
 }
 
+TEST_F(SnapshotMalformed, OldU8DelayWidthFailsTheFingerprint) {
+  // Narrow stores once held u8 delays, and images of that time record
+  // delay_bytes 1. They parse, but no freeze has that width any more, so
+  // a restore refuses them with the typed fingerprint tag. Header (8
+  // bytes), section frame (12), n, m and max_delay (24), the narrow flag
+  // and the target width (2), then the delay width.
+  constexpr std::size_t kDelayBytes = 8 + 12 + 24 + 2;
+  ASSERT_EQ(bytes_[8], kSecFingerprint);
+  ASSERT_EQ(net_->storage_widths().delay_bytes, 2);
+  ASSERT_EQ(bytes_[kDelayBytes], 2);
+  std::vector<std::uint8_t> old = bytes_;
+  old[kDelayBytes] = 1;
+  restamp(old);
+  EXPECT_EQ(parse_snapshot(old).widths.delay_bytes, 1);
+  for (const bool parallel : {false, true}) {
+    try {
+      if (parallel) {
+        ParallelConfig pcfg;
+        pcfg.num_shards = 2;
+        pcfg.num_threads = 1;
+        ParallelSimulator target(*net_, pcfg);
+        target.restore(old);
+      } else {
+        Simulator target(*net_);
+        target.restore(old);
+      }
+      FAIL() << "restore accepted an image with u8 delays";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.typed_section(), SnapshotError::kFingerprint);
+    }
+  }
+}
+
 TEST_F(SnapshotMalformed, RestoreIsAllOrNothing) {
   // Build a structurally valid stream whose SEMANTIC validation fails, and
   // prove the target simulator is untouched: it must still be paused and

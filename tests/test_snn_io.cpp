@@ -214,7 +214,7 @@ TEST(SnnIo, V2HeaderDeclaresTheFrozenWidths) {
   {
     std::stringstream ss;
     write_network(ss, net.compile());
-    EXPECT_NE(ss.str().find("snn 2\nstorage narrow target u16 delay u8 "
+    EXPECT_NE(ss.str().find("snn 2\nstorage narrow target u16 delay u16 "
                             "weight f32\n"),
               std::string::npos)
         << ss.str().substr(0, 80);
@@ -230,6 +230,40 @@ TEST(SnnIo, V2HeaderDeclaresTheFrozenWidths) {
     const CompiledNetwork reloaded = read_compiled_network(ss);
     EXPECT_FALSE(reloaded.storage_widths().narrow);
   }
+}
+
+TEST(SnnIo, V2U8DelayHeaderReadsAndWritesBackU16) {
+  // Narrow stores had u8 delays when every delay fit 255, and files of that
+  // time declare "delay u8". They still read, freeze at the one narrow
+  // delay width (u16) like any kAuto freeze of their graph, and write back
+  // as "delay u16".
+  const char* text =
+      "snn 2\nstorage narrow target u16 delay u8 weight f32\n"
+      "neurons 3\nn 0 1 0\nn 0 1 0\nn 0 1 0\n"
+      "synapses 3\ns 0 1 1 3\ns 0 2 1 1\ns 1 2 0.5 200\n"
+      "groups 1\ng out 1 2\n";
+  std::stringstream ss(text);
+  const CompiledNetwork net = read_compiled_network(ss);
+  std::stringstream ss2(text);
+  const CompiledNetwork want = read_network(ss2).compile();
+  EXPECT_TRUE(net.storage_widths().narrow);
+  EXPECT_EQ(net.storage_widths().delay_bytes, 2u);
+  EXPECT_EQ(net.storage_widths(), want.storage_widths());
+  EXPECT_EQ(net.max_delay(), 200);
+  ASSERT_EQ(net.num_synapses(), 3u);
+  for (std::size_t k = 0; k < net.num_synapses(); ++k) {
+    EXPECT_EQ(net.syn_target(k), want.syn_target(k)) << k;
+    EXPECT_EQ(net.syn_weight(k), want.syn_weight(k)) << k;
+    EXPECT_EQ(net.syn_delay(k), want.syn_delay(k)) << k;
+  }
+  net.verify_invariants();
+
+  std::stringstream out;
+  write_network(out, net);
+  EXPECT_NE(out.str().find("snn 2\nstorage narrow target u16 delay u16 "
+                           "weight f32\n"),
+            std::string::npos)
+      << out.str().substr(0, 80);
 }
 
 TEST(SnnIo, V1FilesRemainReadable) {
@@ -521,7 +555,7 @@ TEST(SnnIo, V3FixturesReadAsTheAutoFreezeOfTheirGraph) {
     SCOPED_TRACE(u16_f64 ? "u16 delays, f64 weights" : "u8 delays, f32 weights");
     const char* text = u16_f64 ? kV3U16F64 : kV3U8F32;
     const CompiledNetwork want = v3_fixture_graph(u16_f64).compile();
-    EXPECT_EQ(want.storage_widths().delay_bytes, u16_f64 ? 2u : 1u);
+    EXPECT_EQ(want.storage_widths().delay_bytes, 2u);  // either fixture
     EXPECT_EQ(want.storage_widths().weight_bytes, u16_f64 ? 8u : 4u);
 
     std::istringstream is(text);

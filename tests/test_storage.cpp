@@ -14,6 +14,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "core/random.h"
@@ -48,22 +49,28 @@ TEST(StorageWidthsTest, SmallNetworkNarrowsToTheFloor) {
   const StorageWidths& w = c.storage_widths();
   EXPECT_TRUE(w.narrow);
   EXPECT_EQ(w.target_bytes, 2u);   // n = 3 fits u16
-  EXPECT_EQ(w.delay_bytes, 1u);    // max delay 5 fits u8
+  EXPECT_EQ(w.delay_bytes, 2u);    // the one narrow delay width
   EXPECT_EQ(w.weight_bytes, 4u);   // 1.0 round-trips f32
   EXPECT_EQ(w.seg_index_bytes, 4u);
 }
 
-TEST(StorageWidthsTest, DelayPastU8WidensTheDelayColumnOnly) {
-  const CompiledNetwork c = tiny_net(300).compile();
-  EXPECT_TRUE(c.storage_widths().narrow);
-  EXPECT_EQ(c.storage_widths().delay_bytes, 2u);
-  EXPECT_EQ(c.storage_widths().target_bytes, 2u);
+TEST(StorageWidthsTest, DelaysUpToTheU16CapShareOneNarrowLayout) {
+  const StorageWidths small = tiny_net(5).compile().storage_widths();
+  for (const Delay d : {Delay{300}, snn::kNarrowDelayCap}) {
+    const CompiledNetwork c = tiny_net(d).compile();
+    EXPECT_TRUE(c.storage_widths().narrow) << d;
+    EXPECT_EQ(c.storage_widths(), small) << d;
+    EXPECT_EQ(c.max_delay(), d);
+    c.verify_invariants();
+  }
 }
 
 TEST(StorageWidthsTest, DelayPastU16ForcesWide) {
-  const CompiledNetwork c = tiny_net(70000).compile();
-  EXPECT_FALSE(c.storage_widths().narrow);
-  EXPECT_EQ(c.storage_widths().delay_bytes, sizeof(Delay));
+  for (const Delay d : {snn::kNarrowDelayCap + 1, Delay{70000}}) {
+    const CompiledNetwork c = tiny_net(d).compile();
+    EXPECT_FALSE(c.storage_widths().narrow) << d;
+    EXPECT_EQ(c.storage_widths().delay_bytes, sizeof(Delay));
+  }
 }
 
 TEST(StorageWidthsTest, ManyNeuronsWidenTargetsToU32) {
@@ -74,7 +81,7 @@ TEST(StorageWidthsTest, ManyNeuronsWidenTargetsToU32) {
   const CompiledNetwork c = net.compile();
   EXPECT_TRUE(c.storage_widths().narrow);
   EXPECT_EQ(c.storage_widths().target_bytes, 4u);
-  EXPECT_EQ(c.storage_widths().delay_bytes, 1u);
+  EXPECT_EQ(c.storage_widths().delay_bytes, 2u);
 }
 
 TEST(StorageWidthsTest, WidePolicyIsAnEscapeHatch) {
@@ -425,28 +432,38 @@ std::uint64_t freeze_hash(const CompiledNetwork& c) {
 
 struct PinCase {
   std::size_t n;
-  Delay max_delay;  ///< 9 keeps u8 delays, 300 forces u16
+  Delay max_delay;  ///< 9 or 300: both fit the one narrow delay width (u16)
   bool f32;         ///< weights that round-trip float32, or ones that do not
   StoragePolicy policy;
   std::size_t variant;  ///< the SynStoreVariant alternative it must land in
-  /// The pinned hash: freeze_hash continued with the resident byte count
-  /// the same freeze had while stores kept a per-synapse delay column and
-  /// a segment end column.
+  /// The pinned hash: freeze_hash continued with bytes_then.
   std::uint64_t hash;
-  std::size_t bytes_then;  ///< that byte count
+  /// The resident byte count the same network had while stores kept a
+  /// per-synapse delay column and a segment end column, and held max delay
+  /// 9 in u8 delays.
+  std::size_t bytes_then;
+  std::size_t bytes;  ///< csr_storage_bytes() of the freeze
 };
 
-/// One network per SynStoreVariant alternative.
+static_assert(std::variant_size_v<snn::SynStoreVariant> == 5);
+
+/// At least one network per SynStoreVariant alternative. The max delay 9
+/// cases froze to u8 delays until narrow stores got one delay width; their
+/// hashes differ from the pins of that time only in the delay width byte.
 const PinCase kPinCases[] = {
-    {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673, 17144},
-    {40, 9, true, StoragePolicy::kAuto, 1, 0x5f8dd9ff69a5c127, 6539},
-    {40, 9, false, StoragePolicy::kAuto, 2, 0x89c790b77a3ef7e7, 8939},
-    {40, 300, true, StoragePolicy::kAuto, 3, 0x86266af8339e7f07, 7276},
-    {40, 300, false, StoragePolicy::kAuto, 4, 0xc9368befd8b4fa64, 9676},
-    {70000, 9, true, StoragePolicy::kAuto, 5, 0x90ee67038352b852, 1129574},
-    {70000, 9, false, StoragePolicy::kAuto, 6, 0x47ecaab14ba6d545, 1131974},
-    {70000, 300, true, StoragePolicy::kAuto, 7, 0x11065d8c8bb0bee0, 1131086},
-    {70000, 300, false, StoragePolicy::kAuto, 8, 0x3400c4d1a97a1f8b, 1133486},
+    {40, 9, true, StoragePolicy::kWide, 0, 0x6eeec56e2c413673, 17144, 10856},
+    {40, 9, true, StoragePolicy::kAuto, 1, 0xd3e72d123bf44464, 6539, 5382},
+    {40, 9, false, StoragePolicy::kAuto, 2, 0xfe79b2ab209ee468, 8939, 7782},
+    {40, 300, true, StoragePolicy::kAuto, 1, 0x86266af8339e7f07, 7276, 5352},
+    {40, 300, false, StoragePolicy::kAuto, 2, 0xc9368befd8b4fa64, 9676, 7752},
+    {70000, 9, true, StoragePolicy::kAuto, 3, 0x791d1b501d26ebf1, 1129574,
+     1127592},
+    {70000, 9, false, StoragePolicy::kAuto, 4, 0x3065ff8b3826eea6, 1131974,
+     1129992},
+    {70000, 300, true, StoragePolicy::kAuto, 3, 0x11065d8c8bb0bee0, 1131086,
+     1127862},
+    {70000, 300, false, StoragePolicy::kAuto, 4, 0x3400c4d1a97a1f8b, 1133486,
+     1130262},
 };
 
 struct PinSyn {
@@ -500,13 +517,12 @@ Network pin_network(const PinCase& pc, const std::vector<PinSyn>& syns,
 }
 
 TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
-  // Fixed small networks frozen into each of the 9 SynStoreVariant
+  // Fixed small networks frozen into each of the 5 SynStoreVariant
   // alternatives, through the builder and through an edge stream carrying
   // the same synapse sequence. The stable per-row sort and the delay runs
   // are exercised; the hashes pin every public column, so any change to
   // what a freeze produces shows here. The resident bytes are pinned
-  // apart: a store dropped m delay entries and S − 1 segment bounds (S + 1
-  // begins, the last the m sentinel, replaced S begins and S ends).
+  // apart.
   std::vector<bool> seen(std::variant_size_v<snn::SynStoreVariant>, false);
   for (const PinCase& pc : kPinCases) {
     SCOPED_TRACE(testing::Message() << "n " << pc.n << ", max delay "
@@ -529,10 +545,7 @@ TEST(FreezeIdentityTest, EveryLayoutMatchesItsPinnedHash) {
     for (const CompiledNetwork* c : {&built, &streamed}) {
       const std::uint64_t h = fnv_mix(freeze_hash(*c), pc.bytes_then);
       EXPECT_EQ(h, pc.hash) << std::hex << "0x" << h;
-      const StorageWidths& w = c->storage_widths();
-      EXPECT_EQ(c->csr_storage_bytes(),
-                pc.bytes_then - c->num_synapses() * w.delay_bytes -
-                    (c->num_delay_segments() - 1) * w.seg_index_bytes);
+      EXPECT_EQ(c->csr_storage_bytes(), pc.bytes);
     }
     EXPECT_EQ(built.group("out"), (std::vector<NeuronId>{0, 1, 2}));
   }

@@ -37,12 +37,13 @@ TEST(ScaleStreamed, MillionNeuronRelayChainEndToEnd) {
   ASSERT_EQ(bs.csr_bytes, narrow.csr_storage_bytes());
   ASSERT_GE(bs.peak_resident_bytes, bs.csr_bytes);
 
-  // The widths the instance's ranges imply: u32 targets (n > 2^16), u8
-  // delays (max length 16), f32 weights (integers 1 and -(indeg+1)).
+  // The widths the instance's ranges imply: u32 targets (n > 2^16), u16
+  // delays (max length 16, the one narrow delay width), f32 weights
+  // (integers 1 and -(indeg+1)).
   const snn::StorageWidths& w = narrow.storage_widths();
   ASSERT_TRUE(w.narrow);
   EXPECT_EQ(w.target_bytes, 4u);
-  EXPECT_EQ(w.delay_bytes, 1u);
+  EXPECT_EQ(w.delay_bytes, 2u);
   EXPECT_EQ(w.weight_bytes, 4u);
 
   // ≥ 30% smaller than the wide oracle freeze of the same stream.
